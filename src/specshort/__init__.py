@@ -18,7 +18,6 @@ from .core import (
     Tolerances,
     eig_sym,
     image_subspace,
-    in_range,
     matrix_function,
     matrix_power,
     projection_meet,

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -133,29 +134,20 @@ def _base_tolerances() -> Tolerances:
     )
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    tol = _base_tolerances()
-    updates = {}
-    if args.tol_eig is not None:
-        updates["cluster_tol"] = args.tol_eig
-    if args.tol_rank is not None:
-        updates["rank_tol"] = args.tol_rank
-    if args.tol_meet is not None:
-        updates["meet_tol"] = args.tol_meet
-    if args.tol_conv is not None:
-        updates["conv_tol"] = args.tol_conv
-    if updates:
-        from dataclasses import replace
+_TOL_FLAGS = ("cluster_tol", "rank_tol", "meet_tol", "conv_tol")
 
-        tol = replace(tol, **updates)
-    return tol
+
+def _tolerances(args: argparse.Namespace) -> Tolerances:
+    updates = {f: getattr(args, f) for f in _TOL_FLAGS if getattr(args, f) is not None}
+    return replace(_base_tolerances(), **updates)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-eig", type=float, default=None, help="eigenvalue clustering tolerance")
-    parser.add_argument("--tol-rank", type=float, default=None, help="rank cutoff, relative to the spectral norm")
-    parser.add_argument("--tol-meet", type=float, default=None, help="projection-meet eigenvalue cutoff")
-    parser.add_argument("--tol-conv", type=float, default=None, help="iterative stopping threshold")
+    # dest names are the Tolerances fields the flags override (_TOL_FLAGS).
+    parser.add_argument("--tol-eig", dest="cluster_tol", type=float, help="eigenvalue clustering tolerance")
+    parser.add_argument("--tol-rank", dest="rank_tol", type=float, help="rank cutoff, relative to the spectral norm")
+    parser.add_argument("--tol-meet", dest="meet_tol", type=float, help="principal-angle sine cutoff")
+    parser.add_argument("--tol-conv", dest="conv_tol", type=float, help="iterative stopping threshold")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -210,10 +202,7 @@ def _cmd_spectral_short(args) -> int:
     if args.method in ("closed", "both"):
         closed = spectral_short_closed(A, S, tol)
         report["rho"] = matrix_payload(closed.value)
-        report["levels"] = [
-            {"value": float(mu), "rank": int(round(float(np.trace(dp))))}
-            for mu, dp in closed.levels
-        ]
+        report["levels"] = [{"value": mu, "rank": rank} for mu, rank in closed.levels]
     if args.method in ("iterative", "both"):
         iterative = spectral_short_iterative(A, S, k_max=args.k_max, tol=tol)
         if args.method == "iterative":
@@ -285,12 +274,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         tol=tol,
     )
-    text = report.to_json()
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(report.to_json_dict(), args.out)
     print(
         f"verify: {report.total_failures} failures over {report.trials} trials/theorem "
         f"({report.wall_time_s:.2f}s)",

@@ -33,7 +33,6 @@ __all__ = [
     "pseudo_inverse",
     "projection_meet",
     "image_subspace",
-    "in_range",
 ]
 
 
@@ -57,10 +56,12 @@ class EigenConvergenceError(RuntimeError):
 class Tolerances:
     """Numerical thresholds shared by every operation.
 
-    cluster_tol and rank_tol are relative (scaled by max(1, ||A||_2) and
-    ||A||_2 respectively at the point of use); the others are absolute on
-    quantities that are O(1) by construction (projection eigenvalues,
-    orthonormality residuals, unit vectors).
+    cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
+    every result scales with A.  meet_tol bounds a principal-angle sine: a
+    direction lies in a meet, and one subspace inside another, when the sine
+    of its angle to the other subspace is at most meet_tol.  The others are
+    absolute on quantities that are O(1) by construction (orthonormality
+    residuals, unit vectors).
     """
 
     cluster_tol: float = 1e-8
@@ -77,7 +78,7 @@ class Tolerances:
                 raise DomainError(f"tolerance {f.name} must be nonnegative")
 
     def cluster_abs(self, norm: float) -> float:
-        return self.cluster_tol * max(1.0, norm)
+        return self.cluster_tol * norm
 
     def rank_abs(self, norm: float) -> float:
         return self.rank_tol * norm
@@ -101,13 +102,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     if out.size == 0:
         return out
     absv = np.abs(out)
-    for j in range(out.shape[1]):
-        col_max = absv[:, j].max()
-        if col_max == 0.0:
-            continue
-        lead = int(np.argmax(absv[:, j] > 1e-8 * col_max))
-        if out[lead, j] < 0:
-            out[:, j] = -out[:, j]
+    # A zero column has no entry above 0, so its lead is row 0 and it stays.
+    lead = np.argmax(absv > 1e-8 * absv.max(axis=0), axis=0)
+    flip = out[lead, np.arange(out.shape[1])] < 0
+    out[:, flip] = -out[:, flip]
     return out
 
 
@@ -210,10 +208,21 @@ class SpectralDecomposition:
     def norm2(self) -> float:
         return max(abs(self.lambda_min), abs(self.lambda_max))
 
-    def positive_levels(self, tol: Tolerances = DEFAULT_TOL) -> list[int]:
-        """Indices (into levels) whose representative exceeds the rank cutoff."""
+    def blocks(self, tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, slice]]:
+        """Level blocks, ascending, as (value, slice of eigen indices).
+
+        The first block is the kernel: every level at or below the rank
+        cutoff, merged into one block of value 0 (an empty slice when no
+        level is that small).  Each further block is one positive level.
+        """
         cut = tol.rank_abs(self.norm2)
-        return [i for i, v in enumerate(self.level_values) if v > cut]
+        blocks = [(0.0, slice(0, 0))]
+        for group, rep in zip(self.levels, self.level_values.tolist()):
+            if rep > cut:
+                blocks.append((rep, slice(group[0], group[-1] + 1)))
+            else:
+                blocks[0] = (0.0, slice(0, group[-1] + 1))
+        return blocks
 
 
 def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
@@ -245,7 +254,8 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         A._eigens = (w, v)
     norm = max(abs(float(w[0])), abs(float(w[-1]))) if len(w) else 0.0
     groups = _cluster(w, tol.cluster_abs(norm))
-    reps = np.array([float(np.mean(w[list(g)])) for g in groups])
+    # A one-member level is its own mean, without np.mean's per-call cost.
+    reps = np.array([float(w[g[0]]) if len(g) == 1 else float(np.mean(w[g[0] : g[-1] + 1])) for g in groups])
     reps.setflags(write=False)
     decomp = SpectralDecomposition(
         eigenvalues=w,
@@ -338,31 +348,73 @@ class Subspace:
             )
         if self.dim == 0:
             return 0.0
-        rest = self.basis - other.basis @ (other.basis.T @ self.basis)
-        if rest.size == 0:
-            return 0.0
-        return float(np.linalg.svd(rest, compute_uv=False)[0])
+        return float(_principal_sines(self, other)[0][0])
 
     def member_residual(self, xi: np.ndarray) -> float:
         """Distance of the normalized vector xi from this subspace."""
-        v = np.asarray(xi, dtype=float).reshape(-1)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            raise DomainError("zero vector has no direction")
-        v = v / nrm
+        v = _direction(xi)
         return float(np.linalg.norm(v - self.basis @ (self.basis.T @ v)))
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim})"
 
 
-def in_range(Q: Subspace, xi: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Membership test xi in R(Q), decided by ||(I - P_Q) xi|| <= orth_tol.
+def _principal_sines(P: Subspace, Q: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """Sines of the principal angles from R(P) to R(Q), descending, with
+    the matching directions as P-coordinate columns.
 
-    Single definition shared by every range-membership decision in the
-    package.
+    Taken as the singular values of (I - P_Q) P.basis, which stay accurate
+    for small angles where cosines lose them (Bjorck & Golub 1973; Knyazev
+    & Argentati 2002).
     """
-    return Q.member_residual(xi) <= tol.orth_tol
+    rest = P.basis - Q.basis @ (Q.basis.T @ P.basis)
+    _, sines, vt = np.linalg.svd(rest, full_matrices=False)
+    return sines, vt.T
+
+
+def _direction(xi, tol: Tolerances | None = None) -> np.ndarray:
+    """xi scaled to unit length; given tol, xi must already be a unit
+    vector."""
+    v = np.asarray(xi, dtype=float).reshape(-1)
+    nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        raise DomainError("xi must be a nonzero vector")
+    if tol is not None and abs(nrm - 1.0) > max(tol.orth_tol, 1e-9):
+        raise DomainError(f"xi must be a unit vector, got norm {nrm!r}")
+    return v / nrm
+
+
+def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> None:
+    if A.n != S.n:
+        raise DimensionMismatchError(f"ambient dimensions differ: {A.n} vs {S.n}")
+    A.assert_psd(tol)
+
+
+class _OnSubspace:
+    """compressed() and scalar() for a result whose `value` acts on its
+    `subspace`."""
+
+    def compressed(self) -> np.ndarray:
+        """The value as an operator on the subspace (dim x dim array)."""
+        b = self.subspace.basis
+        return b.T @ self.value.entries @ b
+
+    def scalar(self) -> float:
+        """Compression to a one-dimensional subspace, as a number."""
+        if self.subspace.dim != 1:
+            raise DomainError(
+                f"scalar() needs a one-dimensional subspace, got dim {self.subspace.dim}"
+            )
+        return float(self.compressed()[0, 0])
+
+
+def _half_line_start(D: SpectralDecomposition, lam: float, tol: Tolerances) -> int:
+    """First eigen index of the half-line E[lam, inf): whole levels from the
+    first whose representative reaches lam, up to the clustering
+    tolerance."""
+    cut = lam - tol.cluster_abs(D.norm2)
+    k = int(np.searchsorted(D.level_values, cut, side="left"))
+    return D.levels[k][0] if k < len(D.levels) else D.n
 
 
 def spectral_projection(
@@ -374,14 +426,7 @@ def spectral_projection(
     Whole levels are kept or dropped together, so the result is monotone in
     lam exactly (as index sets).
     """
-    cut = lam - tol.cluster_abs(D.norm2)
-    idx: list[int] = []
-    for group, rep in zip(D.levels, D.level_values):
-        if rep >= cut:
-            idx.extend(group)
-    if not idx:
-        return Subspace.zero(D.n)
-    return Subspace(D.vectors[:, idx])
+    return Subspace(D.vectors[:, _half_line_start(D, lam, tol) :])
 
 
 def matrix_function(
@@ -421,10 +466,9 @@ def matrix_power(
         raise DomainError(f"exponent must be positive, got {t}")
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
     values = np.empty(d.n)
-    for group, rep in zip(d.levels, d.level_values):
-        values[list(group)] = 0.0 if rep <= cut else float(rep) ** t
+    for mu, idx in d.blocks(tol):
+        values[idx] = mu**t
     return SymMatrix.from_eigens(values, d.vectors)
 
 
@@ -433,31 +477,23 @@ def pseudo_inverse(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
     eigenvalues above the rank cutoff are inverted, the rest are zeroed."""
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
     values = np.empty(d.n)
-    for group, rep in zip(d.levels, d.level_values):
-        values[list(group)] = 0.0 if rep <= cut else 1.0 / float(rep)
+    for mu, idx in d.blocks(tol):
+        values[idx] = 1.0 / mu if mu else 0.0
     return SymMatrix.from_eigens(values, d.vectors)
 
 
 def projection_meet(
     P: Subspace, Q: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> Subspace:
-    """Orthogonal projection onto R(P) intersect R(Q).
-
-    Computed as the eigenvalue-2 eigenspace of P + Q, which is deterministic
-    and symmetric in its arguments (an eigenvalue of P + Q equals 2 exactly
-    on the intersection).
-    """
+    """Orthogonal projection onto R(P) intersect R(Q): the directions of P
+    whose principal-angle sine to Q is at most meet_tol."""
     if P.n != Q.n:
         raise DimensionMismatchError(f"ambient dimensions differ: {P.n} vs {Q.n}")
     if P.dim == 0 or Q.dim == 0:
         return Subspace.zero(P.n)
-    w, v = np.linalg.eigh(P.projection() + Q.projection())
-    keep = w >= 2.0 - tol.meet_tol
-    if not np.any(keep):
-        return Subspace.zero(P.n)
-    return Subspace(_fix_signs(v[:, keep]))
+    sines, directions = _principal_sines(P, Q)
+    return Subspace(_fix_signs(P.basis @ directions[:, sines <= tol.meet_tol]))
 
 
 def image_subspace(

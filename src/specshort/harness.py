@@ -281,8 +281,7 @@ def _check_spectrum_inclusion(rng, n, tol):
     comp = rho.compressed()
     eigs = np.linalg.eigvalsh(comp) if comp.size else np.zeros(0)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
-    targets = [0.0] + [float(r) for r in d.level_values if r > cut]
+    targets = [mu for mu, _ in d.blocks(tol)]
     worst = 0.0
     for e in eigs:
         worst = max(worst, min(abs(float(e) - t) for t in targets))
@@ -308,8 +307,7 @@ def _check_monotone_calculus(rng, n, tol):
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     d = eig_sym(A, tol)
     lam_max = max(d.lambda_max, 0.0)
-    cut = tol.rank_abs(d.norm2)
-    positives = [float(r) for r in d.level_values if r > cut]
+    positives = [mu for mu, _ in d.blocks(tol)[1:]]
     if len(positives) >= 2:
         step_at = (positives[-1] + positives[-2]) / 2.0
     else:
@@ -359,11 +357,8 @@ def _check_vector_power_limit(rng, n, tol):
     else:
         A = _psd_from_rng(rng, SpectrumSpec("with_zeros", n, gap=0.2))
         d = eig_sym(A, tol)
-        cut = tol.rank_abs(d.norm2)
-        keep = np.concatenate(
-            [list(g) for g, r in zip(d.levels, d.level_values) if r > cut]
-        )
-        x = d.vectors[:, keep] @ rng.standard_normal(len(keep))
+        positive = d.vectors[:, d.blocks(tol)[0][1].stop :]
+        x = positive @ rng.standard_normal(positive.shape[1])
         xi = x / np.linalg.norm(x)
     closed = spectral_short_vector(A, xi, tol)
     value, trace = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
@@ -373,8 +368,8 @@ def _check_vector_power_limit(rng, n, tol):
     if n >= 2:
         B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
         dB = eig_sym(B, tol)
-        null = dB.vectors[:, list(dB.levels[0])] if dB.level_values[0] <= tol.rank_abs(dB.norm2) else None
-        if null is not None and null.size:
+        null = dB.vectors[:, dB.blocks(tol)[0][1]]
+        if null.size:
             off = null[:, 0]
             off_value, _ = spectral_short_vector_power(B, off, m_max=200, tol=tol)
             parts.append(0.0 if off_value == 0.0 else 2.0)
@@ -454,11 +449,9 @@ def _check_complexity_power(rng, n, tol):
     for a in (-1.0, 0.5, 10.0):
         parts.append(0.0 if kolmogorov_closed(A, a * np.asarray(xi), tol).value == closed else 2.0)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
-    positives = [float(r) for r in d.level_values if r > cut]
+    positives = d.blocks(tol)[1:]
     if positives and closed > 0.0:
-        lam = min(positives)
-        q = spectral_projection(d, lam, tol)
+        q = spectral_projection(d, positives[0][0], tol)
         truncated = q.projection() @ xi
         if np.linalg.norm(truncated) > tol.orth_tol:
             parts.append(
@@ -470,16 +463,14 @@ def _check_complexity_power(rng, n, tol):
 def _check_levels_attained(rng, n, tol):
     A = _mixed_psd(rng, n, tol, kinds=("well_separated", "clustered", "with_zeros"))
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
     scale = max(1.0, d.norm2)
     spectrum = scalar_short_spectrum(A, tol)
-    worst = 0.0
-    for group, rep, listed in zip(d.levels, d.level_values, spectrum):
-        v = d.vectors[:, group[0]]
-        expected = float(rep) if rep > cut else 0.0
-        worst = max(worst, abs(spectral_short_vector(A, v, tol) - expected))
-        worst = max(worst, abs(kolmogorov_closed(A, v, tol).value - expected))
-        worst = max(worst, abs(listed - float(rep)))
+    worst = max(abs(listed - float(rep)) for listed, rep in zip(spectrum, d.level_values))
+    for expected, idx in d.blocks(tol):
+        if idx.stop > idx.start:
+            v = d.vectors[:, idx.start]
+            worst = max(worst, abs(spectral_short_vector(A, v, tol) - expected))
+            worst = max(worst, abs(kolmogorov_closed(A, v, tol).value - expected))
     return worst / (1e-9 * scale)
 
 
@@ -491,22 +482,16 @@ def _check_duality(rng, n, tol):
     xi /= np.linalg.norm(xi)
     k_value, dual = kolmogorov_duality(A, xi, tol)
     parts = []
+    d = eig_sym(A, tol)
+    kernel = d.blocks(tol)[0][1]
     if k_value == 0.0 and dual == 0.0:
-        d = eig_sym(A, tol)
-        keep = np.zeros(n, dtype=bool)
-        cut = tol.rank_abs(d.norm2)
-        for g, r in zip(d.levels, d.level_values):
-            if r > cut:
-                keep[list(g)] = True
-        proj = float(np.linalg.norm(d.vectors[:, keep].T @ xi)) if keep.any() else 0.0
+        proj = float(np.linalg.norm(d.vectors[:, kernel.stop :].T @ xi))
         parts.append(0.0 if proj <= tol.orth_tol else 2.0)
     else:
         parts.append(abs(k_value - dual) / (1e-8 * max(abs(k_value), 1e-300)))
     if singular:
-        d = eig_sym(A, tol)
-        null = [i for g, r in zip(d.levels, d.level_values) if r <= tol.rank_abs(d.norm2) for i in g]
-        if null:
-            z_k, z_dual = kolmogorov_duality(A, d.vectors[:, null[0]], tol)
+        if kernel.stop:
+            z_k, z_dual = kolmogorov_duality(A, d.vectors[:, 0], tol)
             parts.append(0.0 if (z_k == 0.0 and z_dual == 0.0) else 2.0)
     else:
         inv_rho = spectral_short_vector(pseudo_inverse(A, tol), xi, tol)

@@ -30,14 +30,13 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DomainError,
-    Subspace,
     SymMatrix,
     Tolerances,
+    _direction,
     eig_sym,
     pseudo_inverse,
 )
-from .spectral_shorted import ConvergenceTrace, TraceStep, spectral_short_vector
+from .spectral_shorted import ConvergenceTrace, TraceStep, _Plateau, spectral_short_vector
 
 __all__ = ["KolmogorovResult", "kolmogorov_closed", "kolmogorov_power", "kolmogorov_duality"]
 
@@ -55,14 +54,6 @@ class KolmogorovResult:
         return -math.inf if self.value == 0.0 else math.log(self.value)
 
 
-def _direction(xi) -> np.ndarray:
-    v = np.asarray(xi, dtype=float).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise DomainError("xi must be a nonzero vector")
-    return v / nrm
-
-
 def kolmogorov_closed(
     A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL
 ) -> KolmogorovResult:
@@ -71,14 +62,13 @@ def kolmogorov_closed(
     v = _direction(xi)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
     coeffs = d.vectors.T @ v
     above = 0.0  # squared norm of the component at or above the candidate level
     value = 0.0
-    for group, rep in zip(reversed(d.levels), reversed(d.level_values)):
-        above += float(np.sum(coeffs[list(group)] ** 2))
-        if rep > cut and math.sqrt(above) > tol.orth_tol:
-            value = float(rep)
+    for mu, idx in reversed(d.blocks(tol)):
+        above += float(coeffs[idx] @ coeffs[idx])
+        if mu > 0.0 and math.sqrt(above) > tol.orth_tol:
+            value = mu
             break
     return KolmogorovResult(value=value, method="closed_form")
 
@@ -96,15 +86,11 @@ def kolmogorov_power(
     log_norm = 0.0  # log ||A^n xi|| for the current n
     prev_inner = 1.0  # <u_{n-1}, xi> with u the renormalized iterate
     prev_s: float | None = None
-    prev_r: float | None = None
     steps: list[TraceStep] = []
+    plateau = _Plateau(n_max)
     value = 0.0
     converged = False
     reason = "max_iterations"
-    # A stabilized quotient may still sit on a plateau of a lower level when
-    # the top supported coefficient is tiny, so a stability candidate is only
-    # accepted after surviving to about twice the step where it appeared.
-    candidate: tuple[float, int] | None = None
     for n in range(1, n_max + 1):
         w = m @ u
         growth = float(np.linalg.norm(w))
@@ -127,22 +113,13 @@ def kolmogorov_power(
         delta = None if prev_s is None else s_n - prev_s
         steps.append(TraceStep(n, s_n, delta))
         band = tol.conv_tol * max(1.0, r_n)
-        if candidate is not None and abs(r_n - candidate[0]) > band:
-            candidate = None  # plateau escaped; keep iterating
-        if (
-            candidate is None
-            and prev_r is not None
-            and abs(r_n - prev_r) <= band
-            and r_n >= s_n - band  # the root sequence bounds the limit from below
-        ):
-            candidate = (r_n, n)
-        if candidate is not None and n >= min(n_max, 2 * candidate[1] + 10):
-            value = candidate[0]
+        # The root sequence bounds the limit from below.
+        if plateau.settled(n, r_n, r_n >= s_n - band, band):
+            value = plateau.value
             converged = True
             reason = "converged"
             break
         prev_s = s_n
-        prev_r = r_n
         prev_inner = inner
         value = r_n
     trace = ConvergenceTrace(
@@ -166,15 +143,8 @@ def kolmogorov_duality(
     v = _direction(xi)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
-    keep = np.zeros(d.n, dtype=bool)
-    for group, rep in zip(d.levels, d.level_values):
-        if rep > cut:
-            keep[list(group)] = True
-    if not keep.any():
-        return 0.0, 0.0
-    range_plus = Subspace(d.vectors[:, keep])
-    projected = range_plus.projection() @ v
+    positive = slice(d.blocks(tol)[0][1].stop, d.n)
+    projected = d.vectors[:, positive] @ (d.vectors[:, positive].T @ v)
     pnorm = float(np.linalg.norm(projected))
     if pnorm <= tol.orth_tol:
         return 0.0, 0.0

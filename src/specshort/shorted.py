@@ -23,11 +23,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DimensionMismatchError,
-    DomainError,
     Subspace,
     SymMatrix,
     Tolerances,
+    _check_pair,
+    _direction,
+    _OnSubspace,
     eig_sym,
     image_subspace,
     matrix_power,
@@ -38,7 +39,7 @@ __all__ = ["ShortedResult", "short_at", "short_schur", "short_vector"]
 
 
 @dataclass(frozen=True)
-class ShortedResult:
+class ShortedResult(_OnSubspace):
     """A shorted operator together with the subspace it was shorted to.
 
     range_residual is the largest entry of the part of the value lying
@@ -49,25 +50,6 @@ class ShortedResult:
     method: str
     subspace: Subspace
     range_residual: float
-
-    def compressed(self) -> np.ndarray:
-        """The value as an operator on the subspace (dim x dim array)."""
-        b = self.subspace.basis
-        return b.T @ self.value.entries @ b
-
-    def scalar(self) -> float:
-        """Compression to a one-dimensional subspace, as a number."""
-        if self.subspace.dim != 1:
-            raise DomainError(
-                f"scalar() needs a one-dimensional subspace, got dim {self.subspace.dim}"
-            )
-        return float(self.compressed()[0, 0])
-
-
-def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> None:
-    if A.n != S.n:
-        raise DimensionMismatchError(f"ambient dimensions differ: {A.n} vs {S.n}")
-    A.assert_psd(tol)
 
 
 def _range_residual(value: np.ndarray, S: Subspace) -> float:
@@ -133,13 +115,7 @@ def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
     For invertible A this is 1 / <A^{-1} xi, xi>; for singular A it falls
     back to shorting onto span(xi).  Always lies in [0, <A xi, xi>].
     """
-    v = np.asarray(xi, dtype=float).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise DomainError("xi must be a nonzero vector")
-    if abs(nrm - 1.0) > max(tol.orth_tol, 1e-9):
-        raise DomainError(f"xi must be a unit vector, got norm {nrm!r}")
-    v = v / nrm
+    v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
     cut = tol.rank_abs(d.norm2)

@@ -1,17 +1,18 @@
 """The spectral shorted operator: the decreasing limit of rooted powers of
 shorted operators, by two independent routes.
 
-Closed form (the canonical algorithm): with the distinct positive levels of A
-sorted descending, meet each half-line spectral projection of A with the
-target subspace; the nested chain of meets is the left spectral resolution of
-the result, so the operator is the telescoping sum of level values times
-projection increments.
+Closed form (the canonical algorithm): the half-line spectral projections of
+the result are the meets of those of A with the target subspace.  They are
+read off in one walk over the levels of A, bottom up, in A's eigen-
+coordinates: at each level, the directions of S still in play that carry
+weight on that level (principal-angle sine above meet_tol) leave the next
+meet, and they are the result's eigenvectors at that level.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
 iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  A is normalized to unit
 spectral norm before powering (the result scales linearly in A, so this is
 exact) and powers reuse the one eigendecomposition of A, but the approach is
-still precision-limited: level content of A^{m} below roughly 1e-14 of the
+still precision-limited: level content of A^{m} below roughly 1e-8 of the
 top retained level is indistinguishable from rounding noise, and the
 iteration refuses to power past that wall rather than return noise dressed
 up as an iterate.  Convergence of the iterates toward the limit is generally
@@ -34,16 +35,17 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    DimensionMismatchError,
     DomainError,
     Subspace,
     SymMatrix,
     Tolerances,
+    _check_pair,
+    _direction,
+    _OnSubspace,
     eig_sym,
     matrix_function,
     projection_meet,
     pseudo_inverse,
-    spectral_projection,
 )
 
 __all__ = [
@@ -82,6 +84,11 @@ class ConvergenceTrace:
     final_delta: float
     stop_reason: str  # "converged" | "max_iterations" | "power_limit" | "exact"
 
+    @classmethod
+    def exact(cls, power: float, value) -> "ConvergenceTrace":
+        """The one-step trace of a value known without iterating."""
+        return cls((TraceStep(power, value, None),), True, 0.0, "exact")
+
     def last_value(self):
         return self.iterates[-1].value
 
@@ -96,85 +103,60 @@ class ConvergenceTrace:
 
 
 @dataclass(frozen=True)
-class SpectralShortResult:
+class SpectralShortResult(_OnSubspace):
     """A spectral shorted operator with its construction data.
 
-    levels lists (level value, projection increment) pairs for the closed
-    form (empty for the iterative route); trace carries the iterates for the
+    levels lists (level value, rank) pairs for the closed form, one per
+    positive level of A in descending order: the rank is the multiplicity
+    of that value in the result, 0 where no direction of S settles there
+    (empty for the iterative route).  trace carries the iterates for the
     iterative route (None for the closed form).
     """
 
     value: SymMatrix
-    levels: tuple[tuple[float, np.ndarray], ...]
+    levels: tuple[tuple[float, int], ...]
     method: str
     subspace: Subspace
     trace: ConvergenceTrace | None = None
-
-    def compressed(self) -> np.ndarray:
-        b = self.subspace.basis
-        return b.T @ self.value.entries @ b
-
-    def scalar(self) -> float:
-        if self.subspace.dim != 1:
-            raise DomainError(
-                f"scalar() needs a one-dimensional subspace, got dim {self.subspace.dim}"
-            )
-        return float(self.compressed()[0, 0])
-
-
-def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> None:
-    if A.n != S.n:
-        raise DimensionMismatchError(f"ambient dimensions differ: {A.n} vs {S.n}")
-    A.assert_psd(tol)
-
-
-def _new_directions(Q: Subspace, prev: Subspace) -> np.ndarray:
-    """Orthonormal basis of the part of Q orthogonal to prev (Q contains prev)."""
-    if Q.dim == 0:
-        return np.zeros((Q.n, 0))
-    d = Q.basis - prev.basis @ (prev.basis.T @ Q.basis)
-    u, s, _ = np.linalg.svd(d, full_matrices=False)
-    return u[:, s > 0.5]
 
 
 def spectral_short_closed(
     A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> SpectralShortResult:
-    """Closed-form spectral shorted operator from the meet construction."""
+    """Closed-form spectral shorted operator by one level walk.
+
+    With C = V^T B_S (S in A's eigen-coordinates) and W the S-coordinates
+    of the current meet E_A[mu, inf) ^ S, starting from all of S: at each
+    level block from the bottom up, the right singular directions of
+    C[block] W whose singular value (a principal-angle sine) exceeds
+    meet_tol are the result's eigenvectors at that level; the rest span the
+    next meet.  The kernel block comes first, with value 0.
+    """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
-    descending = [
-        (float(d.level_values[i]), i)
-        for i in reversed(range(len(d.level_values)))
-        if d.level_values[i] > cut
-    ]
-    n = A.n
-    prev = Subspace.zero(n)
-    prev_proj = np.zeros((n, n))
-    levels: list[tuple[float, np.ndarray]] = []
-    eigvals: list[float] = []
-    eigvecs: list[np.ndarray] = []
-    for mu, level_idx in descending:
-        q = projection_meet(spectral_projection(d, mu, tol), S, tol)
-        increment = q.projection() - prev_proj
-        levels.append((mu, increment))
-        fresh = _new_directions(q, prev)
-        for j in range(fresh.shape[1]):
-            eigvals.append(mu)
-            eigvecs.append(fresh[:, j])
-        prev = q
-        prev_proj = q.projection()
-    null = prev.complement()
-    for j in range(null.dim):
-        eigvals.append(0.0)
-        eigvecs.append(null.basis[:, j])
-    value = SymMatrix.from_eigens(
-        np.array(eigvals), np.column_stack(eigvecs) if eigvecs else np.zeros((n, 0))
-    )
+    c = d.vectors.T @ S.basis
+    w = np.eye(S.dim)
+    values: list[float] = []
+    coords: list[np.ndarray] = []
+    levels: list[tuple[float, int]] = []
+    for mu, rows in d.blocks(tol):
+        rank = 0
+        if rows.stop > rows.start and w.shape[1]:
+            _, sines, vt = np.linalg.svd(c[rows] @ w)
+            rank = int(np.count_nonzero(sines > tol.meet_tol))
+            w = w @ vt.T
+            coords.append(w[:, :rank])
+            values.extend([mu] * rank)
+            w = w[:, rank:]
+        if mu > 0.0:
+            levels.append((mu, rank))
+    placed = S.basis @ np.hstack(coords) if coords else np.zeros((A.n, 0))
+    q, _ = np.linalg.qr(placed, mode="complete")
+    vectors = np.hstack([placed, q[:, placed.shape[1] :]])
+    values.extend([0.0] * (A.n - placed.shape[1]))
     return SpectralShortResult(
-        value=value,
-        levels=tuple(levels),
+        value=SymMatrix.from_eigens(values, vectors),
+        levels=tuple(reversed(levels)),
         method="closed_form",
         subspace=S,
     )
@@ -206,13 +188,7 @@ def spectral_short_iterative(
     n = A.n
     if scale <= 0.0 or S.dim == 0:
         zero = SymMatrix(np.zeros((n, n)))
-        trace = ConvergenceTrace(
-            iterates=(TraceStep(1, zero.entries, None),),
-            converged=True,
-            final_delta=0.0,
-            stop_reason="exact",
-        )
-        return SpectralShortResult(zero, (), "iterative", S, trace)
+        return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
 
     lam_hat = d.eigenvalues / scale
     cut = tol.rank_tol
@@ -303,21 +279,43 @@ def spectral_short_vector(
     largest level of A whose half-line projection contains the vector (so the
     smallest level carrying any of its spectral weight), and 0 if the vector
     leans outside the range of A."""
-    v = _unit_vector(xi, tol)
+    v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
     coeffs = d.vectors.T @ v
     best = 0.0
     below = 0.0  # squared norm of the component strictly below the candidate level
-    for group, rep in zip(d.levels, d.level_values):
-        if rep > cut:
-            if math.sqrt(below) <= tol.orth_tol:
-                best = float(rep)
-            else:
+    for mu, idx in d.blocks(tol):
+        if mu > 0.0:
+            if math.sqrt(below) > tol.orth_tol:
                 break
-        below += float(np.sum(coeffs[list(group)] ** 2))
+            best = mu
+        below += float(coeffs[idx] @ coeffs[idx])
     return best
+
+
+class _Plateau:
+    """Stopping rule of the power routes' quotient estimates.
+
+    A quotient that has stopped moving may still sit on the plateau of a
+    neighbouring level when the coefficient of the limiting level is tiny,
+    so a candidate is accepted only once it has held to about twice the step
+    where it appeared.
+    """
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self.value: float | None = None
+        self.since = 0
+        self.prev: float | None = None
+
+    def settled(self, step: int, r: float, consistent: bool, band: float) -> bool:
+        if self.value is not None and abs(r - self.value) > band:
+            self.value = None  # plateau escaped; keep iterating
+        if self.value is None and self.prev is not None and consistent and abs(r - self.prev) <= band:
+            self.value, self.since = r, step
+        self.prev = r
+        return self.value is not None and step >= min(self.n_max, 2 * self.since + 10)
 
 
 def spectral_short_vector_power(
@@ -335,30 +333,19 @@ def spectral_short_vector_power(
     1 / <pinv(A) u, u>, whose convergence is geometric in the level gap and
     therefore reaches tight tolerances the slow root sequence cannot.
     """
-    v = _unit_vector(xi, tol)
+    v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
-    keep = np.zeros(d.n, dtype=bool)
-    for group, rep in zip(d.levels, d.level_values):
-        if rep > cut:
-            keep[list(group)] = True
-    range_plus = Subspace(d.vectors[:, keep]) if keep.any() else Subspace.zero(d.n)
-    if range_plus.dim == 0 or range_plus.member_residual(v) > tol.orth_tol:
-        trace = ConvergenceTrace(
-            iterates=(TraceStep(0, 0.0, None),),
-            converged=True,
-            final_delta=0.0,
-            stop_reason="exact",
-        )
-        return 0.0, trace
+    kernel = d.vectors[:, d.blocks(tol)[0][1]]
+    if np.linalg.norm(kernel.T @ v) > tol.orth_tol:
+        return 0.0, ConvergenceTrace.exact(0, 0.0)
 
     pinv = pseudo_inverse(A, tol).entries
     eta = v
     log_norm = 0.0
     steps: list[TraceStep] = []
     prev_s: float | None = None
-    prev_r: float | None = None
+    plateau = _Plateau(m_max)
     value = 0.0
     converged = False
     reason = "max_iterations"
@@ -380,17 +367,12 @@ def spectral_short_vector_power(
         # estimate from above; a quotient sitting beyond that bound is still
         # on a transient plateau of a higher level.
         consistent = r_m <= s_m + tol.conv_tol * max(1.0, s_m)
-        if (
-            prev_r is not None
-            and consistent
-            and abs(r_m - prev_r) <= tol.conv_tol * max(1.0, r_m)
-        ):
-            value = r_m
+        if plateau.settled(m, r_m, consistent, tol.conv_tol * max(1.0, r_m)):
+            value = plateau.value
             converged = True
             reason = "converged"
             break
         prev_s = s_m
-        prev_r = r_m
         value = r_m
         eta = w / growth
     trace = ConvergenceTrace(
@@ -412,13 +394,14 @@ def spectral_short_min(
     if S.dim == 0:
         raise DomainError("the zero subspace has no compressed spectrum")
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
+    c = d.vectors.T @ S.basis
     best = 0.0
-    for rep in sorted((float(r) for r in d.level_values if r > cut), reverse=True):
-        q = spectral_projection(d, rep, tol)
-        if S.containment_residual(q) <= tol.orth_tol:
-            best = rep
+    # ||C[rows below mu]||_2 is the containment residual of S in E[mu, inf);
+    # it grows with mu, so the first level that fails ends the search.
+    for mu, rows in d.blocks(tol)[1:]:
+        if rows.start and np.linalg.norm(c[: rows.start], 2) > tol.orth_tol:
             break
+        best = mu
     return best
 
 
@@ -467,13 +450,3 @@ def scalar_short_spectrum(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> list[f
     A.assert_psd(tol)
     d = eig_sym(A, tol)
     return [float(r) for r in d.level_values]
-
-
-def _unit_vector(xi, tol: Tolerances) -> np.ndarray:
-    v = np.asarray(xi, dtype=float).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise DomainError("xi must be a nonzero vector")
-    if abs(nrm - 1.0) > max(tol.orth_tol, 1e-9):
-        raise DomainError(f"xi must be a unit vector, got norm {nrm!r}")
-    return v / nrm

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import specshort
 from specshort.cli import main
 
 
@@ -223,10 +225,13 @@ def test_tolerance_flags(files, capsys):
 
 
 def test_module_entry_point(files):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specshort.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "specshort", "order", files["low"], files["high"]],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["holds"] is False

@@ -23,6 +23,8 @@ from specshort import (
     spectral_projection,
 )
 
+from specshort.core import _fix_signs
+
 from conftest import max_abs, same_subspace
 
 
@@ -276,6 +278,39 @@ def test_meet_is_lattice_meet_on_constructed_triples():
         # any subspace inside both is inside the meet
         R = Subspace(core.basis[:, :1])
         assert R.containment_residual(meet) <= 1e-8
+
+
+def test_meet_and_containment_agree_on_a_small_angle():
+    # both decide on the principal-angle sine, so a line 1e-4 rad off
+    # span(e1) is neither inside it nor part of a meet with it
+    t = 1e-4
+    line = Subspace.span([[math.cos(t)], [math.sin(t)], [0.0]])
+    e1 = Subspace.span([[1.0], [0.0], [0.0]])
+    assert abs(line.containment_residual(e1) - math.sin(t)) <= 1e-12
+    assert projection_meet(line, e1).dim == 0
+    assert projection_meet(e1, line).dim == 0
+
+
+def test_fix_signs_matches_column_loop():
+    def reference(vectors):
+        out = np.array(vectors)
+        absv = np.abs(out)
+        for j in range(out.shape[1]):
+            col_max = absv[:, j].max()
+            if col_max == 0.0:
+                continue
+            lead = int(np.argmax(absv[:, j] > 1e-8 * col_max))
+            if out[lead, j] < 0:
+                out[:, j] = -out[:, j]
+        return out
+
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((7, 9))
+    m[:3, 1] = 0.0  # zero leading entries
+    m[0, 2] = -1e-10 * np.abs(m[:, 2]).max()  # a lead below the relative floor
+    m[:, 4] = 0.0  # a zero column
+    m[:2, 5] = -0.0
+    np.testing.assert_array_equal(_fix_signs(m), reference(m))
 
 
 def test_meet_dimension_mismatch():

@@ -128,3 +128,11 @@ def test_report_json_schema():
     assert d["schema"] == 1
     assert set(d) == {"schema", "seed", "dims", "trials", "failures_total", "theorems"}
     assert [t["id"] for t in d["theorems"]] == [f"T{i}" for i in range(1, 16)]
+
+
+def test_vector_power_does_not_stop_on_a_neighbouring_plateau():
+    # n = 3, levels (0, 1.0553, 1.4667), xi with a tiny weight on 1.0553:
+    # the quotient estimate rests near 1.4667 for a few steps first
+    index = [t.theorem for t in THEOREMS].index("T10")
+    residual = run_trial(THEOREMS[index], index, 1, tuple(range(2, 13)), 698272774, DEFAULT_TOL)
+    assert residual <= 1.0

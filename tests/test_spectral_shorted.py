@@ -14,6 +14,7 @@ from specshort import (
     gen_nested_subspaces,
     gen_psd,
     gen_subspace,
+    kolmogorov_closed,
     matrix_power,
     monotone_calculus_residual,
     projection_meet,
@@ -26,6 +27,7 @@ from specshort import (
     spectral_short_min,
     spectral_short_vector,
     spectral_short_vector_power,
+    spectral_projection,
 )
 
 from conftest import max_abs, min_eig
@@ -64,20 +66,48 @@ def test_closed_levels_are_nested_and_spectrum_sits_on_levels():
         A = gen_psd(SpectrumSpec("clustered", n), seed)
         S = gen_subspace(n, 3, seed + 5)
         r = spectral_short_closed(A, S)
-        cum = np.zeros((n, n))
-        prev_rank = 0
-        for mu, inc in r.levels:
-            cum = cum + inc
-            # cumulative sums are orthogonal projections, ranks nondecreasing
-            assert max_abs(cum @ cum - cum) <= 1e-9
-            rank = int(round(float(np.trace(cum))))
-            assert rank >= prev_rank
-            prev_rank = rank
         d = eig_sym(A)
         cut = 1e-10 * d.norm2
-        targets = [0.0] + [float(v) for v in d.level_values if v > cut]
-        for eig in np.linalg.eigvalsh(r.value.entries):
+        positives = [float(v) for v in d.level_values if v > cut]
+        assert [mu for mu, _ in r.levels] == positives[::-1]
+        eigs = np.linalg.eigvalsh(r.value.entries)
+        cumulative = 0
+        for mu, rank in r.levels:
+            # the ranks add up to the dimensions of the meets E_A[mu, inf) ^ S
+            cumulative += rank
+            assert cumulative == projection_meet(spectral_projection(d, mu), S).dim
+            # and each is the multiplicity of its value in rho
+            assert np.count_nonzero(np.abs(eigs - mu) <= 1e-8 * max(1.0, d.norm2)) == rank
+        targets = [0.0] + positives
+        for eig in eigs:
             assert min(abs(eig - t) for t in targets) <= 1e-8 * max(1.0, d.norm2)
+
+
+def test_closed_and_complexity_scale_with_the_matrix():
+    # rho(cA, S) = c rho(A, S) at every scale: distinct levels of a small
+    # matrix must not merge
+    S = Subspace.span([[1.0], [1.0]])
+    for c in (1e-12, 1e-9, 1.0, 1e3, 1e12):
+        A = SymMatrix(c * np.diag([1.0, 2.0]))
+        rho = spectral_short_closed(A, S).value.entries
+        assert max_abs(rho - 0.5 * c * np.ones((2, 2))) <= 1e-12 * c
+        assert abs(kolmogorov_closed(A, [1.0, 1.0]).value - 2.0 * c) <= 1e-12 * c
+
+
+def test_closed_on_generic_draw_with_small_angles():
+    # a generic draw whose subspace makes small principal angles with some
+    # half-line projections of A (the benchmark's many-levels instance 57)
+    rng = np.random.default_rng([0, 57])
+    n, k = 96, 48
+    w = np.linspace(1.0, 2.0, n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    basis = rng.standard_normal((n, k))
+    a = (q * w) @ q.T
+    A = SymMatrix((a + a.T) / 2.0)
+    rho = spectral_short_closed(A, Subspace.span(basis)).value
+    assert spectral_leq(rho, A).holds
+    want = np.concatenate([np.zeros(n - k), w[:k]])
+    assert max_abs(np.linalg.eigvalsh(rho.entries) - want) <= 1e-8
 
 
 def test_closed_range_inside_subspace():
