@@ -57,11 +57,12 @@ class Tolerances:
     """Numerical thresholds shared by every operation.
 
     cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
-    every result scales with A.  meet_tol bounds a principal-angle sine: a
-    direction lies in a meet, and one subspace inside another, when the sine
-    of its angle to the other subspace is at most meet_tol.  The others are
-    absolute on quantities that are O(1) by construction (orthonormality
-    residuals, unit vectors).
+    every result scales with A.  meet_tol bounds a principal-angle sine and
+    decides every membership question: a direction lies in a meet, one
+    subspace inside another, and a vector or subspace inside a half-line
+    (the range of A included), when the sine of its angle to the other
+    subspace is at most meet_tol.  The others are absolute on quantities
+    that are O(1) by construction (orthonormality residuals, unit vectors).
     """
 
     cluster_tol: float = 1e-8
@@ -350,11 +351,6 @@ class Subspace:
             return 0.0
         return float(_principal_sines(self, other)[0][0])
 
-    def member_residual(self, xi: np.ndarray) -> float:
-        """Distance of the normalized vector xi from this subspace."""
-        v = _direction(xi)
-        return float(np.linalg.norm(v - self.basis @ (self.basis.T @ v)))
-
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim})"
 
@@ -415,6 +411,28 @@ def _half_line_start(D: SpectralDecomposition, lam: float, tol: Tolerances) -> i
     cut = lam - tol.cluster_abs(D.norm2)
     k = int(np.searchsorted(D.level_values, cut, side="left"))
     return D.levels[k][0] if k < len(D.levels) else D.n
+
+
+def _half_line_level(
+    D: SpectralDecomposition, x: np.ndarray, tol: Tolerances, top_down: bool = False
+) -> float:
+    """Value of the first level block, walking from the bottom (or the top),
+    at which the rows of V^T x seen so far reach a 2-norm above meet_tol;
+    the kernel block's value is 0.
+
+    For a unit vector or an orthonormal basis x, that 2-norm is the largest
+    principal-angle sine of R(x) to the span of the blocks not yet walked,
+    so bottom up this is the largest level whose half-line contains R(x),
+    and top down the largest level whose half-line still sees x.
+    """
+    c = D.vectors.T @ x
+    blocks = D.blocks(tol)
+    mu = 0.0
+    for mu, rows in reversed(blocks) if top_down else blocks:
+        seen = c[rows.start :] if top_down else c[: rows.stop]
+        if np.linalg.norm(seen, 2) > tol.meet_tol:
+            break
+    return mu
 
 
 def spectral_projection(

@@ -193,32 +193,28 @@ def _min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a).min()) if a.size else 0.0
 
 
-def _mixed_psd(rng, n, tol, kinds=("well_separated", "with_zeros", "clustered", "projection")):
+def _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered", "projection")):
     kind = kinds[int(rng.integers(0, len(kinds)))]
     return _psd_from_rng(rng, SpectrumSpec(kind, n))
 
 
-def _norm(A: SymMatrix, tol: Tolerances) -> float:
-    return eig_sym(A, tol).norm2
-
-
 def _check_method_agreement(rng, n, tol):
-    A = _mixed_psd(rng, n, tol)
+    A = _mixed_psd(rng, n)
     k = int(rng.integers(0, n + 1))
     S = _subspace_from_rng(rng, n, k)
     r1 = short_at(A, S, tol)
     r2 = short_schur(A, S, tol)
     gap = _max_abs(r1.value.entries - r2.value.entries)
-    return gap / (1e-8 * _norm(A, tol))
+    return gap / (1e-8 * A.spectral_norm(tol))
 
 
 def _check_short_composition(rng, n, tol):
-    A = _mixed_psd(rng, n, tol, kinds=("well_separated", "with_zeros"))
+    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     T = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     lhs = short_at(A, projection_meet(S, T, tol), tol).value.entries
     rhs = short_at(short_at(A, T, tol).value, S, tol).value.entries
-    return _max_abs(lhs - rhs) / (1e-8 * _norm(A, tol))
+    return _max_abs(lhs - rhs) / (1e-8 * A.spectral_norm(tol))
 
 
 def _check_closed_vs_iterative(rng, n, tol):
@@ -237,7 +233,7 @@ def _check_closed_vs_iterative(rng, n, tol):
         S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     closed = spectral_short_closed(A, S, tol)
     it = spectral_short_iterative(A, S, k_max=20, tol=tol)
-    nrm = _norm(A, tol)
+    nrm = A.spectral_norm(tol)
     scale = max(1.0, nrm)
     parts = [0.0]
     values = [np.asarray(step.value) for step in it.trace.iterates]
@@ -253,10 +249,10 @@ def _check_closed_vs_iterative(rng, n, tol):
 
 
 def _check_power_identity(rng, n, tol):
-    A = _mixed_psd(rng, n, tol, kinds=("well_separated", "with_zeros"))
+    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     rho = spectral_short_closed(A, S, tol)
-    nrm = _norm(A, tol)
+    nrm = A.spectral_norm(tol)
     worst = 0.0
     for t in (0.5, 2.0, 3.0):
         lhs = spectral_short_closed(matrix_power(A, t, tol), S, tol).value.entries
@@ -266,16 +262,16 @@ def _check_power_identity(rng, n, tol):
 
 
 def _check_rho_composition(rng, n, tol):
-    A = _mixed_psd(rng, n, tol, kinds=("well_separated", "with_zeros", "clustered"))
+    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered"))
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     T = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     lhs = spectral_short_closed(A, projection_meet(S, T, tol), tol).value.entries
     rhs = spectral_short_closed(spectral_short_closed(A, S, tol).value, T, tol).value.entries
-    return _max_abs(lhs - rhs) / (1e-7 * _norm(A, tol))
+    return _max_abs(lhs - rhs) / (1e-7 * A.spectral_norm(tol))
 
 
 def _check_spectrum_inclusion(rng, n, tol):
-    A = _mixed_psd(rng, n, tol)
+    A = _mixed_psd(rng, n)
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     rho = spectral_short_closed(A, S, tol)
     comp = rho.compressed()
@@ -289,7 +285,7 @@ def _check_spectrum_inclusion(rng, n, tol):
 
 
 def _check_min_spectrum(rng, n, tol):
-    A = _mixed_psd(rng, n, tol, kinds=("well_separated", "with_zeros", "clustered"))
+    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered"))
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     grid_value = spectral_short_min(A, S, tol)
     rho = spectral_short_closed(A, S, tol)
@@ -303,7 +299,7 @@ def _check_min_spectrum(rng, n, tol):
 
 
 def _check_monotone_calculus(rng, n, tol):
-    A = _mixed_psd(rng, n, tol, kinds=("well_separated", "with_zeros"))
+    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     d = eig_sym(A, tol)
     lam_max = max(d.lambda_max, 0.0)
@@ -364,7 +360,7 @@ def _check_vector_power_limit(rng, n, tol):
     value, trace = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
     if not trace.converged:
         return 2.0
-    parts = [abs(value - closed) / (1e-6 * max(1.0, _norm(A, tol)))]
+    parts = [abs(value - closed) / (1e-6 * max(1.0, A.spectral_norm(tol)))]
     if n >= 2:
         B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
         dB = eig_sym(B, tol)
@@ -439,7 +435,7 @@ def _check_complexity_power(rng, n, tol):
     result = kolmogorov_power(A, xi, n_max=200, tol=tol)
     if not result.trace.converged:
         return 2.0
-    nrm = _norm(A, tol)
+    nrm = A.spectral_norm(tol)
     parts = [abs(result.value - closed) / (1e-6 * max(1.0, nrm))]
     drop = 0.0
     for step in result.trace.iterates:
@@ -461,7 +457,7 @@ def _check_complexity_power(rng, n, tol):
 
 
 def _check_levels_attained(rng, n, tol):
-    A = _mixed_psd(rng, n, tol, kinds=("well_separated", "clustered", "with_zeros"))
+    A = _mixed_psd(rng, n, kinds=("well_separated", "clustered", "with_zeros"))
     d = eig_sym(A, tol)
     scale = max(1.0, d.norm2)
     spectrum = scalar_short_spectrum(A, tol)

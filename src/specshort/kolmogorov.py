@@ -33,6 +33,7 @@ from .core import (
     SymMatrix,
     Tolerances,
     _direction,
+    _half_line_level,
     eig_sym,
     pseudo_inverse,
 )
@@ -61,15 +62,7 @@ def kolmogorov_closed(
     (0 when no positive level does).  Invariant under scaling of xi."""
     v = _direction(xi)
     A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    coeffs = d.vectors.T @ v
-    above = 0.0  # squared norm of the component at or above the candidate level
-    value = 0.0
-    for mu, idx in reversed(d.blocks(tol)):
-        above += float(coeffs[idx] @ coeffs[idx])
-        if mu > 0.0 and math.sqrt(above) > tol.orth_tol:
-            value = mu
-            break
+    value = _half_line_level(eig_sym(A, tol), v, tol, top_down=True)
     return KolmogorovResult(value=value, method="closed_form")
 
 
@@ -141,14 +134,13 @@ def kolmogorov_duality(
     range projection of xi vanishes both are 0 by convention.
     """
     v = _direction(xi)
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    positive = slice(d.blocks(tol)[0][1].stop, d.n)
-    projected = d.vectors[:, positive] @ (d.vectors[:, positive].T @ v)
-    pnorm = float(np.linalg.norm(projected))
-    if pnorm <= tol.orth_tol:
-        return 0.0, 0.0
     k_value = kolmogorov_closed(A, v, tol).value
+    if k_value == 0.0:
+        return 0.0, 0.0
+    d = eig_sym(A, tol)
+    positive = d.vectors[:, d.blocks(tol)[0][1].stop :]
+    projected = positive @ (positive.T @ v)
+    pnorm = float(np.linalg.norm(projected))
     rho = spectral_short_vector(pseudo_inverse(A, tol), projected / pnorm, tol)
     dual = 0.0 if rho == 0.0 else 1.0 / rho
     return k_value, dual

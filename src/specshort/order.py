@@ -36,7 +36,8 @@ class OrderCertificate:
 
     worst_residual is the largest range-inclusion defect over the tested
     thresholds; holds is true exactly when it stays within meet_tol.
-    witness_lambda records a threshold where inclusion fails, if any.
+    witness_lambda is the smallest tested threshold where inclusion fails
+    (its defect exceeds meet_tol), if any.
     """
 
     holds: bool
@@ -58,19 +59,14 @@ def spectral_leq(
     mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
     w = db.vectors.T @ da.vectors
     worst = 0.0
-    worst_lambda: float | None = None
+    witness: float | None = None
     for lam in sorted(set(levels + mids)):
         a_start = _half_line_start(da, lam, tol)
         b_start = _half_line_start(db, lam, tol)
         if a_start == A.n or b_start == 0:
             continue
         residual = float(np.linalg.norm(w[:b_start, a_start:], 2))
-        if residual > worst:
-            worst = residual
-            worst_lambda = lam
-    holds = worst <= tol.meet_tol
-    return OrderCertificate(
-        holds=holds,
-        witness_lambda=None if holds else worst_lambda,
-        worst_residual=worst,
-    )
+        worst = max(worst, residual)
+        if witness is None and residual > tol.meet_tol:
+            witness = lam
+    return OrderCertificate(holds=witness is None, witness_lambda=witness, worst_residual=worst)

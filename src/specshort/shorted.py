@@ -110,18 +110,15 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
 
 
 def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Scalar shorted value for a one-dimensional subspace.
-
-    For invertible A this is 1 / <A^{-1} xi, xi>; for singular A it falls
-    back to shorting onto span(xi).  Always lies in [0, <A xi, xi>].
+    """Scalar shorted value for a one-dimensional subspace: 0 when xi leans
+    outside the range of A (kernel sine above meet_tol), otherwise
+    1 / <pinv(A) xi, xi>.  Always lies in [0, <A xi, xi>].
     """
     v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    cut = tol.rank_abs(d.norm2)
-    if d.lambda_min > cut:
-        coeffs = d.vectors.T @ v
-        inv_quad = float(np.sum(coeffs**2 / d.eigenvalues))
-        return 1.0 / inv_quad
-    result = short_at(A, Subspace.span(v, tol), tol).scalar()
-    return max(result, 0.0)
+    k = d.blocks(tol)[0][1].stop
+    coeffs = d.vectors.T @ v
+    if np.linalg.norm(coeffs[:k]) > tol.meet_tol:
+        return 0.0
+    return 1.0 / float(np.sum(coeffs[k:] ** 2 / d.eigenvalues[k:]))

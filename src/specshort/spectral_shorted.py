@@ -41,8 +41,10 @@ from .core import (
     Tolerances,
     _check_pair,
     _direction,
+    _half_line_level,
     _OnSubspace,
     eig_sym,
+    image_subspace,
     matrix_function,
     projection_meet,
     pseudo_inverse,
@@ -88,9 +90,6 @@ class ConvergenceTrace:
     def exact(cls, power: float, value) -> "ConvergenceTrace":
         """The one-step trace of a value known without iterating."""
         return cls((TraceStep(power, value, None),), True, 0.0, "exact")
-
-    def last_value(self):
-        return self.iterates[-1].value
 
     def extrapolated(self):
         """Richardson extrapolation of the last two matrix iterates under the
@@ -213,7 +212,7 @@ def spectral_short_iterative(
             break
         # sqrt(A^m) from the one decomposition of A: exact per eigenvalue.
         root_m = SymMatrix.from_eigens(lam_pos ** (m / 2.0), d.vectors)
-        proj_m = _image_complement_projector(root_m, comp, tol)
+        proj_m = np.eye(n) - image_subspace(root_m, comp, tol).projection()
         raw = root_m.entries @ proj_m @ root_m.entries
         raw = (raw + raw.T) / 2.0
         b_hat = _rank_aware_root(raw, rank, 1.0 / m)
@@ -239,20 +238,6 @@ def spectral_short_iterative(
         subspace=S,
         trace=trace,
     )
-
-
-def _image_complement_projector(
-    root: SymMatrix, comp: Subspace, tol: Tolerances
-) -> np.ndarray:
-    """Projection onto the complement of root(comp); the M-projector of the
-    geometric shorted-operator construction."""
-    if comp.dim == 0:
-        return np.eye(root.n)
-    g = root.entries @ comp.basis
-    u, s, _ = np.linalg.svd(g, full_matrices=False)
-    keep = s > tol.rank_tol * float(s[0]) if s.size else np.zeros(0, bool)
-    t = u[:, keep]
-    return np.eye(root.n) - t @ t.T
 
 
 def _rank_aware_root(sigma: np.ndarray, rank: int, exponent: float) -> np.ndarray:
@@ -281,17 +266,7 @@ def spectral_short_vector(
     leans outside the range of A."""
     v = _direction(xi, tol)
     A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    coeffs = d.vectors.T @ v
-    best = 0.0
-    below = 0.0  # squared norm of the component strictly below the candidate level
-    for mu, idx in d.blocks(tol):
-        if mu > 0.0:
-            if math.sqrt(below) > tol.orth_tol:
-                break
-            best = mu
-        below += float(coeffs[idx] @ coeffs[idx])
-    return best
+    return _half_line_level(eig_sym(A, tol), v, tol)
 
 
 class _Plateau:
@@ -337,7 +312,7 @@ def spectral_short_vector_power(
     A.assert_psd(tol)
     d = eig_sym(A, tol)
     kernel = d.vectors[:, d.blocks(tol)[0][1]]
-    if np.linalg.norm(kernel.T @ v) > tol.orth_tol:
+    if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
         return 0.0, ConvergenceTrace.exact(0, 0.0)
 
     pinv = pseudo_inverse(A, tol).entries
@@ -393,16 +368,7 @@ def spectral_short_min(
     _check_pair(A, S, tol)
     if S.dim == 0:
         raise DomainError("the zero subspace has no compressed spectrum")
-    d = eig_sym(A, tol)
-    c = d.vectors.T @ S.basis
-    best = 0.0
-    # ||C[rows below mu]||_2 is the containment residual of S in E[mu, inf);
-    # it grows with mu, so the first level that fails ends the search.
-    for mu, rows in d.blocks(tol)[1:]:
-        if rows.start and np.linalg.norm(c[: rows.start], 2) > tol.orth_tol:
-            break
-        best = mu
-    return best
+    return _half_line_level(eig_sym(A, tol), S.basis, tol)
 
 
 def monotone_calculus_residual(

@@ -358,11 +358,6 @@ def test_subspace_rejects_bad_inputs():
         gen_subspace(3, 5, 0)
 
 
-def test_member_residual_zero_vector():
-    with pytest.raises(DomainError):
-        Subspace.full(2).member_residual(np.zeros(2))
-
-
 # ---- hypothesis properties ----
 
 

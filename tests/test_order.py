@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from specshort import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     SpectrumSpec,
     SymMatrix,
+    eig_sym,
     gen_psd,
+    gen_subspace,
     matrix_function,
     spectral_leq,
+    spectral_projection,
+    spectral_short_closed,
     spectral_short_vector,
 )
 
@@ -41,6 +46,27 @@ def test_counterexample_rejected_with_witness():
     assert not cert.holds
     assert cert.witness_lambda is not None
     assert cert.worst_residual > 0.1
+
+
+def test_witness_is_smallest_failing_threshold():
+    # the witness is the first threshold of the grid at which half-line
+    # inclusion fails, with the defects taken here by principal angles
+    for seed in range(40):
+        A = gen_psd(SpectrumSpec("clustered", 6), seed)
+        rho = spectral_short_closed(A, gen_subspace(6, 3, seed)).value
+        for low, high in ((A, rho), (rho, A), (CANONICAL_A, CANONICAL_B)):
+            da, db = eig_sym(low), eig_sym(high)
+            levels = sorted({mu for d in (da, db) for mu, _ in d.blocks()[1:]})
+            grid = sorted(set(levels + [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]))
+            failing = [
+                lam
+                for lam in grid
+                if spectral_projection(da, lam).containment_residual(spectral_projection(db, lam))
+                > DEFAULT_TOL.meet_tol
+            ]
+            cert = spectral_leq(low, high)
+            assert cert.holds == (not failing)
+            assert cert.witness_lambda == (failing[0] if failing else None)
 
 
 def test_dimension_mismatch():

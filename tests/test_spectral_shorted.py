@@ -18,9 +18,11 @@ from specshort import (
     matrix_power,
     monotone_calculus_residual,
     projection_meet,
+    pseudo_inverse,
     scalar_short_spectrum,
     short_at,
     short_schur,
+    short_vector,
     spectral_leq,
     spectral_short_closed,
     spectral_short_iterative,
@@ -108,6 +110,52 @@ def test_closed_on_generic_draw_with_small_angles():
     assert spectral_leq(rho, A).holds
     want = np.concatenate([np.zeros(n - k), w[:k]])
     assert max_abs(np.linalg.eigvalsh(rho.entries) - want) <= 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7])
+def test_line_routes_share_one_membership_test(eps):
+    # a line eps off a half-line of A is inside it exactly when eps is at
+    # most meet_tol, on every route
+    A = SymMatrix(np.diag([1.0, 2.0]))
+    xi = np.array([eps, 1.0]) / math.hypot(eps, 1.0)
+    line = Subspace.span(xi)
+    vector = spectral_short_vector(A, xi)
+    assert vector == (2.0 if eps <= DEFAULT_TOL.meet_tol else 1.0)
+    assert abs(spectral_short_min(A, line) - vector) <= 1e-12
+    assert abs(spectral_short_closed(A, line).scalar() - vector) <= 1e-12
+    # the complexity is the reciprocal of rho(span, pinv(A))
+    tilted = [1.0, eps]
+    rho_inv = spectral_short_closed(pseudo_inverse(A), Subspace.span(tilted)).scalar()
+    assert abs(kolmogorov_closed(A, tilted).value - 1.0 / rho_inv) <= 1e-12
+    # the range of a singular matrix is the half-line above its kernel
+    singular = SymMatrix(np.diag([1.0, 0.0]))
+    off = np.array([1.0, eps]) / math.hypot(1.0, eps)
+    level = spectral_short_vector(singular, off)
+    assert level == (1.0 if eps <= DEFAULT_TOL.meet_tol else 0.0)
+    assert short_vector(singular, off) >= level
+    assert abs(spectral_short_vector_power(singular, off)[0] - level) <= 1e-12
+
+
+def test_closed_is_orthogonally_and_basis_invariant():
+    # rho(U A U^T, U S) = U rho(A, S) U^T, and every orthonormal basis of S
+    # gives the same rho with the same level ranks
+    kinds = ("well_separated", "clustered", "with_zeros", "projection")
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        A = gen_psd(SpectrumSpec(kinds[seed % len(kinds)], n), seed)
+        S = gen_subspace(n, int(rng.integers(1, n + 1)), seed)
+        rho = spectral_short_closed(A, S)
+        bound = 1e-12 * max(1.0, A.spectral_norm())
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        rotated = spectral_short_closed(SymMatrix(u @ A.entries @ u.T), Subspace(u @ S.basis))
+        assert max_abs(rotated.value.entries - u @ rho.value.entries @ u.T) <= bound
+        q, _ = np.linalg.qr(rng.standard_normal((S.dim, S.dim)))
+        rebased = spectral_short_closed(A, Subspace(S.basis @ q))
+        assert max_abs(rebased.value.entries - rho.value.entries) <= bound
+        ranks = [rank for _, rank in rho.levels]
+        assert [rank for _, rank in rotated.levels] == ranks
+        assert [rank for _, rank in rebased.levels] == ranks
 
 
 def test_closed_range_inside_subspace():
