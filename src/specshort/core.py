@@ -129,7 +129,8 @@ class SymMatrix:
     """Real symmetric n x n matrix, stored canonically symmetrized.
 
     The entry array is made read-only on construction.  Construction rejects
-    inputs whose asymmetry exceeds sym_tol relative to the largest entry.
+    an empty (0 x 0) input and inputs whose asymmetry exceeds sym_tol
+    relative to the largest entry.
     Matrices built from a known eigendecomposition (matrix_function,
     matrix_power, pseudo_inverse) keep the exact eigenvalue list attached so
     downstream spectral logic never re-diagonalizes a powered matrix; this is
@@ -142,10 +143,12 @@ class SymMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.shape[0] == 0:
+            raise DomainError("expected a matrix of size at least 1 x 1, got 0 x 0")
+        if not np.all(np.isfinite(arr)):
             raise DomainError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(arr).max())) if arr.size else 1.0
-        asym = float(np.abs(arr - arr.T).max()) if arr.size else 0.0
+        scale = max(1.0, float(np.abs(arr).max()))
+        asym = float(np.abs(arr - arr.T).max())
         if asym > tol.sym_tol * scale:
             raise DomainError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
         arr = (arr + arr.T) / 2.0
@@ -244,7 +247,7 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
             w, v = np.linalg.eigh(A.entries)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh is robust
             off = A.entries - np.diag(np.diag(A.entries))
-            residual = float(np.abs(off).max()) if off.size else 0.0
+            residual = float(np.abs(off).max())
             raise EigenConvergenceError(
                 f"eigendecomposition failed: {exc}", residual
             ) from exc
@@ -253,7 +256,7 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         w.setflags(write=False)
         v.setflags(write=False)
         A._eigens = (w, v)
-    norm = max(abs(float(w[0])), abs(float(w[-1]))) if len(w) else 0.0
+    norm = max(abs(float(w[0])), abs(float(w[-1])))
     groups = _cluster(w, tol.cluster_abs(norm))
     # A one-member level is its own mean, without np.mean's per-call cost.
     reps = np.array([float(w[g[0]]) if len(g) == 1 else float(np.mean(w[g[0] : g[-1] + 1])) for g in groups])
@@ -404,13 +407,13 @@ class _OnSubspace:
         return float(self.compressed()[0, 0])
 
 
-def _half_line_start(D: SpectralDecomposition, lam: float, tol: Tolerances) -> int:
+def _half_line_start(D: SpectralDecomposition, lam, tol: Tolerances):
     """First eigen index of the half-line E[lam, inf): whole levels from the
     first whose representative reaches lam, up to the clustering
-    tolerance."""
-    cut = lam - tol.cluster_abs(D.norm2)
-    k = int(np.searchsorted(D.level_values, cut, side="left"))
-    return D.levels[k][0] if k < len(D.levels) else D.n
+    tolerance.  Given an array of thresholds, an array of the same shape."""
+    cut = np.asarray(lam) - tol.cluster_abs(D.norm2)
+    firsts = np.array([group[0] for group in D.levels] + [D.n])
+    return firsts[np.searchsorted(D.level_values, cut, side="left")]
 
 
 def _half_line_level(

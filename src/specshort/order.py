@@ -10,6 +10,9 @@ Range inclusion is measured by the operator norm of the excluded component,
 the largest principal-angle sine, which stays robust near degenerate
 eigenvalues.  With W = V_B^T V_A formed once, that component at a threshold
 is the block of W pairing B's eigenvectors below it with A's at or above it.
+Each distinct pair of half-line starts (the first eigen index of each
+matrix's half-line) is tested once, with one SVD of its block: thresholds
+that share the pair share the block, hence the residual.
 """
 
 from __future__ import annotations
@@ -57,15 +60,22 @@ def spectral_leq(
     db = eig_sym(B, tol)
     levels = sorted({mu for d in (da, db) for mu, _ in d.blocks(tol)[1:]})
     mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+    grid = np.array(sorted(set(levels + mids)))
+    a_starts = _half_line_start(da, grid, tol)
+    b_starts = _half_line_start(db, grid, tol)
+    # Both starts are nondecreasing in the threshold, so a repeated pair
+    # follows its first threshold directly and selects the same block of W.
+    new = np.ones(len(grid), dtype=bool)
+    new[1:] = (a_starts[1:] != a_starts[:-1]) | (b_starts[1:] != b_starts[:-1])
     w = db.vectors.T @ da.vectors
     worst = 0.0
     witness: float | None = None
-    for lam in sorted(set(levels + mids)):
-        a_start = _half_line_start(da, lam, tol)
-        b_start = _half_line_start(db, lam, tol)
+    for lam, a_start, b_start in zip(
+        grid[new].tolist(), a_starts[new].tolist(), b_starts[new].tolist()
+    ):
         if a_start == A.n or b_start == 0:
             continue
-        residual = float(np.linalg.norm(w[:b_start, a_start:], 2))
+        residual = float(np.linalg.svd(w[:b_start, a_start:], compute_uv=False)[0])
         worst = max(worst, residual)
         if witness is None and residual > tol.meet_tol:
             witness = lam

@@ -50,6 +50,13 @@ def test_rejects_non_square_and_non_finite():
         SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
 
 
+def test_rejects_empty_matrix():
+    with pytest.raises(DomainError, match="0 x 0"):
+        SymMatrix(np.zeros((0, 0)))
+    with pytest.raises(DomainError, match="0 x 0"):
+        SymMatrix.from_eigens(np.zeros(0), np.zeros((0, 0)))
+
+
 def test_assert_psd_names_eigenvalue():
     A = SymMatrix([[1.0, 0.0], [0.0, -0.5]])
     with pytest.raises(DomainError, match="-5"):

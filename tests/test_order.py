@@ -5,6 +5,7 @@ from specshort import (
     DEFAULT_TOL,
     DimensionMismatchError,
     SpectrumSpec,
+    Subspace,
     SymMatrix,
     eig_sym,
     gen_psd,
@@ -15,6 +16,7 @@ from specshort import (
     spectral_short_closed,
     spectral_short_vector,
 )
+from specshort.harness import _loewner_not_spectral
 
 from conftest import min_eig
 
@@ -67,6 +69,71 @@ def test_witness_is_smallest_failing_threshold():
             cert = spectral_leq(low, high)
             assert cert.holds == (not failing)
             assert cert.witness_lambda == (failing[0] if failing else None)
+
+
+def test_distinct_pairs_match_threshold_loop():
+    # reference: one SVD per threshold of the grid, as the order was decided
+    # before repeated pairs of half-line starts were skipped
+    def reference(A, B, tol=DEFAULT_TOL):
+        da, db = eig_sym(A, tol), eig_sym(B, tol)
+
+        def start(d, lam):
+            k = int(np.searchsorted(d.level_values, lam - tol.cluster_abs(d.norm2), side="left"))
+            return d.levels[k][0] if k < len(d.levels) else d.n
+
+        levels = sorted({mu for d in (da, db) for mu, _ in d.blocks(tol)[1:]})
+        mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+        w = db.vectors.T @ da.vectors
+        worst, witness = 0.0, None
+        for lam in sorted(set(levels + mids)):
+            a_start, b_start = start(da, lam), start(db, lam)
+            if a_start == A.n or b_start == 0:
+                continue
+            residual = float(np.linalg.norm(w[:b_start, a_start:], 2))
+            worst = max(worst, residual)
+            if witness is None and residual > tol.meet_tol:
+                witness = lam
+        return witness is None, witness, worst
+
+    pairs = []
+    for seed in range(12):
+        n = 3 + seed % 8
+        for kind in ("clustered", "with_zeros", "projection"):
+            A = gen_psd(SpectrumSpec(kind, n), seed)
+            rho = spectral_short_closed(A, gen_subspace(n, 1 + seed % n, seed)).value
+            pairs += [(rho, A), (A, rho)]
+        A, B = gen_psd(SpectrumSpec("commuting_pair", n), seed)
+        pairs += [(A, B), (B, A)]
+        pairs.append(_loewner_not_spectral(np.random.default_rng(seed), n, DEFAULT_TOL))
+    # L = n distinct levels, where most thresholds repeat a pair
+    rng = np.random.default_rng(200)
+    q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    A = SymMatrix.from_eigens(np.linspace(1.0, 2.0, 200), q)
+    rho = spectral_short_closed(A, Subspace.span(rng.standard_normal((200, 100)))).value
+    pairs += [(rho, A), (A, rho)]
+    outcomes = set()
+    for low, high in pairs:
+        cert = spectral_leq(low, high)
+        got = (cert.holds, cert.witness_lambda, cert.worst_residual)
+        assert got == reference(low, high)
+        outcomes.add(cert.holds)
+    assert outcomes == {True, False}
+    assert spectral_leq(rho, A).holds and not spectral_leq(A, rho).holds
+
+
+def test_witness_at_midpoint_between_close_levels():
+    # At the midpoint of A's levels 1 and 1 + 1.5c, A's half-line still holds
+    # its level 1 while B's has dropped its level 1 - 0.9c: the first failing
+    # threshold, which no level of either matrix carries.
+    c = 3 * DEFAULT_TOL.cluster_tol
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    rest, _ = np.linalg.qr(q[:, 1:] @ rng.standard_normal((4, 4)))
+    A = SymMatrix.from_eigens([0.4, 1.0, 1.0 + 1.5 * c, 2.0, 3.0], q)
+    B = SymMatrix.from_eigens([0.5, 1.0 - 0.9 * c, 2.5, 2.8, 3.0], np.column_stack([q[:, 0], rest]))
+    cert = spectral_leq(A, B)
+    assert not cert.holds
+    assert cert.witness_lambda == (1.0 + (1.0 + 1.5 * c)) / 2.0
 
 
 def test_dimension_mismatch():
