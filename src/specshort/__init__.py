@@ -27,7 +27,6 @@ from .core import (
 from .harness import (
     SpectrumSpec,
     VerificationReport,
-    gen_nested_subspaces,
     gen_psd,
     gen_subspace,
     run_suite,
@@ -44,7 +43,6 @@ from .spectral_shorted import (
     ConvergenceTrace,
     SpectralShortResult,
     monotone_calculus_residual,
-    scalar_short_spectrum,
     spectral_short_closed,
     spectral_short_iterative,
     spectral_short_min,

@@ -57,7 +57,11 @@ class Tolerances:
     """Numerical thresholds shared by every operation.
 
     cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
-    every result scales with A.  meet_tol bounds a principal-angle sine and
+    every result scales with A.  rank_tol fixes the kernel for every route:
+    the levels at or below rank_tol * ||A||_2 form one block of value 0
+    (SpectralDecomposition.blocks), which the functional calculus maps to
+    f(0) and every shorted and spectral shorted route reads as the
+    complement of the range.  meet_tol bounds a principal-angle sine and
     decides every membership question: a direction lies in a meet, one
     subspace inside another, and a vector or subspace inside a half-line
     (the range of A included), when the sine of its angle to the other
@@ -451,57 +455,61 @@ def spectral_projection(
 
 
 def matrix_function(
-    D: SpectralDecomposition | SymMatrix,
-    f: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
+    A: SymMatrix, f: Callable[[float], float], tol: Tolerances = DEFAULT_TOL
 ) -> SymMatrix:
-    """Apply f through the spectral theorem: V diag(f(level)) V^T.
+    """Apply f through the spectral theorem: V diag(f(mu)) V^T over the
+    level blocks of a positive semidefinite A.
 
-    f is evaluated once per level, on the level representative, so all
-    members of a cluster receive the same image.
+    f is evaluated once per nonempty block, on its value, so all members of
+    a level receive the same image and the kernel (every level at or below
+    the rank cutoff) maps to f(0).
     """
-    if isinstance(D, SymMatrix):
-        D = eig_sym(D, tol)
-    values = np.empty(D.n)
-    for group, rep in zip(D.levels, D.level_values):
+    A.assert_psd(tol)
+    d = eig_sym(A, tol)
+    values = np.empty(d.n)
+    for mu, idx in d.blocks(tol):
+        if idx.stop == idx.start:
+            continue
         try:
-            y = float(f(float(rep)))
+            y = float(f(mu))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"function undefined at eigenvalue {rep!r}: {exc}") from exc
+            raise DomainError(f"function undefined at eigenvalue {mu!r}: {exc}") from exc
         if not np.isfinite(y):
-            raise DomainError(f"function not finite at eigenvalue {rep!r}")
-        values[list(group)] = y
-    return SymMatrix.from_eigens(values, D.vectors)
+            raise DomainError(f"function not finite at eigenvalue {mu!r}")
+        values[idx] = y
+    return SymMatrix.from_eigens(values, d.vectors)
 
 
 def matrix_power(
     A: SymMatrix, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> SymMatrix:
-    """A**t for t > 0 on a positive semidefinite matrix.
-
-    Eigenvalues at or below the rank cutoff map to zero, so fractional powers
-    of singular matrices stay meaningful.  Inverse powers go through
-    pseudo_inverse.
-    """
+    """A**t for t > 0 on a positive semidefinite matrix; the kernel maps to
+    zero, so fractional powers of singular matrices stay meaningful.
+    Inverse powers go through pseudo_inverse."""
     if not t > 0:
         raise DomainError(f"exponent must be positive, got {t}")
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    values = np.empty(d.n)
-    for mu, idx in d.blocks(tol):
-        values[idx] = mu**t
-    return SymMatrix.from_eigens(values, d.vectors)
+    return matrix_function(A, lambda mu: mu**t, tol)
 
 
 def pseudo_inverse(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
     """Moore-Penrose pseudo-inverse of a positive semidefinite matrix:
-    eigenvalues above the rank cutoff are inverted, the rest are zeroed."""
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    values = np.empty(d.n)
-    for mu, idx in d.blocks(tol):
-        values[idx] = 1.0 / mu if mu else 0.0
-    return SymMatrix.from_eigens(values, d.vectors)
+    levels above the rank cutoff are inverted, the kernel is zeroed."""
+    return matrix_function(A, lambda mu: 1.0 / mu if mu else 0.0, tol)
+
+
+def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> np.ndarray:
+    """Orthonormal basis columns of S ^ R(A): the directions of S whose
+    kernel-block component, the sine of their principal angle to the range
+    of A, is at most meet_tol (S's own basis when A has no kernel).
+
+    Both shorted routes and the iterative oracle read the part of a
+    subspace inside the range of A here.
+    """
+    kernel = D.vectors[:, D.blocks(tol)[0][1]]
+    if not kernel.shape[1]:
+        return S.basis
+    _, sines, vt = np.linalg.svd(kernel.T @ S.basis)
+    return S.basis @ vt[np.count_nonzero(sines > tol.meet_tol) :].T
 
 
 def projection_meet(

@@ -1,14 +1,19 @@
 """The shorted operator of a positive semidefinite matrix to a subspace.
 
 Two independent algorithms compute the same object and are kept permanently:
-their agreement is the strongest correctness oracle available.
+their agreement is the strongest correctness oracle available.  Both short
+to T = S ^ R(A), the part of S inside the range of A (decided once, by
+core._range_meet, on a principal-angle sine against meet_tol), since the
+shorted operator's range is S intersect R(A) (Anderson & Trapp 1975).
 
-- short_at: the geometric route.  With M the preimage of the subspace under
-  the square root (realized as the complement of sqrt(A) applied to the
-  orthogonal complement), the shorted operator is sqrt(A) P_M sqrt(A).
-- short_schur: the block route.  In a basis adapted to S and its complement,
-  the shorted operator is the generalized Schur complement
-  A11 - A12 pinv(A22) A21, embedded back into the full space.
+- short_at: the geometric route, sqrt(A) P_M sqrt(A) in A's eigen-
+  coordinates, with M = Lambda^{-1/2} U^T T the preimage of T under the
+  square root on the range of A (U, Lambda the eigenvectors and level
+  values of A's positive blocks).
+- short_schur: the block route.  In a basis adapted to T and its
+  complement, the shorted operator is the generalized Schur complement
+  A11 - A12 pinv(A22) A21, embedded back into the full space; the trailing
+  block is inverted above the rank cutoff rank_tol * ||A||_2.
 
 Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
@@ -29,10 +34,8 @@ from .core import (
     _check_pair,
     _direction,
     _OnSubspace,
+    _range_meet,
     eig_sym,
-    image_subspace,
-    matrix_power,
-    pseudo_inverse,
 )
 
 __all__ = ["ShortedResult", "short_at", "short_schur", "short_vector"]
@@ -43,7 +46,9 @@ class ShortedResult(_OnSubspace):
     """A shorted operator together with the subspace it was shorted to.
 
     range_residual is the largest entry of the part of the value lying
-    outside the subspace; it should sit at rounding level.
+    outside the subspace: at rounding level when S meets the range of A
+    cleanly, and up to about meet_tol * ||A||_2 when S meets R(A) only
+    within meet_tol.
     """
 
     value: SymMatrix
@@ -52,61 +57,46 @@ class ShortedResult(_OnSubspace):
     range_residual: float
 
 
-def _range_residual(value: np.ndarray, S: Subspace) -> float:
-    if value.size == 0:
-        return 0.0
-    outside = value - S.basis @ (S.basis.T @ value)
-    return float(np.abs(outside).max())
+def _result(raw: np.ndarray, method: str, S: Subspace) -> ShortedResult:
+    value = SymMatrix((raw + raw.T) / 2.0)
+    outside = value.entries - S.basis @ (S.basis.T @ value.entries)
+    return ShortedResult(value, method, S, float(np.abs(outside).max()))
 
 
 def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
     """Shorted operator by the square-root / projection construction."""
     _check_pair(A, S, tol)
-    if S.dim == 0:
-        return ShortedResult(SymMatrix(np.zeros((A.n, A.n))), "anderson_trapp", S, 0.0)
     if S.dim == A.n:
         return ShortedResult(A, "anderson_trapp", S, 0.0)
-    root = matrix_power(A, 0.5, tol)
-    m = image_subspace(root, S.complement(), tol).complement()
-    raw = root.entries @ m.projection() @ root.entries
-    value = SymMatrix((raw + raw.T) / 2.0)
-    return ShortedResult(
-        value=value,
-        method="anderson_trapp",
-        subspace=S,
-        range_residual=_range_residual(value.entries, S),
-    )
+    d = eig_sym(A, tol)
+    blocks = d.blocks(tol)
+    u = d.vectors[:, blocks[0][1].stop :]
+    root = np.sqrt([mu for mu, idx in blocks[1:] for _ in range(idx.start, idx.stop)])
+    m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol)) / root[:, None])
+    f = u @ (root[:, None] * m)
+    return _result(f @ f.T, "anderson_trapp", S)
 
 
 def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
-    """Shorted operator as a generalized Schur complement.
+    """Shorted operator as a generalized Schur complement relative to the
+    complement of S ^ R(A).
 
-    Singular trailing blocks go through the pseudo-inverse; for positive
-    semidefinite matrices the usual range-inclusion condition between the
-    off-diagonal and trailing blocks holds automatically.
+    The trailing block is positive semidefinite; its eigenvalues at or
+    below rank_tol * ||A||_2 are its kernel, the rest are inverted.
     """
     _check_pair(A, S, tol)
-    k = S.dim
-    comp = S.complement()
-    if k == 0:
-        value = SymMatrix(np.zeros((A.n, A.n)))
-        return ShortedResult(value, "schur", S, 0.0)
-    if k == A.n:
+    if S.dim == A.n:
         return ShortedResult(A, "schur", S, 0.0)
-    bs, bc = S.basis, comp.basis
+    d = eig_sym(A, tol)
+    bs = _range_meet(d, S, tol)
+    q, _ = np.linalg.qr(bs, mode="complete")
+    bc = q[:, bs.shape[1] :]
     a11 = bs.T @ A.entries @ bs
     a12 = bs.T @ A.entries @ bc
-    a22 = bc.T @ A.entries @ bc
-    a22_pinv = pseudo_inverse(SymMatrix(a22), tol).entries
-    small = a11 - a12 @ a22_pinv @ a12.T
-    raw = bs @ small @ bs.T
-    value = SymMatrix((raw + raw.T) / 2.0)
-    return ShortedResult(
-        value=value,
-        method="schur",
-        subspace=S,
-        range_residual=_range_residual(value.entries, S),
-    )
+    w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
+    keep = w > tol.rank_abs(d.norm2)
+    h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
+    return _result(bs @ (a11 - h @ h.T) @ bs.T, "schur", S)
 
 
 def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -4,9 +4,10 @@ shorted operators, by two independent routes.
 Closed form (the canonical algorithm): the half-line spectral projections of
 the result are the meets of those of A with the target subspace.  They are
 read off in one walk over the levels of A, bottom up, in A's eigen-
-coordinates: at each level, the directions of S still in play that carry
-weight on that level (principal-angle sine above meet_tol) leave the next
-meet, and they are the result's eigenvectors at that level.
+coordinates: at each level, the directions of S still in play whose weight
+on the levels walked so far (a principal-angle sine to the half-line above)
+exceeds meet_tol leave the next meet, and they are the result's
+eigenvectors at that level.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
 iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  A is normalized to unit
@@ -43,10 +44,10 @@ from .core import (
     _direction,
     _half_line_level,
     _OnSubspace,
+    _range_meet,
     eig_sym,
     image_subspace,
     matrix_function,
-    projection_meet,
     pseudo_inverse,
 )
 
@@ -60,7 +61,6 @@ __all__ = [
     "spectral_short_vector_power",
     "spectral_short_min",
     "monotone_calculus_residual",
-    "scalar_short_spectrum",
 ]
 
 # Relative level content below this floor picks up enough rounding noise,
@@ -91,15 +91,6 @@ class ConvergenceTrace:
         """The one-step trace of a value known without iterating."""
         return cls((TraceStep(power, value, None),), True, 0.0, "exact")
 
-    def extrapolated(self):
-        """Richardson extrapolation of the last two matrix iterates under the
-        O(1/power) error model (2*B_k - B_{k-1} for doubling powers)."""
-        if len(self.iterates) < 2:
-            return self.iterates[-1].value
-        return 2 * np.asarray(self.iterates[-1].value) - np.asarray(
-            self.iterates[-2].value
-        )
-
 
 @dataclass(frozen=True)
 class SpectralShortResult(_OnSubspace):
@@ -119,6 +110,11 @@ class SpectralShortResult(_OnSubspace):
     trace: ConvergenceTrace | None = None
 
 
+def _staying_sq(sines: np.ndarray, tol: Tolerances) -> float:
+    """Square of the largest sine at most meet_tol (0 when there is none)."""
+    return float(np.max(sines, where=sines <= tol.meet_tol, initial=0.0)) ** 2
+
+
 def spectral_short_closed(
     A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> SpectralShortResult:
@@ -126,15 +122,22 @@ def spectral_short_closed(
 
     With C = V^T B_S (S in A's eigen-coordinates) and W the S-coordinates
     of the current meet E_A[mu, inf) ^ S, starting from all of S: at each
-    level block from the bottom up, the right singular directions of
-    C[block] W whose singular value (a principal-angle sine) exceeds
-    meet_tol are the result's eigenvectors at that level; the rest span the
-    next meet.  The kernel block comes first, with value 0.
+    level block from the bottom up, the directions of W whose component on
+    the blocks walked so far (a principal-angle sine) exceeds meet_tol are
+    the result's eigenvectors at that level; the rest span the next meet.
+    The kernel block comes first, with value 0.
+
+    The sines are taken on the block alone while the sum of the squared
+    largest staying sine of each block walked, a bound on the squared sine
+    of the staying directions on all of them, stays within meet_tol**2.
+    Past that they are taken on C[:block end] W, every block walked, and
+    the sum restarts from the largest staying sine found there.
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
     c = d.vectors.T @ S.basis
     w = np.eye(S.dim)
+    walked = 0.0  # bound on the squared sine of the meet to the blocks walked
     values: list[float] = []
     coords: list[np.ndarray] = []
     levels: list[tuple[float, int]] = []
@@ -142,6 +145,10 @@ def spectral_short_closed(
         rank = 0
         if rows.stop > rows.start and w.shape[1]:
             _, sines, vt = np.linalg.svd(c[rows] @ w)
+            if walked + _staying_sq(sines, tol) > tol.meet_tol**2:
+                _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
+                walked = 0.0
+            walked += _staying_sq(sines, tol)
             rank = int(np.count_nonzero(sines > tol.meet_tol))
             w = w @ vt.T
             coords.append(w[:, :rank])
@@ -189,16 +196,13 @@ def spectral_short_iterative(
         zero = SymMatrix(np.zeros((n, n)))
         return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
 
-    lam_hat = d.eigenvalues / scale
-    cut = tol.rank_tol
-    positive = lam_hat > cut
-    lam_pos = np.where(positive, lam_hat, 0.0)
-    min_ratio = float(lam_pos[positive].min())
-    m_limit = _power_limit(min_ratio)
+    blocks = d.blocks(tol)
+    lam_pos = d.eigenvalues / scale
+    lam_pos[blocks[0][1]] = 0.0
+    m_limit = _power_limit(blocks[1][0] / scale)
 
     # Rank of every iterate and of the limit: dimension of S meet range(A).
-    range_plus = Subspace(d.vectors[:, positive]) if positive.any() else Subspace.zero(n)
-    rank = projection_meet(S, range_plus, tol).dim
+    rank = _range_meet(d, S, tol).shape[1]
 
     comp = S.complement()
     steps: list[TraceStep] = []
@@ -401,18 +405,6 @@ def monotone_calculus_residual(
             )
     rho = spectral_short_closed(A, S, tol)
     lhs = matrix_function(rho.value, lambda x: max(float(f(x)), 0.0), tol)
-    fa = matrix_function(A, f, tol)
-    fa.assert_psd(tol)
-    rhs = spectral_short_closed(fa, S, tol)
+    rhs = spectral_short_closed(matrix_function(A, f, tol), S, tol)
     return float(np.abs(lhs.entries - rhs.value.entries).max())
 
-
-def scalar_short_spectrum(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> list[float]:
-    """The set of scalar spectral shorted values over unit vectors.
-
-    For a finite-dimensional matrix this is exactly the set of distinct
-    eigenvalue levels, each certified by one of its eigenvectors.
-    """
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    return [float(r) for r in d.level_values]

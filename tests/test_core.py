@@ -206,6 +206,12 @@ def test_matrix_function_domain_error():
         matrix_function(A, lambda x: math.log(x))
 
 
+def test_matrix_function_rejects_indefinite_input():
+    # the kernel block would fold the level -1 into f(0)
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        matrix_function(SymMatrix(np.diag([-1.0, 1.0])), abs)
+
+
 def test_matrix_power_examples():
     assert max_abs(matrix_power(SymMatrix(np.diag([4.0, 9.0])), 0.5).entries - np.diag([2.0, 3.0])) < 1e-14
     assert max_abs(matrix_power(SymMatrix(np.eye(3)), 2.7).entries - np.eye(3)) < 1e-14

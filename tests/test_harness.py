@@ -4,7 +4,6 @@ import pytest
 from specshort import (
     DomainError,
     SpectrumSpec,
-    gen_nested_subspaces,
     gen_psd,
     gen_subspace,
     run_suite,
@@ -60,11 +59,6 @@ def test_gen_subspace_reproducible_and_valid():
     assert max_abs(s1.basis.T @ s1.basis - np.eye(3)) <= 1e-12
     assert gen_subspace(4, 0, 1).dim == 0
     assert gen_subspace(4, 4, 1).dim == 4
-
-
-def test_gen_nested():
-    small, big = gen_nested_subspaces(7, 2, 5, 3)
-    assert small.containment_residual(big) <= 1e-12
 
 
 def test_gen_validation_errors():
@@ -136,3 +130,11 @@ def test_vector_power_does_not_stop_on_a_neighbouring_plateau():
     index = [t.theorem for t in THEOREMS].index("T10")
     residual = run_trial(THEOREMS[index], index, 1, tuple(range(2, 13)), 698272774, DEFAULT_TOL)
     assert residual <= 1.0
+
+
+def test_monotone_calculus_maps_the_kernel_to_f0_at_n200():
+    # a well-separated spectrum at n = 200 has levels below the rank cut:
+    # kernel for rho(A), so they must be kernel for sqrt(A) too
+    index = [t.theorem for t in THEOREMS].index("T8")
+    for trial in range(6):
+        assert run_trial(THEOREMS[index], index, trial, (200,), 0, DEFAULT_TOL) <= 1.0

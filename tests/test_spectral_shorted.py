@@ -11,7 +11,6 @@ from specshort import (
     Subspace,
     SymMatrix,
     eig_sym,
-    gen_nested_subspaces,
     gen_psd,
     gen_subspace,
     kolmogorov_closed,
@@ -19,7 +18,6 @@ from specshort import (
     monotone_calculus_residual,
     projection_meet,
     pseudo_inverse,
-    scalar_short_spectrum,
     short_at,
     short_schur,
     short_vector,
@@ -56,17 +54,23 @@ def test_closed_diagonal_with_tilted_line():
     S = Subspace.span([[1.0], [1.0]])
     r = spectral_short_closed(A, S)
     assert max_abs(r.value.entries - S.projection()) < 1e-12
-    # cross-check by the independent iterative route, extrapolated
-    it = spectral_short_iterative(A, S, k_max=20)
-    ext = it.trace.extrapolated()
+    # cross-check by the independent iterative route, Richardson-extrapolated
+    # under its O(1/power) error model: 2 B_k - B_{k-1} for doubling powers
+    before, last = spectral_short_iterative(A, S, k_max=20).trace.iterates[-2:]
+    ext = 2.0 * np.asarray(last.value) - np.asarray(before.value)
     assert max_abs(ext - r.value.entries) < 5e-3
 
 
-def test_closed_levels_are_nested_and_spectrum_sits_on_levels():
+def _walk_cases():
     for seed in range(6):
-        n = 6
-        A = gen_psd(SpectrumSpec("clustered", n), seed)
-        S = gen_subspace(n, 3, seed + 5)
+        yield gen_psd(SpectrumSpec("clustered", 6), seed), gen_subspace(6, 3, seed + 5)
+    # block sines of 8e-9 each stay within meet_tol, but their sum leaves it
+    xi = np.array([8e-9, 8e-9, 1.0])
+    yield SymMatrix(np.diag([1.0, 2.0, 3.0])), Subspace.span(xi / np.linalg.norm(xi))
+
+
+def test_closed_levels_are_nested_and_spectrum_sits_on_levels():
+    for A, S in _walk_cases():
         r = spectral_short_closed(A, S)
         d = eig_sym(A)
         cut = 1e-10 * d.norm2
@@ -83,6 +87,10 @@ def test_closed_levels_are_nested_and_spectrum_sits_on_levels():
         targets = [0.0] + positives
         for eig in eigs:
             assert min(abs(eig - t) for t in targets) <= 1e-8 * max(1.0, d.norm2)
+        if S.dim == 1:
+            # the walk and the half-line reader agree on the line
+            assert spectral_short_vector(A, S.basis[:, 0]) == spectral_short_min(A, S) == 2.0
+            assert abs(r.scalar() - 2.0) <= 1e-12
 
 
 def test_closed_and_complexity_scale_with_the_matrix():
@@ -112,7 +120,7 @@ def test_closed_on_generic_draw_with_small_angles():
     assert max_abs(np.linalg.eigvalsh(rho.entries) - want) <= 1e-8
 
 
-@pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7])
+@pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-9, 1e-7])
 def test_line_routes_share_one_membership_test(eps):
     # a line eps off a half-line of A is inside it exactly when eps is at
     # most meet_tol, on every route
@@ -127,13 +135,21 @@ def test_line_routes_share_one_membership_test(eps):
     tilted = [1.0, eps]
     rho_inv = spectral_short_closed(pseudo_inverse(A), Subspace.span(tilted)).scalar()
     assert abs(kolmogorov_closed(A, tilted).value - 1.0 / rho_inv) <= 1e-12
-    # the range of a singular matrix is the half-line above its kernel
+    # the range of a singular matrix is the half-line above its kernel, and
+    # both shorted routes short to S ^ R(A)
     singular = SymMatrix(np.diag([1.0, 0.0]))
     off = np.array([1.0, eps]) / math.hypot(1.0, eps)
+    off_line = Subspace.span(off)
     level = spectral_short_vector(singular, off)
     assert level == (1.0 if eps <= DEFAULT_TOL.meet_tol else 0.0)
-    assert short_vector(singular, off) >= level
-    assert abs(spectral_short_vector_power(singular, off)[0] - level) <= 1e-12
+    for value in (
+        spectral_short_vector_power(singular, off)[0],
+        spectral_short_closed(singular, off_line).scalar(),
+        short_vector(singular, off),
+        short_at(singular, off_line).scalar(),
+        short_schur(singular, off_line).scalar(),
+    ):
+        assert abs(value - level) <= 1e-12
 
 
 def test_closed_is_orthogonally_and_basis_invariant():
@@ -388,7 +404,8 @@ def test_order_monotonicity_of_spectral_short():
     for seed in range(4):
         n = 5
         A, B = gen_psd(SpectrumSpec("commuting_pair", n), seed)
-        small, big = gen_nested_subspaces(n, 2, 3, seed)
+        big = gen_subspace(n, 3, seed)
+        small = Subspace(big.basis[:, :2])
         ra = spectral_short_closed(A, small)
         rb = spectral_short_closed(B, big)
         assert spectral_leq(ra.value, rb.value).holds
@@ -410,14 +427,15 @@ def test_intersection_bounded_by_short_then_spectral_short():
 
 
 def test_scalar_spectrum_is_level_set():
-    assert scalar_short_spectrum(SymMatrix(np.diag([1.0, 2.0, 3.0]))) == [1.0, 2.0, 3.0]
-    assert scalar_short_spectrum(SymMatrix(2.0 * np.eye(3))) == [2.0]
+    # the scalar spectral short over unit vectors takes every level value,
+    # each at one of its eigenvectors
+    assert eig_sym(SymMatrix(np.diag([1.0, 2.0, 3.0]))).level_values.tolist() == [1.0, 2.0, 3.0]
+    assert eig_sym(SymMatrix(2.0 * np.eye(3))).level_values.tolist() == [2.0]
     for seed in range(4):
         A = gen_psd(SpectrumSpec("clustered", 6), seed)
         d = eig_sym(A)
         cut = 1e-10 * d.norm2
-        for group, rep, listed in zip(d.levels, d.level_values, scalar_short_spectrum(A)):
-            assert listed == float(rep)
+        for group, rep in zip(d.levels, d.level_values):
             v = d.vectors[:, group[0]]
             expected = float(rep) if rep > cut else 0.0
             assert abs(spectral_short_vector(A, v) - expected) <= 1e-12
