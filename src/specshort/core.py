@@ -497,6 +497,16 @@ def pseudo_inverse(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
     return matrix_function(A, lambda mu: 1.0 / mu if mu else 0.0, tol)
 
 
+def _block_values(D: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
+    """Each eigen index's level block value: 0 on the kernel block, the
+    level value on every positive block.  The spectrum the shorted and
+    iterative routes take A to have."""
+    values = np.zeros(D.n)
+    for mu, idx in D.blocks(tol):
+        values[idx] = mu
+    return values
+
+
 def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> np.ndarray:
     """Orthonormal basis columns of S ^ R(A): the directions of S whose
     kernel-block component, the sine of their principal angle to the range

@@ -1,10 +1,13 @@
 """The shorted operator of a positive semidefinite matrix to a subspace.
 
-Two independent algorithms compute the same object and are kept permanently:
-their agreement is the strongest correctness oracle available.  Both short
-to T = S ^ R(A), the part of S inside the range of A (decided once, by
-core._range_meet, on a principal-angle sine against meet_tol), since the
-shorted operator's range is S intersect R(A) (Anderson & Trapp 1975).
+Two algorithms compute the same object and are kept permanently: their
+agreement checks everything but the range decision.  Both short to
+T = S ^ R(A), the part of S inside the range of A, since the shorted
+operator's range is S intersect R(A) (Anderson & Trapp 1975).  T is decided
+once, by core._range_meet on a principal-angle sine against meet_tol, and
+both routes read it, so an error there shows up in both alike and their
+comparison (harness T1) cannot see it; tests check _range_meet on its own
+against projection_meet.
 
 - short_at: the geometric route, sqrt(A) P_M sqrt(A) in A's eigen-
   coordinates, with M = Lambda^{-1/2} U^T T the preimage of T under the
@@ -31,6 +34,7 @@ from .core import (
     Subspace,
     SymMatrix,
     Tolerances,
+    _block_values,
     _check_pair,
     _direction,
     _OnSubspace,
@@ -69,9 +73,9 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     if S.dim == A.n:
         return ShortedResult(A, "anderson_trapp", S, 0.0)
     d = eig_sym(A, tol)
-    blocks = d.blocks(tol)
-    u = d.vectors[:, blocks[0][1].stop :]
-    root = np.sqrt([mu for mu, idx in blocks[1:] for _ in range(idx.start, idx.stop)])
+    k = d.blocks(tol)[0][1].stop
+    u = d.vectors[:, k:]
+    root = np.sqrt(_block_values(d, tol)[k:])
     m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol)) / root[:, None])
     f = u @ (root[:, None] * m)
     return _result(f @ f.T, "anderson_trapp", S)
@@ -102,7 +106,8 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
 def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
     """Scalar shorted value for a one-dimensional subspace: 0 when xi leans
     outside the range of A (kernel sine above meet_tol), otherwise
-    1 / <pinv(A) xi, xi>.  Always lies in [0, <A xi, xi>].
+    1 / <pinv(A) xi, xi> on A's level values, as short_at takes them.
+    Always lies in [0, <A xi, xi>] up to the clustering tolerance.
     """
     v = _direction(xi, tol)
     A.assert_psd(tol)
@@ -111,4 +116,4 @@ def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
     coeffs = d.vectors.T @ v
     if np.linalg.norm(coeffs[:k]) > tol.meet_tol:
         return 0.0
-    return 1.0 / float(np.sum(coeffs[k:] ** 2 / d.eigenvalues[k:]))
+    return 1.0 / float(np.sum(coeffs[k:] ** 2 / _block_values(d, tol)[k:]))

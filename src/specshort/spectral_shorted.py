@@ -40,6 +40,7 @@ from .core import (
     Subspace,
     SymMatrix,
     Tolerances,
+    _block_values,
     _check_pair,
     _direction,
     _half_line_level,
@@ -110,11 +111,6 @@ class SpectralShortResult(_OnSubspace):
     trace: ConvergenceTrace | None = None
 
 
-def _staying_sq(sines: np.ndarray, tol: Tolerances) -> float:
-    """Square of the largest sine at most meet_tol (0 when there is none)."""
-    return float(np.max(sines, where=sines <= tol.meet_tol, initial=0.0)) ** 2
-
-
 def spectral_short_closed(
     A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> SpectralShortResult:
@@ -123,32 +119,21 @@ def spectral_short_closed(
     With C = V^T B_S (S in A's eigen-coordinates) and W the S-coordinates
     of the current meet E_A[mu, inf) ^ S, starting from all of S: at each
     level block from the bottom up, the directions of W whose component on
-    the blocks walked so far (a principal-angle sine) exceeds meet_tol are
-    the result's eigenvectors at that level; the rest span the next meet.
-    The kernel block comes first, with value 0.
-
-    The sines are taken on the block alone while the sum of the squared
-    largest staying sine of each block walked, a bound on the squared sine
-    of the staying directions on all of them, stays within meet_tol**2.
-    Past that they are taken on C[:block end] W, every block walked, and
-    the sum restarts from the largest staying sine found there.
+    every block walked so far, C[:block end] W (a principal-angle sine),
+    exceeds meet_tol are the result's eigenvectors at that level; the rest
+    span the next meet.  The kernel block comes first, with value 0.
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
     c = d.vectors.T @ S.basis
     w = np.eye(S.dim)
-    walked = 0.0  # bound on the squared sine of the meet to the blocks walked
     values: list[float] = []
     coords: list[np.ndarray] = []
     levels: list[tuple[float, int]] = []
     for mu, rows in d.blocks(tol):
         rank = 0
         if rows.stop > rows.start and w.shape[1]:
-            _, sines, vt = np.linalg.svd(c[rows] @ w)
-            if walked + _staying_sq(sines, tol) > tol.meet_tol**2:
-                _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
-                walked = 0.0
-            walked += _staying_sq(sines, tol)
+            _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
             rank = int(np.count_nonzero(sines > tol.meet_tol))
             w = w @ vt.T
             coords.append(w[:, :rank])
@@ -196,10 +181,11 @@ def spectral_short_iterative(
         zero = SymMatrix(np.zeros((n, n)))
         return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
 
-    blocks = d.blocks(tol)
-    lam_pos = d.eigenvalues / scale
-    lam_pos[blocks[0][1]] = 0.0
-    m_limit = _power_limit(blocks[1][0] / scale)
+    # A's level block values, the kernel at 0: no rounding-negative member
+    # reaches the fractional powers, and the power wall is read off the
+    # smallest value actually powered.
+    lam_pos = _block_values(d, tol) / scale
+    m_limit = _power_limit(d.blocks(tol)[1][0] / scale)
 
     # Rank of every iterate and of the limit: dimension of S meet range(A).
     rank = _range_meet(d, S, tol).shape[1]
@@ -214,7 +200,7 @@ def spectral_short_iterative(
         if k > 0 and m > m_limit:
             reason = "power_limit"
             break
-        # sqrt(A^m) from the one decomposition of A: exact per eigenvalue.
+        # sqrt(A^m) from the one decomposition of A: exact per level.
         root_m = SymMatrix.from_eigens(lam_pos ** (m / 2.0), d.vectors)
         proj_m = np.eye(n) - image_subspace(root_m, comp, tol).projection()
         raw = root_m.entries @ proj_m @ root_m.entries

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specshort import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     DomainError,
     SpectrumSpec,
@@ -23,7 +24,7 @@ from specshort import (
     spectral_projection,
 )
 
-from specshort.core import _fix_signs
+from specshort.core import _fix_signs, _range_meet
 
 from conftest import max_abs, same_subspace
 
@@ -291,6 +292,19 @@ def test_meet_is_lattice_meet_on_constructed_triples():
         # any subspace inside both is inside the meet
         R = Subspace(core.basis[:, :1])
         assert R.containment_residual(meet) <= 1e-8
+
+
+def test_range_meet_is_meet_with_positive_blocks():
+    # the shorted routes share this decision, so it is checked here on its
+    # own: S ^ R(A) is the meet of S with the span of A's positive blocks
+    for seed in range(20):
+        n = 3 + seed % 8
+        A = gen_psd(SpectrumSpec("with_zeros", n), seed)
+        S = gen_subspace(n, 1 + seed % (n - 1), seed + 1)
+        d = eig_sym(A)
+        positive = Subspace(d.vectors[:, d.blocks()[0][1].stop :])
+        got = Subspace(_range_meet(d, S, DEFAULT_TOL))
+        assert same_subspace(got, projection_meet(S, positive))
 
 
 def test_meet_and_containment_agree_on_a_small_angle():

@@ -60,6 +60,11 @@ def test_short_vector_examples():
     assert abs(short_vector(A, xi) - 4.0 / 3.0) < 1e-12
     assert abs(short_vector(SymMatrix(np.eye(3)), np.ones(3) / math.sqrt(3.0)) - 1.0) < 1e-12
     assert short_vector(SymMatrix(np.diag([1.0, 0.0])), [0.0, 1.0]) == 0.0
+    # -1e-12 and 5e-9 form one level of value 2.4995e-9, which xi meets
+    B = SymMatrix(np.diag([-1e-12, 5e-9, 1.0]))
+    xi = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    assert short_vector(B, xi) == pytest.approx(2.4995e-9, rel=1e-12, abs=0.0)
+    assert short_vector(B, xi) == pytest.approx(short_at(B, Subspace.span(xi)).scalar(), rel=1e-12, abs=0.0)
 
 
 def test_short_vector_range_bound():

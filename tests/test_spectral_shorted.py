@@ -241,6 +241,20 @@ def test_iterative_zero_matrix_and_zero_subspace():
     assert max_abs(z2.value.entries) == 0.0
 
 
+def test_iterative_powers_level_values_not_members():
+    # -1e-12 and 5e-9 cluster into one positive level of value 2.4995e-9:
+    # the iterates power that value, never the rounding-negative member.
+    # Both subspaces meet that level in one direction and e3 in one, so the
+    # first iterate already is the limit.
+    A = SymMatrix(np.diag([-1e-12, 5e-9, 1.0]))
+    for S in (Subspace(np.eye(3)[:, [0, 2]]), Subspace.span([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
+        r = spectral_short_iterative(A, S)
+        closed = spectral_short_closed(A, S)
+        assert all(np.isfinite(st.value).all() for st in r.trace.iterates)
+        assert closed.levels[-1] == (pytest.approx(2.4995e-9, rel=1e-12, abs=0.0), 1)
+        assert max_abs(r.value.entries - closed.value.entries) <= 1e-9 * closed.levels[-1][0]
+
+
 def test_vector_value_examples():
     A = SymMatrix(np.diag([1.0, 2.0, 3.0]))
     d = eig_sym(A)
