@@ -24,13 +24,6 @@ from .core import (
     pseudo_inverse,
     spectral_projection,
 )
-from .harness import (
-    SpectrumSpec,
-    VerificationReport,
-    gen_psd,
-    gen_subspace,
-    run_suite,
-)
 from .kolmogorov import (
     KolmogorovResult,
     kolmogorov_closed,
@@ -51,3 +44,14 @@ from .spectral_shorted import (
 )
 
 __version__ = "0.1.0"
+
+# The harness is imported on first use: of the CLI, only `verify` needs it.
+_HARNESS_NAMES = ("SpectrumSpec", "VerificationReport", "gen_psd", "gen_subspace", "run_suite")
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

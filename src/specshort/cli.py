@@ -29,7 +29,6 @@ from .core import (
     SymMatrix,
     Tolerances,
 )
-from .harness import run_suite
 from .kolmogorov import kolmogorov_closed, kolmogorov_duality, kolmogorov_power
 from .order import spectral_leq
 from .shorted import short_at, short_schur
@@ -267,6 +266,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import run_suite  # only verify pays for the harness import
+
     tol = _tolerances(args)
     report = run_suite(
         dims=_parse_dims(args.dims),

@@ -12,7 +12,10 @@ eigenvalues.  With W = V_B^T V_A formed once, that component at a threshold
 is the block of W pairing B's eigenvectors below it with A's at or above it.
 Each distinct pair of half-line starts (the first eigen index of each
 matrix's half-line) is tested once, with one SVD of its block: thresholds
-that share the pair share the block, hence the residual.
+that share the pair share the block, hence the residual.  A residual is a
+sine of a block of the orthogonal W, so it is clamped to 1, and the test
+stops at the first block whose residual reaches 1: the witness is set by
+then and no later block can raise the worst residual.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ __all__ = ["OrderCertificate", "spectral_leq"]
 class OrderCertificate:
     """Outcome of a spectral-order comparison.
 
-    worst_residual is the largest range-inclusion defect over the tested
-    thresholds; holds is true exactly when it stays within meet_tol.
+    worst_residual is the largest range-inclusion defect (a sine, at most
+    1) over the tested thresholds; holds is true exactly when it stays
+    within meet_tol.
     witness_lambda is the smallest tested threshold where inclusion fails
     (its defect exceeds meet_tol), if any.
     """
@@ -75,8 +79,11 @@ def spectral_leq(
     ):
         if a_start == A.n or b_start == 0:
             continue
-        residual = float(np.linalg.svd(w[:b_start, a_start:], compute_uv=False)[0])
+        # a sine of a block of the orthogonal W: at most 1 but for rounding
+        residual = min(1.0, float(np.linalg.svd(w[:b_start, a_start:], compute_uv=False)[0]))
         worst = max(worst, residual)
         if witness is None and residual > tol.meet_tol:
             witness = lam
+        if worst == 1.0:
+            break  # the witness is set, and no later block can raise worst
     return OrderCertificate(holds=witness is None, witness_lambda=witness, worst_residual=worst)

@@ -7,7 +7,13 @@ read off in one walk over the levels of A, bottom up, in A's eigen-
 coordinates: at each level, the directions of S still in play whose weight
 on the levels walked so far (a principal-angle sine to the half-line above)
 exceeds meet_tol leave the next meet, and they are the result's
-eigenvectors at that level.
+eigenvectors at that level.  One Householder QR of C^T, with C the
+coordinates of S in A's eigenbasis, settles the leading levels while each
+settles all of its rows (Golub & Van Loan, Matrix Computations, 5.2): the
+meet is then spanned by trailing columns of Q and each level's sines are
+those of a diagonal block of R.  From the first level whose sines do not
+all exceed meet_tol, the walk takes one SVD of the cumulative matrix per
+level.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
 iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  A is normalized to unit
@@ -122,23 +128,46 @@ def spectral_short_closed(
     every block walked so far, C[:block end] W (a principal-angle sine),
     exceeds meet_tol are the result's eigenvectors at that level; the rest
     span the next meet.  The kernel block comes first, with value 0.
+
+    With C^T = QR, while every block so far has settled all of its rows
+    (j of them), W = Q[:, j:] and C[:block end] W reduces to the triangle
+    R[j:block end, j:block end]: its singular values (|R_jj| for one row)
+    are the sines, and when all exceed meet_tol the block settles
+    Q[:, j:block end] with no SVD of C.  At the first block where one does
+    not, the walk goes on from W = Q[:, j:] with one SVD of C[:block end] W
+    per block, so the rule is the same throughout.
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
     c = d.vectors.T @ S.basis
-    w = np.eye(S.dim)
+    q, r = np.linalg.qr(c.T)
+    j = 0
+    w: np.ndarray | None = None  # the meet's coordinates once the QR stops
     values: list[float] = []
     coords: list[np.ndarray] = []
     levels: list[tuple[float, int]] = []
     for mu, rows in d.blocks(tol):
         rank = 0
-        if rows.stop > rows.start and w.shape[1]:
+        if w is None:
+            tri = r[j : rows.stop, j : rows.stop]
+            if tri.size:
+                if tri.shape[1] == 1:
+                    sines = np.abs(tri[:, 0])
+                else:
+                    sines = np.linalg.svd(tri, compute_uv=False)
+                if sines.min() > tol.meet_tol:
+                    rank = tri.shape[0]
+                    coords.append(q[:, j : j + rank])
+                    j += rank
+                else:
+                    w = q[:, j:]
+        if w is not None and rows.stop > rows.start and w.shape[1]:
             _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
             rank = int(np.count_nonzero(sines > tol.meet_tol))
             w = w @ vt.T
             coords.append(w[:, :rank])
-            values.extend([mu] * rank)
             w = w[:, rank:]
+        values.extend([mu] * rank)
         if mu > 0.0:
             levels.append((mu, rank))
     placed = S.basis @ np.hstack(coords) if coords else np.zeros((A.n, 0))

@@ -224,14 +224,36 @@ def test_tolerance_flags(files, capsys):
     assert code == 0
 
 
-def test_module_entry_point(files):
+def run_child(*args):
+    """A fresh interpreter on this checkout's specshort."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(specshort.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "specshort", "order", files["low"], files["high"]],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(files):
+    proc = run_child("-m", "specshort", "order", files["low"], files["high"])
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["holds"] is False
+
+
+def test_harness_is_imported_on_first_use(tmp_path, capsys):
+    probe = (
+        "import sys, specshort.cli; "
+        "assert 'specshort.harness' not in sys.modules; "
+        "from specshort import gen_psd; "
+        "assert 'specshort.harness' in sys.modules"
+    )
+    assert run_child("-c", probe).returncode == 0
+    # a fresh verify, which imports the harness itself, writes the bytes of
+    # one run where the harness was already loaded
+    fresh, loaded = tmp_path / "fresh.json", tmp_path / "loaded.json"
+    assert run_child("-m", "specshort", "verify", "--seed", "0", "--out", str(fresh)).returncode == 0
+    assert main(["verify", "--seed", "0", "--out", str(loaded)]) == 0
+    capsys.readouterr()
+    assert fresh.read_bytes() == loaded.read_bytes()

@@ -71,30 +71,41 @@ def test_witness_is_smallest_failing_threshold():
             assert cert.witness_lambda == (failing[0] if failing else None)
 
 
-def test_distinct_pairs_match_threshold_loop():
+def _threshold_loop(A, B, tol=DEFAULT_TOL):
     # reference: one SVD per threshold of the grid, as the order was decided
-    # before repeated pairs of half-line starts were skipped
-    def reference(A, B, tol=DEFAULT_TOL):
-        da, db = eig_sym(A, tol), eig_sym(B, tol)
+    # before repeated pairs of half-line starts were skipped; also returns
+    # the residual of each distinct block in the order first tested
+    da, db = eig_sym(A, tol), eig_sym(B, tol)
 
-        def start(d, lam):
-            k = int(np.searchsorted(d.level_values, lam - tol.cluster_abs(d.norm2), side="left"))
-            return d.levels[k][0] if k < len(d.levels) else d.n
+    def start(d, lam):
+        k = int(np.searchsorted(d.level_values, lam - tol.cluster_abs(d.norm2), side="left"))
+        return d.levels[k][0] if k < len(d.levels) else d.n
 
-        levels = sorted({mu for d in (da, db) for mu, _ in d.blocks(tol)[1:]})
-        mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
-        w = db.vectors.T @ da.vectors
-        worst, witness = 0.0, None
-        for lam in sorted(set(levels + mids)):
-            a_start, b_start = start(da, lam), start(db, lam)
-            if a_start == A.n or b_start == 0:
-                continue
-            residual = float(np.linalg.norm(w[:b_start, a_start:], 2))
-            worst = max(worst, residual)
-            if witness is None and residual > tol.meet_tol:
-                witness = lam
-        return witness is None, witness, worst
+    levels = sorted({mu for d in (da, db) for mu, _ in d.blocks(tol)[1:]})
+    mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
+    w = db.vectors.T @ da.vectors
+    worst, witness, blocks = 0.0, None, {}
+    for lam in sorted(set(levels + mids)):
+        a_start, b_start = start(da, lam), start(db, lam)
+        if a_start == A.n or b_start == 0:
+            continue
+        residual = min(1.0, float(np.linalg.norm(w[:b_start, a_start:], 2)))
+        blocks.setdefault((a_start, b_start), residual)
+        worst = max(worst, residual)
+        if witness is None and residual > tol.meet_tol:
+            witness = lam
+    return (witness is None, witness, worst), list(blocks.values())
 
+
+def _many_levels_pair(n):
+    # L = n distinct levels, where most thresholds repeat a pair
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = SymMatrix.from_eigens(np.linspace(1.0, 2.0, n), q)
+    return A, spectral_short_closed(A, Subspace.span(rng.standard_normal((n, n // 2)))).value
+
+
+def test_distinct_pairs_match_threshold_loop():
     pairs = []
     for seed in range(12):
         n = 3 + seed % 8
@@ -105,20 +116,36 @@ def test_distinct_pairs_match_threshold_loop():
         A, B = gen_psd(SpectrumSpec("commuting_pair", n), seed)
         pairs += [(A, B), (B, A)]
         pairs.append(_loewner_not_spectral(np.random.default_rng(seed), n, DEFAULT_TOL))
-    # L = n distinct levels, where most thresholds repeat a pair
-    rng = np.random.default_rng(200)
-    q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
-    A = SymMatrix.from_eigens(np.linspace(1.0, 2.0, 200), q)
-    rho = spectral_short_closed(A, Subspace.span(rng.standard_normal((200, 100)))).value
+    A, rho = _many_levels_pair(200)
     pairs += [(rho, A), (A, rho)]
     outcomes = set()
     for low, high in pairs:
         cert = spectral_leq(low, high)
         got = (cert.holds, cert.witness_lambda, cert.worst_residual)
-        assert got == reference(low, high)
+        assert got == _threshold_loop(low, high)[0]
         outcomes.add(cert.holds)
     assert outcomes == {True, False}
     assert spectral_leq(rho, A).holds and not spectral_leq(A, rho).holds
+
+
+def test_failing_order_stops_at_the_first_full_sine(monkeypatch):
+    # A against its own rho: once a block's sine reaches 1 the witness is
+    # set and no later block can raise the worst residual
+    A, rho = _many_levels_pair(200)
+    want, residuals = _threshold_loop(A, rho)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        cert = spectral_leq(A, rho)
+    assert (cert.holds, cert.witness_lambda, cert.worst_residual) == want
+    assert not cert.holds and cert.worst_residual == 1.0
+    assert len(calls) <= residuals.index(1.0) + 1 < len(residuals)
 
 
 def test_witness_at_midpoint_between_close_levels():

@@ -104,20 +104,106 @@ def test_closed_and_complexity_scale_with_the_matrix():
         assert abs(kolmogorov_closed(A, [1.0, 1.0]).value - 2.0 * c) <= 1e-12 * c
 
 
+def _generic(n, spectrum, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * spectrum) @ q.T
+    return SymMatrix((a + a.T) / 2.0), q, rng
+
+
 def test_closed_on_generic_draw_with_small_angles():
     # a generic draw whose subspace makes small principal angles with some
     # half-line projections of A (the benchmark's many-levels instance 57)
-    rng = np.random.default_rng([0, 57])
     n, k = 96, 48
     w = np.linspace(1.0, 2.0, n)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    basis = rng.standard_normal((n, k))
-    a = (q * w) @ q.T
-    A = SymMatrix((a + a.T) / 2.0)
-    rho = spectral_short_closed(A, Subspace.span(basis)).value
+    A, _, rng = _generic(n, w, [0, 57])
+    rho = spectral_short_closed(A, Subspace.span(rng.standard_normal((n, k)))).value
     assert spectral_leq(rho, A).holds
     want = np.concatenate([np.zeros(n - k), w[:k]])
     assert max_abs(np.linalg.eigvalsh(rho.entries) - want) <= 1e-8
+
+
+def _cumulative_walk(A, S, tol=DEFAULT_TOL):
+    # reference: the walk with one cumulative SVD at every level, from all
+    # of S, as the closed form ran before the QR of C^T settled its leading
+    # blocks
+    d = eig_sym(A, tol)
+    c = d.vectors.T @ S.basis
+    w = np.eye(S.dim)
+    values, coords, levels = [], [], []
+    for mu, rows in d.blocks(tol):
+        rank = 0
+        if rows.stop > rows.start and w.shape[1]:
+            _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
+            rank = int(np.count_nonzero(sines > tol.meet_tol))
+            w = w @ vt.T
+            coords.append(w[:, :rank])
+            values.extend([mu] * rank)
+            w = w[:, rank:]
+        if mu > 0.0:
+            levels.append((mu, rank))
+    placed = S.basis @ np.hstack(coords) if coords else np.zeros((A.n, 0))
+    q, _ = np.linalg.qr(placed, mode="complete")
+    vectors = np.hstack([placed, q[:, placed.shape[1] :]])
+    values.extend([0.0] * (A.n - placed.shape[1]))
+    return SymMatrix.from_eigens(values, vectors).entries, tuple(reversed(levels))
+
+
+def _walk_svds(monkeypatch, A, S):
+    """spectral_short_closed(A, S) and the number of SVDs with singular
+    vectors it takes (the walk's; the QR's triangles take values only)."""
+    eig_sym(A)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        r = spectral_short_closed(A, S)
+    return r, sum(calls)
+
+
+def _qr_walk_cases():
+    """(A, S, settled in the QR alone) covering each way the walk can go."""
+    for n in (96, 200):  # L = n: every block one row
+        A, _, rng = _generic(n, np.linspace(1.0, 2.0, n), n)
+        yield A, Subspace.span(rng.standard_normal((n, n // 2))), True
+    # few levels: two blocks of 50 rows settle S
+    A, _, rng = _generic(200, np.repeat(np.linspace(1.0, 2.0, 4), 50), 4)
+    yield A, Subspace.span(rng.standard_normal((200, 100))), True
+    # kernels larger than dim S settle it in the kernel block
+    for seed in range(4):
+        A = gen_psd(SpectrumSpec("with_zeros", 12, zero_count=7), seed)
+        yield A, gen_subspace(12, 1 + seed, seed), True
+    # block sines of 8e-9: the first block stays within meet_tol
+    xi = np.array([8e-9, 8e-9, 1.0])
+    yield SymMatrix(np.diag([1.0, 2.0, 3.0])), Subspace.span(xi / np.linalg.norm(xi)), False
+    # S orthogonal to A's bottom eigenvector: falls back at block 0
+    A, q, rng = _generic(60, np.linspace(1.0, 2.0, 60), 7)
+    basis = rng.standard_normal((60, 30))
+    basis -= np.outer(q[:, 0], q[:, 0] @ basis)
+    yield A, Subspace.span(basis), False
+    # a block of 5 rows that settles one of S's three directions falls back
+    A, q, rng = _generic(20, np.repeat([1.0, 2.0, 3.0, 4.0], 5), 8)
+    basis = np.column_stack([rng.standard_normal(20), q[:, 5:] @ rng.standard_normal((15, 2))])
+    yield A, Subspace.span(basis), False
+    # two blocks settle in the QR, the third falls back
+    e = np.eye(5)
+    yield SymMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])), Subspace.span(
+        np.column_stack([e[0], e[1], e[3] + e[4]])
+    ), False
+
+
+def test_qr_settled_blocks_match_the_cumulative_walk(monkeypatch):
+    for A, S, settled in _qr_walk_cases():
+        r, walk_svds = _walk_svds(monkeypatch, A, S)
+        assert (walk_svds == 0) == settled
+        rho, levels = _cumulative_walk(A, S)
+        assert max_abs(r.value.entries - rho) <= 1e-13 * max(1.0, A.spectral_norm())
+        assert r.levels == levels
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-9, 1e-7])
