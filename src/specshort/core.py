@@ -5,13 +5,17 @@ calculus, real matrix powers, Moore-Penrose pseudo-inverse, and the
 projection-lattice operations (meet, image, complement) that the rest of the
 package is built on.
 
-All values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to share across threads.
+Every value is immutable in what it means, and every operation is a pure
+function of its inputs.  A few caches are filled on first use and never
+change after: a SymMatrix's eigenpairs (_eigens) and decompositions per
+cluster_tol (_decomps), a SpectralDecomposition's level blocks per rank_tol,
+and a Subspace's orthogonal complement.  Two threads that fill one at once
+store equal values, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -207,6 +211,7 @@ class SpectralDecomposition:
     level_values: np.ndarray
     lambda_min: float
     lambda_max: float
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -216,13 +221,18 @@ class SpectralDecomposition:
     def norm2(self) -> float:
         return max(abs(self.lambda_min), abs(self.lambda_max))
 
-    def blocks(self, tol: Tolerances = DEFAULT_TOL) -> list[tuple[float, slice]]:
+    def blocks(self, tol: Tolerances = DEFAULT_TOL) -> tuple[tuple[float, slice], ...]:
         """Level blocks, ascending, as (value, slice of eigen indices).
 
         The first block is the kernel: every level at or below the rank
         cutoff, merged into one block of value 0 (an empty slice when no
         level is that small).  Each further block is one positive level.
+        The blocks partition the eigen indices in order; they are cached
+        per rank_tol.
         """
+        cached = self._blocks.get(tol.rank_tol)
+        if cached is not None:
+            return cached
         cut = tol.rank_abs(self.norm2)
         blocks = [(0.0, slice(0, 0))]
         for group, rep in zip(self.levels, self.level_values.tolist()):
@@ -230,6 +240,7 @@ class SpectralDecomposition:
                 blocks.append((rep, slice(group[0], group[-1] + 1)))
             else:
                 blocks[0] = (0.0, slice(0, group[-1] + 1))
+        self._blocks[tol.rank_tol] = blocks = tuple(blocks)
         return blocks
 
 
@@ -284,7 +295,7 @@ class Subspace:
     use Subspace.span to orthonormalize an arbitrary spanning set.
     """
 
-    __slots__ = ("basis",)
+    __slots__ = ("basis", "_complement")
 
     def __init__(self, basis, tol: Tolerances = DEFAULT_TOL):
         b = np.array(basis, dtype=float)
@@ -304,6 +315,7 @@ class Subspace:
                 )
         b.setflags(write=False)
         self.basis = b
+        self._complement: Subspace | None = None
 
     @property
     def n(self) -> int:
@@ -339,14 +351,17 @@ class Subspace:
         return self.basis @ self.basis.T
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement."""
-        n, k = self.n, self.dim
-        if k == 0:
-            return Subspace.full(n)
-        if k == n:
-            return Subspace.zero(n)
-        q, _ = np.linalg.qr(self.basis, mode="complete")
-        return Subspace(_fix_signs(q[:, k:]))
+        """Orthogonal complement, computed once and cached."""
+        if self._complement is None:
+            n, k = self.n, self.dim
+            if k == 0:
+                self._complement = Subspace.full(n)
+            elif k == n:
+                self._complement = Subspace.zero(n)
+            else:
+                q, _ = np.linalg.qr(self.basis, mode="complete")
+                self._complement = Subspace(_fix_signs(q[:, k:]))
+        return self._complement
 
     def containment_residual(self, other: "Subspace") -> float:
         """||(I - P_other) restricted to self||_2; 0 means self is inside other."""
@@ -501,25 +516,23 @@ def _block_values(D: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
     """Each eigen index's level block value: 0 on the kernel block, the
     level value on every positive block.  The spectrum the shorted and
     iterative routes take A to have."""
-    values = np.zeros(D.n)
-    for mu, idx in D.blocks(tol):
-        values[idx] = mu
-    return values
+    blocks = D.blocks(tol)
+    return np.repeat([mu for mu, _ in blocks], [idx.stop - idx.start for _, idx in blocks])
 
 
-def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis columns of S ^ R(A): the directions of S whose
-    kernel-block component, the sine of their principal angle to the range
-    of A, is at most meet_tol (S's own basis when A has no kernel).
+def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> Subspace:
+    """S ^ R(A): the directions of S whose kernel-block component, the sine
+    of their principal angle to the range of A, is at most meet_tol (S
+    itself when A has no kernel, so its cached complement is shared).
 
     Both shorted routes and the iterative oracle read the part of a
     subspace inside the range of A here.
     """
     kernel = D.vectors[:, D.blocks(tol)[0][1]]
     if not kernel.shape[1]:
-        return S.basis
+        return S
     _, sines, vt = np.linalg.svd(kernel.T @ S.basis)
-    return S.basis @ vt[np.count_nonzero(sines > tol.meet_tol) :].T
+    return Subspace(S.basis @ vt[np.count_nonzero(sines > tol.meet_tol) :].T)
 
 
 def projection_meet(

@@ -11,11 +11,20 @@ the largest principal-angle sine, which stays robust near degenerate
 eigenvalues.  With W = V_B^T V_A formed once, that component at a threshold
 is the block of W pairing B's eigenvectors below it with A's at or above it.
 Each distinct pair of half-line starts (the first eigen index of each
-matrix's half-line) is tested once, with one SVD of its block: thresholds
-that share the pair share the block, hence the residual.  A residual is a
-sine of a block of the orthogonal W, so it is clamped to 1, and the test
-stops at the first block whose residual reaches 1: the witness is set by
-then and no later block can raise the worst residual.
+matrix's half-line) is tested once: thresholds that share the pair share
+the block, hence the residual.  A block's Frobenius norm bounds its largest
+singular value (Golub & Van Loan, Matrix Computations, 2.3), so a block
+whose Frobenius norm is within meet_tol is certified by it, without an
+SVD, and that bound is its residual.  Any other block's residual is its
+largest sine, from one SVD; a sine of a block of the orthogonal W is at
+most 1, so it is clamped to 1, and the test stops at the first block whose
+residual reaches 1: the witness is set by then and no later block can raise
+the worst residual.
+
+So holds and witness_lambda are those of the largest sines, and so is
+worst_residual when the order fails (its maximum lies at a block whose SVD
+was taken); when the order holds, worst_residual is the largest per-block
+bound, within meet_tol and at or above the largest sine up to rounding.
 """
 
 from __future__ import annotations
@@ -40,9 +49,11 @@ __all__ = ["OrderCertificate", "spectral_leq"]
 class OrderCertificate:
     """Outcome of a spectral-order comparison.
 
-    worst_residual is the largest range-inclusion defect (a sine, at most
-    1) over the tested thresholds; holds is true exactly when it stays
-    within meet_tol.
+    worst_residual is the largest range-inclusion defect over the tested
+    thresholds, at most 1; holds is true exactly when it stays within
+    meet_tol.  When the order fails it is exactly the largest principal-
+    angle sine; when it holds it is the largest per-block Frobenius bound
+    on that sine, within meet_tol.
     witness_lambda is the smallest tested threshold where inclusion fails
     (its defect exceeds meet_tol), if any.
     """
@@ -79,8 +90,11 @@ def spectral_leq(
     ):
         if a_start == A.n or b_start == 0:
             continue
-        # a sine of a block of the orthogonal W: at most 1 but for rounding
-        residual = min(1.0, float(np.linalg.svd(w[:b_start, a_start:], compute_uv=False)[0]))
+        block = w[:b_start, a_start:]
+        residual = float(np.linalg.norm(block))  # bounds the block's sines
+        if residual > tol.meet_tol:
+            # a sine of a block of the orthogonal W: at most 1 but for rounding
+            residual = min(1.0, float(np.linalg.svd(block, compute_uv=False)[0]))
         worst = max(worst, residual)
         if witness is None and residual > tol.meet_tol:
             witness = lam

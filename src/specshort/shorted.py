@@ -76,7 +76,7 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     k = d.blocks(tol)[0][1].stop
     u = d.vectors[:, k:]
     root = np.sqrt(_block_values(d, tol)[k:])
-    m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol)) / root[:, None])
+    m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol).basis) / root[:, None])
     f = u @ (root[:, None] * m)
     return _result(f @ f.T, "anderson_trapp", S)
 
@@ -92,9 +92,8 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     if S.dim == A.n:
         return ShortedResult(A, "schur", S, 0.0)
     d = eig_sym(A, tol)
-    bs = _range_meet(d, S, tol)
-    q, _ = np.linalg.qr(bs, mode="complete")
-    bc = q[:, bs.shape[1] :]
+    meet = _range_meet(d, S, tol)
+    bs, bc = meet.basis, meet.complement().basis
     a11 = bs.T @ A.entries @ bs
     a12 = bs.T @ A.entries @ bc
     w, v = np.linalg.eigh(bc.T @ A.entries @ bc)

@@ -135,32 +135,32 @@ def spectral_short_closed(
     are the sines, and when all exceed meet_tol the block settles
     Q[:, j:block end] with no SVD of C.  At the first block where one does
     not, the walk goes on from W = Q[:, j:] with one SVD of C[:block end] W
-    per block, so the rule is the same throughout.
+    per block, so the rule is the same throughout.  The result's kernel
+    eigenvectors are S's cached complement.
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
+    k = S.dim
     c = d.vectors.T @ S.basis
     q, r = np.linalg.qr(c.T)
-    j = 0
+    one_row_sines = np.abs(np.diagonal(r)).tolist()
+    j = 0  # rows settled in the QR: their coordinates are q[:, :j]
     w: np.ndarray | None = None  # the meet's coordinates once the QR stops
     values: list[float] = []
-    coords: list[np.ndarray] = []
+    coords: list[np.ndarray] = []  # settled by the walk
     levels: list[tuple[float, int]] = []
     for mu, rows in d.blocks(tol):
         rank = 0
-        if w is None:
-            tri = r[j : rows.stop, j : rows.stop]
-            if tri.size:
-                if tri.shape[1] == 1:
-                    sines = np.abs(tri[:, 0])
-                else:
-                    sines = np.linalg.svd(tri, compute_uv=False)
-                if sines.min() > tol.meet_tol:
-                    rank = tri.shape[0]
-                    coords.append(q[:, j : j + rank])
-                    j += rank
-                else:
-                    w = q[:, j:]
+        if w is None and j < min(k, rows.stop):
+            if rows.stop == j + 1:
+                low = one_row_sines[j]
+            else:
+                low = np.linalg.svd(r[j : rows.stop, j : rows.stop], compute_uv=False).min()
+            if low > tol.meet_tol:
+                rank = min(k, rows.stop) - j
+                j += rank
+            else:
+                w = q[:, j:]
         if w is not None and rows.stop > rows.start and w.shape[1]:
             _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
             rank = int(np.count_nonzero(sines > tol.meet_tol))
@@ -170,10 +170,11 @@ def spectral_short_closed(
         values.extend([mu] * rank)
         if mu > 0.0:
             levels.append((mu, rank))
-    placed = S.basis @ np.hstack(coords) if coords else np.zeros((A.n, 0))
-    q, _ = np.linalg.qr(placed, mode="complete")
-    vectors = np.hstack([placed, q[:, placed.shape[1] :]])
-    values.extend([0.0] * (A.n - placed.shape[1]))
+    # Every direction of S settles by the last block, whose sines are all
+    # 1, so the settled directions span S and the kernel is its complement.
+    placed = S.basis @ np.hstack([q[:, :j], *coords])
+    vectors = np.hstack([placed, S.complement().basis])
+    values.extend([0.0] * (A.n - k))
     return SpectralShortResult(
         value=SymMatrix.from_eigens(values, vectors),
         levels=tuple(reversed(levels)),
@@ -217,7 +218,7 @@ def spectral_short_iterative(
     m_limit = _power_limit(d.blocks(tol)[1][0] / scale)
 
     # Rank of every iterate and of the limit: dimension of S meet range(A).
-    rank = _range_meet(d, S, tol).shape[1]
+    rank = _range_meet(d, S, tol).dim
 
     comp = S.complement()
     steps: list[TraceStep] = []

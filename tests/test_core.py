@@ -303,7 +303,7 @@ def test_range_meet_is_meet_with_positive_blocks():
         S = gen_subspace(n, 1 + seed % (n - 1), seed + 1)
         d = eig_sym(A)
         positive = Subspace(d.vectors[:, d.blocks()[0][1].stop :])
-        got = Subspace(_range_meet(d, S, DEFAULT_TOL))
+        got = _range_meet(d, S, DEFAULT_TOL)
         assert same_subspace(got, projection_meet(S, positive))
 
 

@@ -71,10 +71,13 @@ def test_witness_is_smallest_failing_threshold():
             assert cert.witness_lambda == (failing[0] if failing else None)
 
 
-def _threshold_loop(A, B, tol=DEFAULT_TOL):
-    # reference: one SVD per threshold of the grid, as the order was decided
-    # before repeated pairs of half-line starts were skipped; also returns
-    # the residual of each distinct block in the order first tested
+def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True):
+    # reference: one residual per threshold of the grid, as the order was
+    # decided before repeated pairs of half-line starts were skipped.  A
+    # block whose Frobenius norm is within meet_tol is certified by it;
+    # every other residual is the block's largest sine (every residual is,
+    # with frobenius=False).  Also returns the residual of each distinct
+    # block in the order first tested.
     da, db = eig_sym(A, tol), eig_sym(B, tol)
 
     def start(d, lam):
@@ -89,7 +92,10 @@ def _threshold_loop(A, B, tol=DEFAULT_TOL):
         a_start, b_start = start(da, lam), start(db, lam)
         if a_start == A.n or b_start == 0:
             continue
-        residual = min(1.0, float(np.linalg.norm(w[:b_start, a_start:], 2)))
+        block = w[:b_start, a_start:]
+        residual = float(np.linalg.norm(block))
+        if not frobenius or residual > tol.meet_tol:
+            residual = min(1.0, float(np.linalg.norm(block, 2)))
         blocks.setdefault((a_start, b_start), residual)
         worst = max(worst, residual)
         if witness is None and residual > tol.meet_tol:
@@ -105,7 +111,7 @@ def _many_levels_pair(n):
     return A, spectral_short_closed(A, Subspace.span(rng.standard_normal((n, n // 2)))).value
 
 
-def test_distinct_pairs_match_threshold_loop():
+def _order_pairs():
     pairs = []
     for seed in range(12):
         n = 3 + seed % 8
@@ -117,15 +123,78 @@ def test_distinct_pairs_match_threshold_loop():
         pairs += [(A, B), (B, A)]
         pairs.append(_loewner_not_spectral(np.random.default_rng(seed), n, DEFAULT_TOL))
     A, rho = _many_levels_pair(200)
-    pairs += [(rho, A), (A, rho)]
+    return pairs + [(rho, A), (A, rho)]
+
+
+def test_distinct_pairs_match_threshold_loop():
     outcomes = set()
-    for low, high in pairs:
+    for low, high in _order_pairs():
         cert = spectral_leq(low, high)
         got = (cert.holds, cert.witness_lambda, cert.worst_residual)
         assert got == _threshold_loop(low, high)[0]
         outcomes.add(cert.holds)
     assert outcomes == {True, False}
+    A, rho = _many_levels_pair(200)
     assert spectral_leq(rho, A).holds and not spectral_leq(A, rho).holds
+
+
+def test_frobenius_certificate_keeps_the_sine_decision():
+    # holds and the witness are those of the largest sines on every pair,
+    # and so is worst_residual where the order fails; where it holds,
+    # worst_residual bounds the largest sine and stays within meet_tol
+    tol = DEFAULT_TOL
+    for low, high in _order_pairs():
+        cert = spectral_leq(low, high, tol)
+        holds, witness, sine = _threshold_loop(low, high, tol, frobenius=False)[0]
+        assert (cert.holds, cert.witness_lambda) == (holds, witness)
+        if holds:
+            assert sine * (1.0 - 1e-15) <= cert.worst_residual <= tol.meet_tol
+        else:
+            assert cert.worst_residual == sine
+
+
+def _svd_calls(monkeypatch, fn, *args):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*a, **kw):
+        calls.append(1)
+        return svd(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        out = fn(*args)
+    return out, len(calls)
+
+
+def test_holding_order_takes_no_svd(monkeypatch):
+    # every block of rho against A is rounding noise, certified by its
+    # Frobenius norm
+    A, rho = _many_levels_pair(200)
+    cert, svds = _svd_calls(monkeypatch, spectral_leq, rho, A)
+    assert cert.holds and cert.worst_residual <= DEFAULT_TOL.meet_tol
+    assert svds == 0
+
+
+def test_frobenius_norm_above_meet_tol_takes_the_svd(monkeypatch):
+    # four sines of 0.8 meet_tol in the one block of the threshold between
+    # the levels: its Frobenius norm, 1.6 meet_tol, cannot certify it, but
+    # its largest sine does, so the order holds
+    s = 0.8 * DEFAULT_TOL.meet_tol
+    c = np.sqrt(1.0 - s * s)
+    rot = np.eye(8)
+    for i in range(4):
+        rot[[i, i + 4], [i, i + 4]] = c
+        rot[i + 4, i], rot[i, i + 4] = s, -s
+    values = [1.0] * 4 + [2.0] * 4
+    A = SymMatrix.from_eigens(values, np.eye(8))
+    B = SymMatrix.from_eigens(values, rot)
+    w = eig_sym(B).vectors.T @ eig_sym(A).vectors
+    assert np.linalg.norm(w[:4, 4:]) > DEFAULT_TOL.meet_tol >= np.linalg.norm(w[:4, 4:], 2)
+    cert, svds = _svd_calls(monkeypatch, spectral_leq, A, B)
+    assert svds == 1
+    assert cert.holds and cert.witness_lambda is None
+    assert cert.worst_residual == pytest.approx(s, rel=1e-6)
 
 
 def test_failing_order_stops_at_the_first_full_sine(monkeypatch):
@@ -133,19 +202,10 @@ def test_failing_order_stops_at_the_first_full_sine(monkeypatch):
     # set and no later block can raise the worst residual
     A, rho = _many_levels_pair(200)
     want, residuals = _threshold_loop(A, rho)
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", spy)
-        cert = spectral_leq(A, rho)
+    cert, svds = _svd_calls(monkeypatch, spectral_leq, A, rho)
     assert (cert.holds, cert.witness_lambda, cert.worst_residual) == want
     assert not cert.holds and cert.worst_residual == 1.0
-    assert len(calls) <= residuals.index(1.0) + 1 < len(residuals)
+    assert svds <= residuals.index(1.0) + 1 < len(residuals)
 
 
 def test_witness_at_midpoint_between_close_levels():

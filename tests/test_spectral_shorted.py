@@ -206,6 +206,60 @@ def test_qr_settled_blocks_match_the_cumulative_walk(monkeypatch):
         assert r.levels == levels
 
 
+def _assembly_cases():
+    """(A, S): L = n and two-level draws, and kernels that settle part of S."""
+    for n in (96, 200):
+        A, _, rng = _generic(n, np.linspace(1.0, 2.0, n), n)
+        yield A, Subspace.span(rng.standard_normal((n, n // 2)))
+        A, _, rng = _generic(n, np.repeat([1.0, 2.0], n // 2), n + 1)
+        yield A, Subspace.span(rng.standard_normal((n, n // 2)))
+    for seed in range(4):
+        A = gen_psd(SpectrumSpec("with_zeros", 12, zero_count=7), seed)
+        yield A, gen_subspace(12, 1 + 2 * seed, seed)
+
+
+def test_kernel_is_the_complement_of_s():
+    # rho's kernel eigenvectors are S's cached complement, and its entries
+    # are those of completing the settled directions by a complete QR of
+    # their own, since the kernel columns carry the value 0
+    for A, S in _assembly_cases():
+        r = spectral_short_closed(A, S)
+        w, v = r.value._eigens
+        n, k = A.n, S.dim
+        # stable sorting puts the kernel after the zeros settled in S
+        z = int(np.count_nonzero(w == 0.0)) - (n - k)
+        kernel = v[:, z : z + n - k]
+        assert np.array_equal(kernel, S.complement().basis)
+        assert max_abs(kernel.T @ kernel - np.eye(n - k)) <= 1e-14
+        assert max_abs(S.basis.T @ kernel) <= 1e-14
+        settled = np.delete(v, np.s_[z : z + n - k], axis=1)
+        q, _ = np.linalg.qr(settled, mode="complete")
+        values = np.concatenate([np.delete(w, np.s_[z : z + n - k]), np.zeros(n - k)])
+        completed = SymMatrix.from_eigens(values, np.hstack([settled, q[:, k:]]))
+        assert np.array_equal(r.value.entries, completed.entries)
+        assert r.levels == _cumulative_walk(A, S)[1]
+
+
+def test_one_complete_qr_per_op(monkeypatch):
+    # short_schur and the closed form share S's complement when A has no
+    # kernel (S ^ R(A) is S itself)
+    A, _, rng = _generic(96, np.linspace(1.0, 2.0, 96), 3)
+    S = Subspace.span(rng.standard_normal((96, 48)))
+    eig_sym(A)
+    modes = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "qr", spy)
+        short_schur(A, S)
+        spectral_short_closed(A, S)
+    assert modes.count("complete") == 1
+
+
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-9, 1e-7])
 def test_line_routes_share_one_membership_test(eps):
     # a line eps off a half-line of A is inside it exactly when eps is at
