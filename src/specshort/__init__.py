@@ -17,7 +17,6 @@ from .core import (
     SymMatrix,
     Tolerances,
     eig_sym,
-    image_subspace,
     matrix_function,
     matrix_power,
     projection_meet,

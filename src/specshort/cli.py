@@ -7,7 +7,8 @@ Numeric output uses shortest round-trip decimal formatting, so emitting and
 re-reading a matrix reproduces it bitwise.
 
 Exit codes: 0 success (for `order`: the relation holds), 1 relation fails /
-verification failures, 2 malformed input, 3 symmetry or positivity violation.
+verification failures, 2 malformed input (matrices of different sizes and
+out-of-range flag values included), 3 symmetry or positivity violation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     STRICT_TOL,
+    DimensionMismatchError,
     DomainError,
     Subspace,
     SymMatrix,
@@ -141,12 +143,29 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
     return replace(_base_tolerances(), **updates)
 
 
+def _at_least(low, kind=int):
+    """argparse type: a finite number of the given kind, at least low; any
+    other value exits 2 with argparse's message."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"expected a finite number >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type on a ValueError
+    return parse
+
+
+_TOLERANCE = _at_least(0.0, float)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     # dest names are the Tolerances fields the flags override (_TOL_FLAGS).
-    parser.add_argument("--tol-eig", dest="cluster_tol", type=float, help="eigenvalue clustering tolerance")
-    parser.add_argument("--tol-rank", dest="rank_tol", type=float, help="rank cutoff, relative to the spectral norm")
-    parser.add_argument("--tol-meet", dest="meet_tol", type=float, help="principal-angle sine cutoff")
-    parser.add_argument("--tol-conv", dest="conv_tol", type=float, help="iterative stopping threshold")
+    parser.add_argument("--tol-eig", dest="cluster_tol", type=_TOLERANCE, help="eigenvalue clustering tolerance")
+    parser.add_argument("--tol-rank", dest="rank_tol", type=_TOLERANCE, help="rank cutoff, relative to the spectral norm")
+    parser.add_argument("--tol-meet", dest="meet_tol", type=_TOLERANCE, help="principal-angle sine cutoff")
+    parser.add_argument("--tol-conv", dest="conv_tol", type=_TOLERANCE, help="iterative stopping threshold")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -302,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("subspace")
     p.add_argument("--method", choices=("closed", "iterative", "both"), default="both")
-    p.add_argument("--k-max", type=int, default=20)
+    p.add_argument("--k-max", type=_at_least(0), default=20)
     _add_common(p)
     p.set_defaults(func=_cmd_spectral_short)
 
@@ -310,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("vector")
     p.add_argument("--method", choices=("closed", "power", "duality"), default="closed")
-    p.add_argument("--n-max", type=int, default=200)
+    p.add_argument("--n-max", type=_at_least(1), default=200)
     _add_common(p)
     p.set_defaults(func=_cmd_kolmogorov)
 
@@ -322,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the theorem verification suite")
     p.add_argument("--dims", default="2,3,4,5,6,7,8,9,10,11,12")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -335,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
+    except (CliInputError, DimensionMismatchError) as exc:
         print(f"specshort: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except DomainError as exc:

@@ -2,7 +2,7 @@
 
 Eigendecomposition with level clustering, spectral projections, functional
 calculus, real matrix powers, Moore-Penrose pseudo-inverse, and the
-projection-lattice operations (meet, image, complement) that the rest of the
+projection-lattice operations (meet, complement) that the rest of the
 package is built on.
 
 Every value is immutable in what it means, and every operation is a pure
@@ -15,6 +15,7 @@ store equal values, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -36,7 +37,6 @@ __all__ = [
     "matrix_power",
     "pseudo_inverse",
     "projection_meet",
-    "image_subspace",
 ]
 
 
@@ -71,6 +71,7 @@ class Tolerances:
     (the range of A included), when the sine of its angle to the other
     subspace is at most meet_tol.  The others are absolute on quantities
     that are O(1) by construction (orthonormality residuals, unit vectors).
+    Every field must be finite and nonnegative.
     """
 
     cluster_tol: float = 1e-8
@@ -83,8 +84,9 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise DomainError(f"tolerance {f.name} must be nonnegative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
 
     def cluster_abs(self, norm: float) -> float:
         return self.cluster_tol * norm
@@ -547,20 +549,3 @@ def projection_meet(
     sines, directions = _principal_sines(P, Q)
     return Subspace(_fix_signs(P.basis @ directions[:, sines <= tol.meet_tol]))
 
-
-def image_subspace(
-    A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> Subspace:
-    """Orthonormal basis of A(S); rank decided by rank_tol relative to
-    ||A||_2 on the singular values of A times the basis of S."""
-    if A.n != S.n:
-        raise DimensionMismatchError(f"ambient dimensions differ: {A.n} vs {S.n}")
-    if S.dim == 0:
-        return Subspace.zero(A.n)
-    g = A.entries @ S.basis
-    u, s, _ = np.linalg.svd(g, full_matrices=False)
-    cut = tol.rank_abs(A.spectral_norm(tol))
-    keep = s > cut
-    if not np.any(keep):
-        return Subspace.zero(A.n)
-    return Subspace(_fix_signs(u[:, keep]))

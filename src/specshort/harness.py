@@ -587,6 +587,8 @@ def run_suite(
     setting a bound to 0 is a negative control that must produce failures.
     trials = 0 yields an empty report.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
     dims = tuple(int(d) for d in dims)
     if not dims and trials > 0:
         raise DomainError("need at least one dimension")

@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    DomainError,
     SymMatrix,
     Tolerances,
     _direction,
@@ -70,6 +71,8 @@ def kolmogorov_power(
     A: SymMatrix, xi, n_max: int = 200, tol: Tolerances = DEFAULT_TOL
 ) -> KolmogorovResult:
     """Power-iteration route; see the module docstring for the estimator."""
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
     v = _direction(xi)
     A.assert_psd(tol)
     scale = A.spectral_norm(tol)

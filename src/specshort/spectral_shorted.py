@@ -7,23 +7,23 @@ read off in one walk over the levels of A, bottom up, in A's eigen-
 coordinates: at each level, the directions of S still in play whose weight
 on the levels walked so far (a principal-angle sine to the half-line above)
 exceeds meet_tol leave the next meet, and they are the result's
-eigenvectors at that level.  One Householder QR of C^T, with C the
-coordinates of S in A's eigenbasis, settles the leading levels while each
-settles all of its rows (Golub & Van Loan, Matrix Computations, 5.2): the
-meet is then spanned by trailing columns of Q and each level's sines are
-those of a diagonal block of R.  From the first level whose sines do not
-all exceed meet_tol, the walk takes one SVD of the cumulative matrix per
-level.
+eigenvectors at that level.  The walk runs in the coordinates of one
+Householder QR of C^T, C the coordinates of S in A's eigenbasis (Golub &
+Van Loan, Matrix Computations, 5.2), where a coordinate enters at its own
+row: each level's SVD sees only the directions that entered and stayed and
+the coordinates entering there, and none is taken when nothing stays and
+the level's triangle of R settles all of its coordinates.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
 iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  A is normalized to unit
 spectral norm before powering (the result scales linearly in A, so this is
-exact) and powers reuse the one eigendecomposition of A, but the approach is
-still precision-limited: level content of A^{m} below roughly 1e-8 of the
-top retained level is indistinguishable from rounding noise, and the
-iteration refuses to power past that wall rather than return noise dressed
-up as an iterate.  Convergence of the iterates toward the limit is generally
-only O(1/m) in the power m, so slow runs stop at the wall or at k_max with
+exact) and each power is shorted and rooted in A's eigen-coordinates, from
+the one eigendecomposition of A, but the approach is still
+precision-limited: level content of A^{m} below roughly 1e-8 of the top
+retained level is indistinguishable from rounding noise, and the iteration
+refuses to power past that wall rather than return noise dressed up as an
+iterate.  Convergence of the iterates toward the limit is generally only
+O(1/m) in the power m, so slow runs stop at the wall or at k_max with
 converged=False; that is a flagged outcome, not an error.
 
 The one-dimensional scalar admits additional formulas (largest half-line
@@ -53,7 +53,6 @@ from .core import (
     _OnSubspace,
     _range_meet,
     eig_sym,
-    image_subspace,
     matrix_function,
     pseudo_inverse,
 )
@@ -71,7 +70,7 @@ __all__ = [
 ]
 
 # Relative level content below this floor picks up enough rounding noise,
-# once a power is materialized as a dense matrix and re-rooted, to disturb
+# once a power is materialized as a matrix and re-rooted, to disturb
 # the iterates beyond the 1e-9 monotonicity budget; the iterative route
 # stops powering there.
 _POWER_NOISE_FLOOR = 1e-8
@@ -129,52 +128,53 @@ def spectral_short_closed(
     exceeds meet_tol are the result's eigenvectors at that level; the rest
     span the next meet.  The kernel block comes first, with value 0.
 
-    With C^T = QR, while every block so far has settled all of its rows
-    (j of them), W = Q[:, j:] and C[:block end] W reduces to the triangle
-    R[j:block end, j:block end]: its singular values (|R_jj| for one row)
-    are the sines, and when all exceed meet_tol the block settles
-    Q[:, j:block end] with no SVD of C.  At the first block where one does
-    not, the walk goes on from W = Q[:, j:] with one SVD of C[:block end] W
-    per block, so the rule is the same throughout.  The result's kernel
-    eigenvectors are S's cached complement.
+    With C^T = QR, row i of C is column i of R in Q's coordinates, so the
+    coordinates past the rows walked so far are in W with sine 0, and W is
+    the stays (directions that entered and did not leave, with their
+    cumulative sines) plus the coordinates entering at this block.
+    C[:block end] W has the Gram matrix of [[diag(sines), 0],
+    [R[:j, block]^T stays, R[j:end, block]^T]], one small SVD per block; a
+    block with no stays whose triangle R[j:end, block] has all its sines
+    above meet_tol (|R_jj| for one row) settles Q[:, j:end] with no SVD.
+    The result's kernel eigenvectors are S's cached complement.
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
+    blocks = d.blocks(tol)
     k = S.dim
-    c = d.vectors.T @ S.basis
-    q, r = np.linalg.qr(c.T)
-    one_row_sines = np.abs(np.diagonal(r)).tolist()
-    j = 0  # rows settled in the QR: their coordinates are q[:, :j]
-    w: np.ndarray | None = None  # the meet's coordinates once the QR stops
-    values: list[float] = []
-    coords: list[np.ndarray] = []  # settled by the walk
-    levels: list[tuple[float, int]] = []
-    for mu, rows in d.blocks(tol):
+    q, r = np.linalg.qr((d.vectors.T @ S.basis).T)
+    j = 0  # coordinates entered: Q's first min(k, rows walked) columns
+    # Q-coordinates of the stays (zero past j), their cumulative sines
+    stays, sines = np.zeros((k, 0)), np.zeros(0)
+    coords: list[np.ndarray] = [q[:, :0]]  # settled, in S-coordinates
+    ranks: list[int] = []  # directions settled per block
+    for _, rows in blocks:
+        e = min(k, rows.stop)
         rank = 0
-        if w is None and j < min(k, rows.stop):
-            if rows.stop == j + 1:
-                low = one_row_sines[j]
-            else:
-                low = np.linalg.svd(r[j : rows.stop, j : rows.stop], compute_uv=False).min()
+        if not sines.size and e > j:
+            tri = r[j:e, rows]
+            low = abs(tri.item()) if tri.size == 1 else np.linalg.svd(tri, compute_uv=False).min()
             if low > tol.meet_tol:
-                rank = min(k, rows.stop) - j
-                j += rank
-            else:
-                w = q[:, j:]
-        if w is not None and rows.stop > rows.start and w.shape[1]:
-            _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
-            rank = int(np.count_nonzero(sines > tol.meet_tol))
-            w = w @ vt.T
-            coords.append(w[:, :rank])
-            w = w[:, rank:]
-        values.extend([mu] * rank)
-        if mu > 0.0:
-            levels.append((mu, rank))
+                rank = e - j
+                coords.append(q[:, j:e])
+        if not rank and (sines.size or e > j):
+            # The Gram matrix of C[:rows.stop] [stays, Q[:, j:e]]: the rows
+            # walked before give the stays their sines and nothing else.
+            t = sines.size
+            m = np.block([[np.diag(sines), np.zeros((t, e - j))], [r[:, rows].T @ stays, r[j:e, rows].T]])
+            _, s, vt = np.linalg.svd(m, full_matrices=False)
+            rank = int(np.count_nonzero(s > tol.meet_tol))
+            turned = stays @ vt[:, :t].T
+            turned[j:e] += vt[:, t:].T
+            coords.append(q @ turned[:, :rank])
+            stays, sines = turned[:, rank:], s[rank:]
+        j = e
+        ranks.append(rank)
     # Every direction of S settles by the last block, whose sines are all
     # 1, so the settled directions span S and the kernel is its complement.
-    placed = S.basis @ np.hstack([q[:, :j], *coords])
-    vectors = np.hstack([placed, S.complement().basis])
-    values.extend([0.0] * (A.n - k))
+    vectors = np.hstack([S.basis @ np.hstack(coords), S.complement().basis])
+    values = np.repeat([mu for mu, _ in blocks] + [0.0], ranks + [A.n - k])
+    levels = [(mu, rank) for (mu, _), rank in zip(blocks, ranks) if mu > 0.0]
     return SpectralShortResult(
         value=SymMatrix.from_eigens(values, vectors),
         levels=tuple(reversed(levels)),
@@ -202,25 +202,32 @@ def spectral_short_iterative(
     Iterates are non-increasing in the semidefinite order and bound the limit
     from above.  Stops on a small step (converged), at k_max, or at the
     precision wall described in the module docstring (power_limit).
+
+    Each power is shorted and rooted in A's eigen-coordinates, where
+    sqrt(A^m) is R = diag(lambda^{m/2}) and shorted(A^m, S) is
+    R^2 - (RU)(RU)^T, with U the left singular vectors of R V^T S-perp above
+    rank_tol * max R; the root is mapped back once.
     """
+    if k_max < 0:
+        raise DomainError(f"k_max must be nonnegative, got {k_max}")
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
-    scale = d.norm2
-    n = A.n
-    if scale <= 0.0 or S.dim == 0:
-        zero = SymMatrix(np.zeros((n, n)))
+    blocks = d.blocks(tol)
+    if len(blocks) == 1 or S.dim == 0:
+        zero = SymMatrix(np.zeros((A.n, A.n)))
         return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
 
     # A's level block values, the kernel at 0: no rounding-negative member
     # reaches the fractional powers, and the power wall is read off the
     # smallest value actually powered.
+    scale = d.norm2
     lam_pos = _block_values(d, tol) / scale
-    m_limit = _power_limit(d.blocks(tol)[1][0] / scale)
+    m_limit = _power_limit(blocks[1][0] / scale)
 
     # Rank of every iterate and of the limit: dimension of S meet range(A).
     rank = _range_meet(d, S, tol).dim
 
-    comp = S.complement()
+    comp = d.vectors.T @ S.complement().basis
     steps: list[TraceStep] = []
     prev: np.ndarray | None = None
     converged = False
@@ -231,12 +238,11 @@ def spectral_short_iterative(
             reason = "power_limit"
             break
         # sqrt(A^m) from the one decomposition of A: exact per level.
-        root_m = SymMatrix.from_eigens(lam_pos ** (m / 2.0), d.vectors)
-        proj_m = np.eye(n) - image_subspace(root_m, comp, tol).projection()
-        raw = root_m.entries @ proj_m @ root_m.entries
-        raw = (raw + raw.T) / 2.0
-        b_hat = _rank_aware_root(raw, rank, 1.0 / m)
-        b = scale * b_hat
+        root_m = lam_pos ** (m / 2.0)
+        u, s, _ = np.linalg.svd(root_m[:, None] * comp, full_matrices=False)
+        ru = root_m[:, None] * u[:, s > tol.rank_abs(root_m.max())]
+        raw = np.diag(root_m**2) - ru @ ru.T
+        b = scale * _rank_aware_root(raw, rank, 1.0 / m, d.vectors)
         delta = None if prev is None else float(np.abs(b - prev).max())
         steps.append(TraceStep(m, b, delta))
         if delta is not None and delta <= tol.conv_tol * max(1.0, scale):
@@ -260,20 +266,18 @@ def spectral_short_iterative(
     )
 
 
-def _rank_aware_root(sigma: np.ndarray, rank: int, exponent: float) -> np.ndarray:
-    """sigma**exponent keeping exactly `rank` top eigenvalues.
+def _rank_aware_root(sigma: np.ndarray, rank: int, exponent: float, basis: np.ndarray) -> np.ndarray:
+    """basis sigma**exponent basis^T, keeping exactly `rank` top eigenvalues
+    of sigma.
 
     The rank of every iterate is known in advance (it equals the dimension
     of S meet range(A)), so eigenvalues outside the top block are structural
-    zeros; zeroing them prevents tiny rounding noise from being amplified to
-    order one by the small exponent.
+    zeros; dropping them prevents tiny rounding noise from being amplified
+    to order one by the small exponent.
     """
     w, v = np.linalg.eigh(sigma)
-    vals = np.zeros_like(w)
-    if rank > 0:
-        top = w[-rank:]
-        vals[-rank:] = np.where(top > 0.0, top**exponent, 0.0)
-    out = (v * vals) @ v.T
+    top = basis @ v[:, w.size - rank :]
+    out = (top * np.maximum(w[w.size - rank :], 0.0) ** exponent) @ top.T
     return (out + out.T) / 2.0
 
 
@@ -328,6 +332,8 @@ def spectral_short_vector_power(
     1 / <pinv(A) u, u>, whose convergence is geometric in the level gap and
     therefore reaches tight tolerances the slow root sequence cannot.
     """
+    if m_max < 1:
+        raise DomainError(f"m_max must be at least 1, got {m_max}")
     v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)

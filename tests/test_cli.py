@@ -127,6 +127,34 @@ def test_order_exit_codes(files, capsys):
     assert json.loads(out)["holds"] is True
 
 
+def test_order_size_mismatch_is_malformed_input(files, capsys):
+    # exit 1 would claim the relation fails; matrices of different sizes
+    # are malformed input
+    code, out, err = run_cli(["order", files["diag12"], files["proj3"]], capsys)
+    assert code == 2
+    assert out == ""
+    assert "dimensions differ: 2 vs 3" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["spectral-short", "A", "S", "--tol-meet", "nan"],
+        ["order", "A", "B", "--tol-eig", "inf"],
+        ["short", "A", "S", "--tol-rank", "-0.001"],
+        ["kolmogorov", "A", "xi", "--n-max", "0"],
+        ["spectral-short", "A", "S", "--k-max", "-1"],
+        ["verify", "--trials", "-1"],
+    ],
+)
+def test_out_of_range_flags_exit_2(flags, capsys):
+    # argparse rejects the value before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
 def test_matrix_roundtrip_bitwise(files, capsys, tmp_path):
     from specshort.cli import load_matrix, matrix_payload
     from specshort.core import DEFAULT_TOL

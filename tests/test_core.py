@@ -16,7 +16,6 @@ from specshort import (
     eig_sym,
     gen_psd,
     gen_subspace,
-    image_subspace,
     matrix_function,
     matrix_power,
     projection_meet,
@@ -67,6 +66,13 @@ def test_assert_psd_names_eigenvalue():
 def test_tolerances_must_be_nonnegative():
     with pytest.raises(DomainError):
         Tolerances(rank_tol=-1e-3)
+    # a NaN sine cutoff would put every direction in every meet, and an
+    # infinite clustering width would make every pair of matrices ordered
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            Tolerances(meet_tol=bad)
+        with pytest.raises(DomainError, match="finite"):
+            Tolerances(cluster_tol=bad)
 
 
 # ---- eig_sym ----
@@ -345,21 +351,7 @@ def test_meet_dimension_mismatch():
         projection_meet(Subspace.full(2), Subspace.full(3))
 
 
-# ---- image_subspace / Subspace ----
-
-
-def test_image_identity_and_kernel():
-    S = gen_subspace(4, 2, 1)
-    assert same_subspace(image_subspace(SymMatrix(np.eye(4)), S), S)
-    A = SymMatrix(np.diag([1.0, 0.0]))
-    assert image_subspace(A, Subspace.span([[0.0], [1.0]])).dim == 0
-
-
-def test_image_hand_example():
-    A = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    img = image_subspace(A, Subspace.span([[1.0], [0.0]]))
-    expected = Subspace.span(np.array([[2.0], [1.0]]) / math.sqrt(5.0))
-    assert same_subspace(img, expected)
+# ---- Subspace ----
 
 
 def test_subspace_span_filters_rank():

@@ -93,6 +93,12 @@ def test_run_suite_rejects_empty_dims():
         run_suite(dims=(), trials=1, seed=0)
 
 
+def test_run_suite_rejects_negative_trials():
+    # a negative count would run nothing and report no failures
+    with pytest.raises(DomainError, match="trials"):
+        run_suite(dims=(2,), trials=-1, seed=0)
+
+
 def test_run_suite_deterministic_bytes():
     r1 = run_suite(dims=(2, 3), trials=3, seed=9)
     r2 = run_suite(dims=(2, 3), trials=3, seed=9)

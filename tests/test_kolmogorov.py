@@ -53,6 +53,12 @@ def test_power_scalar_matrix():
         assert abs(float(st.value) - c) < 1e-12
 
 
+def test_power_rejects_no_iterations():
+    # with no power taken there is no estimate, not a complexity of 0
+    with pytest.raises(DomainError, match="n_max"):
+        kolmogorov_power(SymMatrix(np.eye(2)), [1.0, 0.0], n_max=0)
+
+
 def test_power_zero_support():
     r = kolmogorov_power(SymMatrix(np.diag([2.0, 0.0])), [0.0, 1.0])
     assert r.value == 0.0

@@ -30,6 +30,8 @@ from specshort import (
     spectral_projection,
 )
 
+from specshort.core import _block_values, _range_meet
+
 from conftest import max_abs, min_eig
 
 
@@ -181,20 +183,32 @@ def _qr_walk_cases():
     # block sines of 8e-9: the first block stays within meet_tol
     xi = np.array([8e-9, 8e-9, 1.0])
     yield SymMatrix(np.diag([1.0, 2.0, 3.0])), Subspace.span(xi / np.linalg.norm(xi)), False
-    # S orthogonal to A's bottom eigenvector: falls back at block 0
+    # S orthogonal to A's bottom eigenvector: one stay from block 0 on
     A, q, rng = _generic(60, np.linspace(1.0, 2.0, 60), 7)
     basis = rng.standard_normal((60, 30))
     basis -= np.outer(q[:, 0], q[:, 0] @ basis)
     yield A, Subspace.span(basis), False
-    # a block of 5 rows that settles one of S's three directions falls back
+    # a block of 5 rows that settles one of S's three directions takes an SVD
     A, q, rng = _generic(20, np.repeat([1.0, 2.0, 3.0, 4.0], 5), 8)
     basis = np.column_stack([rng.standard_normal(20), q[:, 5:] @ rng.standard_normal((15, 2))])
     yield A, Subspace.span(basis), False
-    # two blocks settle in the QR, the third falls back
+    # two blocks settle in the QR, the third takes an SVD
     e = np.eye(5)
     yield SymMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])), Subspace.span(
         np.column_stack([e[0], e[1], e[3] + e[4]])
     ), False
+    # S orthogonal to A's bottom 10 eigenvectors: ten stays at once
+    A, q, rng = _generic(60, np.linspace(1.0, 2.0, 60), 9)
+    basis = rng.standard_normal((60, 30))
+    basis -= q[:, :10] @ (q[:, :10].T @ basis)
+    yield A, Subspace.span(basis), False
+    # S inside A's top half: every direction stays through the bottom half
+    A, q, rng = _generic(40, np.linspace(1.0, 2.0, 40), 10)
+    yield A, Subspace.span(q[:, 20:] @ rng.standard_normal((20, 12))), False
+    # S spanned by eigenvectors of A, on single and repeated levels
+    for spectrum in (np.linspace(1.0, 2.0, 30), np.repeat([1.0, 2.0, 3.0], 10)):
+        A, q, _ = _generic(30, spectrum, 11)
+        yield A, Subspace.span(q[:, [2, 5, 11, 17, 29]]), False
 
 
 def test_qr_settled_blocks_match_the_cumulative_walk(monkeypatch):
@@ -204,6 +218,32 @@ def test_qr_settled_blocks_match_the_cumulative_walk(monkeypatch):
         rho, levels = _cumulative_walk(A, S)
         assert max_abs(r.value.entries - rho) <= 1e-13 * max(1.0, A.spectral_norm())
         assert r.levels == levels
+
+
+def test_walk_carries_only_its_stays(monkeypatch):
+    # S orthogonal to A's bottom eigenvector: that level settles nothing
+    # and leaves one direction of S in the meet, which stays until the last
+    # of S's n/2 coordinates has entered.  Each level's SVD acts on that
+    # stay and the one coordinate entering there, never on the rest of S.
+    n = 200
+    A, q, rng = _generic(n, np.linspace(1.0, 2.0, n), 7)
+    basis = rng.standard_normal((n, n // 2))
+    basis -= np.outer(q[:, 0], q[:, 0] @ basis)
+    S = Subspace.span(basis)
+    eig_sym(A)
+    widths = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy)
+        r = spectral_short_closed(A, S)
+    # bottom up: level 1 settles none, levels 2 .. n/2 + 1 one each
+    assert len(widths) == n // 2 + 1 and max(widths) == 2
+    assert [rank for _, rank in r.levels] == [0] * (n // 2 - 1) + [1] * (n // 2) + [0]
 
 
 def _assembly_cases():
@@ -379,6 +419,61 @@ def test_iterative_zero_matrix_and_zero_subspace():
     assert max_abs(z.value.entries) == 0.0
     z2 = spectral_short_iterative(SymMatrix(np.eye(3)), Subspace.zero(3))
     assert max_abs(z2.value.entries) == 0.0
+
+
+def test_iterative_without_positive_level():
+    # every level of diag(-1e-9, 0) is at or below the rank cut, so A is
+    # all kernel and rho is 0, though A is not the zero matrix
+    A = SymMatrix(np.diag([-1e-9, 0.0]))
+    r = spectral_short_iterative(A, Subspace.full(2))
+    assert r.trace.stop_reason == "exact"
+    assert max_abs(r.value.entries) == 0.0
+
+
+def test_power_routes_reject_empty_iterations():
+    A = SymMatrix(np.diag([1.0, 2.0]))
+    with pytest.raises(DomainError, match="k_max"):
+        spectral_short_iterative(A, Subspace.full(2), k_max=-1)
+    with pytest.raises(DomainError, match="m_max"):
+        spectral_short_vector_power(A, [1.0, 0.0], m_max=0)
+
+
+def _dense_iterates(A, S, powers, tol=DEFAULT_TOL):
+    # reference: each power shorted as a dense matrix in the standard
+    # basis, sqrt(A^m) (I - P) sqrt(A^m) with P the projection onto the
+    # image of S-perp under sqrt(A^m), then its rank-aware root
+    d = eig_sym(A, tol)
+    scale = d.norm2
+    lam = _block_values(d, tol) / scale
+    rank = _range_meet(d, S, tol).dim
+    iterates = []
+    for m in powers:
+        root_values = lam ** (m / 2.0)
+        root = SymMatrix.from_eigens(root_values, d.vectors).entries
+        u, s, _ = np.linalg.svd(root @ S.complement().basis, full_matrices=False)
+        image = u[:, s > tol.rank_tol * root_values.max()]
+        raw = root @ (np.eye(A.n) - image @ image.T) @ root
+        w, v = np.linalg.eigh((raw + raw.T) / 2.0)
+        vals = np.zeros_like(w)
+        vals[w.size - rank :] = np.maximum(w[w.size - rank :], 0.0) ** (1.0 / m)
+        iterates.append(scale * (v * vals) @ v.T)
+    return iterates
+
+
+def test_iterates_match_the_dense_construction():
+    cases = [(SymMatrix(np.diag([-1e-12, 5e-9, 1.0])), Subspace(np.eye(3)[:, [0, 2]]))]
+    kinds = ("well_separated", "clustered", "with_zeros", "projection")
+    for seed in range(24):
+        n = 2 + seed % 11
+        A = gen_psd(SpectrumSpec(kinds[seed % 4], n), seed)
+        cases.append((A, gen_subspace(n, 1 + seed % n, seed)))
+    A, _, rng = _generic(60, np.linspace(1.0, 2.0, 60), 5)
+    cases.append((A, Subspace.span(rng.standard_normal((60, 30)))))
+    for A, S in cases:
+        trace = spectral_short_iterative(A, S).trace
+        reference = _dense_iterates(A, S, [st.power for st in trace.iterates])
+        for step, want in zip(trace.iterates, reference):
+            assert max_abs(step.value - want) <= 1e-8 * max(1.0, A.spectral_norm())
 
 
 def test_iterative_powers_level_values_not_members():
