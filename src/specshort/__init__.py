@@ -34,6 +34,7 @@ from .shorted import ShortedResult, short_at, short_schur, short_vector
 from .spectral_shorted import (
     ConvergenceTrace,
     SpectralShortResult,
+    TraceStep,
     monotone_calculus_residual,
     spectral_short_closed,
     spectral_short_iterative,
@@ -45,7 +46,16 @@ from .spectral_shorted import (
 __version__ = "0.1.0"
 
 # The harness is imported on first use: of the CLI, only `verify` needs it.
-_HARNESS_NAMES = ("SpectrumSpec", "VerificationReport", "gen_psd", "gen_subspace", "run_suite")
+_HARNESS_NAMES = (
+    "SpectrumSpec",
+    "TheoremResult",
+    "VerificationReport",
+    "gen_psd",
+    "gen_subspace",
+    "run_suite",
+    "run_trial",
+    "THEOREMS",
+)
 
 
 def __getattr__(name):

@@ -56,28 +56,41 @@ def _load_json(path: str):
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+# JSON numbers load as int or float; true and false load as bool, a
+# subclass of int, so number checks match the type exactly.
+_NUMBER_TYPES = {int, float}
+
+
+def _floats(values: list, what: str, path: str) -> np.ndarray:
+    """A JSON list of numbers as a float array, each entry finite."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise CliInputError(f"{path}: {what} must be numbers")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise CliInputError(f"{path}: {what} must be finite") from exc
+    if not np.all(np.isfinite(arr)):
+        raise CliInputError(f"{path}: {what} must be finite")
+    return arr
+
+
 def load_matrix(path: str, tol: Tolerances) -> SymMatrix:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "n" not in obj or "data" not in obj:
         raise CliInputError(f'{path}: expected an object with "n" and "data"')
     n = obj["n"]
     data = obj["data"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CliInputError(f'{path}: "n" must be a positive integer')
     if not isinstance(data, list) or len(data) != n * n:
         raise CliInputError(f'{path}: "data" must hold exactly n*n = {n * n} numbers')
-    try:
-        arr = np.array(data, dtype=float).reshape(n, n)
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(f"{path}: matrix entries must be numbers") from exc
-    if not np.all(np.isfinite(arr)):
-        raise CliInputError(f"{path}: matrix entries must be finite")
+    arr = _floats(data, "matrix entries", path).reshape(n, n)
     return SymMatrix(arr, tol)  # DomainError here surfaces as exit 3
 
 
 def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or obj.get("n") != n:
+    if not isinstance(obj, dict) or type(obj.get("n")) not in _NUMBER_TYPES or obj["n"] != n:
         raise CliInputError(f'{path}: expected an object with "n" equal to {n}')
     if "xi" in obj:
         vecs = [obj["xi"]]
@@ -91,23 +104,23 @@ def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
     for v in vecs:
         if not isinstance(v, list) or len(v) != n:
             raise CliInputError(f"{path}: each vector must have length {n}")
-        arr = np.array(v, dtype=float)
-        if not np.all(np.isfinite(arr)) or float(np.linalg.norm(arr)) == 0.0:
-            raise CliInputError(f"{path}: vectors must be finite and nonzero")
+        arr = _floats(v, "vector entries", path)
+        if float(np.linalg.norm(arr)) == 0.0:
+            raise CliInputError(f"{path}: vectors must be nonzero")
         rows.append(arr)
     return Subspace.span(np.column_stack(rows), tol)
 
 
 def load_vector(path: str, n: int) -> np.ndarray:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or obj.get("n") != n or "xi" not in obj:
+    if not isinstance(obj, dict) or type(obj.get("n")) not in _NUMBER_TYPES or obj["n"] != n or "xi" not in obj:
         raise CliInputError(f'{path}: expected an object with "n" = {n} and "xi"')
     v = obj["xi"]
     if not isinstance(v, list) or len(v) != n:
         raise CliInputError(f'{path}: "xi" must have length {n}')
-    arr = np.array(v, dtype=float)
-    if not np.all(np.isfinite(arr)) or float(np.linalg.norm(arr)) == 0.0:
-        raise CliInputError(f"{path}: xi must be finite and nonzero")
+    arr = _floats(v, "xi entries", path)
+    if float(np.linalg.norm(arr)) == 0.0:
+        raise CliInputError(f"{path}: xi must be nonzero")
     return arr
 
 

@@ -321,13 +321,13 @@ def _check_inverse_norm_identity(rng, n, tol):
     xi = rng.standard_normal(n)
     xi /= np.linalg.norm(xi)
     no_stop = replace(tol, conv_tol=0.0)
-    _, trace = spectral_short_vector_power(A, xi, m_max=8, tol=no_stop)
+    _, trace = spectral_short_vector_power(A, xi, m_max=16, tol=no_stop)
     worst = 0.0
-    for step in trace.iterates:
+    for step in trace.iterates[1::2]:  # the even powers 2, 4, ..., 16
         m = int(step.power)
-        power = matrix_power(A, 2.0 * m, tol)
+        power = matrix_power(A, float(m), tol)
         sigma = short_schur(power, Subspace.span(xi, tol), tol).scalar()
-        lhs = max(sigma, 0.0) ** (1.0 / (2.0 * m))
+        lhs = max(sigma, 0.0) ** (1.0 / m)
         worst = max(worst, abs(lhs - float(step.value)) / 1e-9)
     return worst
 

@@ -17,6 +17,12 @@ Two routes:
   converges geometrically in the level gap where the root sequence only
   converges like 1/n.
 
+  The eigen-part of A's kernel block (its levels at or below the rank cut)
+  is removed before powering, so a rounding-negative member cannot turn
+  the pairings negative.  This is the package's one power loop:
+  spectral_short_vector_power runs it on pinv(A), since the scalar spectral
+  shorted value is rho(A, xi) = 1 / k(pinv(A), xi).
+
 kolmogorov_duality checks the reciprocal relation with the scalar spectral
 shorted value of the pseudo-inverse at the range-projected vector.
 """
@@ -38,7 +44,7 @@ from .core import (
     eig_sym,
     pseudo_inverse,
 )
-from .spectral_shorted import ConvergenceTrace, TraceStep, _Plateau, spectral_short_vector
+from .spectral_shorted import ConvergenceTrace, TraceStep, spectral_short_vector
 
 __all__ = ["KolmogorovResult", "kolmogorov_closed", "kolmogorov_power", "kolmogorov_duality"]
 
@@ -67,6 +73,30 @@ def kolmogorov_closed(
     return KolmogorovResult(value=value, method="closed_form")
 
 
+class _Plateau:
+    """Stopping rule of the power route's quotient estimate.
+
+    A quotient that has stopped moving may still sit on the plateau of a
+    neighbouring level when the coefficient of the limiting level is tiny,
+    so a candidate is accepted only once it has held to about twice the step
+    where it appeared.
+    """
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self.value: float | None = None
+        self.since = 0
+        self.prev: float | None = None
+
+    def settled(self, step: int, r: float, consistent: bool, band: float) -> bool:
+        if self.value is not None and abs(r - self.value) > band:
+            self.value = None  # plateau escaped; keep iterating
+        if self.value is None and self.prev is not None and consistent and abs(r - self.prev) <= band:
+            self.value, self.since = r, step
+        self.prev = r
+        return self.value is not None and step >= min(self.n_max, 2 * self.since + 10)
+
+
 def kolmogorov_power(
     A: SymMatrix, xi, n_max: int = 200, tol: Tolerances = DEFAULT_TOL
 ) -> KolmogorovResult:
@@ -75,9 +105,15 @@ def kolmogorov_power(
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     v = _direction(xi)
     A.assert_psd(tol)
-    scale = A.spectral_norm(tol)
-    floor = tol.rank_abs(scale)
+    d = eig_sym(A, tol)
+    floor = tol.rank_abs(d.norm2)
+    # The kernel block's eigen-part is removed, so no rounding-negative
+    # member is powered; without a kernel block A is powered as given.
+    kernel = d.blocks(tol)[0][1]
     m = A.entries
+    if kernel.stop:
+        z = d.vectors[:, kernel]
+        m = m - (z * d.eigenvalues[kernel]) @ z.T
     u = v
     log_norm = 0.0  # log ||A^n xi|| for the current n
     prev_inner = 1.0  # <u_{n-1}, xi> with u the renormalized iterate
@@ -99,7 +135,7 @@ def kolmogorov_power(
         u = w / growth
         log_norm += math.log(growth)
         inner = float(u @ v)
-        if inner <= 0.0:  # pragma: no cover - defensive: pairing is nonnegative
+        if inner <= 0.0:  # rounding can leave a vanishing pairing at or below 0
             value = 0.0
             converged = True
             reason = "exact"

@@ -15,27 +15,30 @@ the coordinates entering there, and none is taken when nothing stays and
 the level's triangle of R settles all of its coordinates.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
-iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  A is normalized to unit
-spectral norm before powering (the result scales linearly in A, so this is
-exact) and each power is shorted and rooted in A's eigen-coordinates, from
-the one eigendecomposition of A, but the approach is still
-precision-limited: level content of A^{m} below roughly 1e-8 of the top
-retained level is indistinguishable from rounding noise, and the iteration
-refuses to power past that wall rather than return noise dressed up as an
-iterate.  Convergence of the iterates toward the limit is generally only
-O(1/m) in the power m, so slow runs stop at the wall or at k_max with
-converged=False; that is a flagged outcome, not an error.
+iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  Each is formed in the
+coordinates of T, the basis of S ^ R(A), as T (T^T pinv(A)^m T)^{-1/m} T^T
+(Anderson & Trapp, "Shorted operators II", 1975), from one thin SVD of
+pinv(A)^{m/2} T scaled by the smallest positive level to the power m/2, so
+no power overflows and the one eigendecomposition of A is the only n x n
+factorization.  The approach is still precision-limited: level content of
+A^{m} below roughly 1e-8 of the top retained level is indistinguishable from
+rounding noise, and the iteration refuses to power past that wall rather
+than return noise dressed up as an iterate.  Convergence of the iterates
+toward the limit is generally only O(1/m) in the power m, so slow runs stop
+at the wall or at k_max with converged=False; that is a flagged outcome, not
+an error.
 
-The one-dimensional scalar admits additional formulas (largest half-line
-projection containing the vector; inverse-power-norm limits through the
-pseudo-inverse) implemented here as spectral_short_vector and
-spectral_short_vector_power.
+The one-dimensional scalar has two more routes: the largest half-line
+projection containing the vector (spectral_short_vector), and
+spectral_short_vector_power, the reciprocal 1 / k(pinv(A), xi) of the
+vector complexity under the pseudo-inverse by kolmogorov_power, the
+package's one power loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -203,10 +206,12 @@ def spectral_short_iterative(
     from above.  Stops on a small step (converged), at k_max, or at the
     precision wall described in the module docstring (power_limit).
 
-    Each power is shorted and rooted in A's eigen-coordinates, where
-    sqrt(A^m) is R = diag(lambda^{m/2}) and shorted(A^m, S) is
-    R^2 - (RU)(RU)^T, with U the left singular vectors of R V^T S-perp above
-    rank_tol * max R; the root is mapped back once.
+    With T the basis of S ^ R(A), each iterate is shorted(A^m, S)^{1/m} =
+    T (T^T pinv(A)^m T)^{-1/m} T^T (Anderson & Trapp 1975).  With mu the
+    positive level values, mu_1 the smallest and V_+ their eigenvectors, the
+    thin SVD W_m = diag((mu_1 / mu)^{m/2}) V_+^T T = U Sigma Z^T gives it as
+    mu_1 (TZ) Sigma^{-2/m} (TZ)^T.  W_m's row scales are at most 1, and its
+    SVD keeps the small singular values that its Gram matrix would square.
     """
     if k_max < 0:
         raise DomainError(f"k_max must be nonnegative, got {k_max}")
@@ -217,17 +222,15 @@ def spectral_short_iterative(
         zero = SymMatrix(np.zeros((A.n, A.n)))
         return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
 
-    # A's level block values, the kernel at 0: no rounding-negative member
-    # reaches the fractional powers, and the power wall is read off the
-    # smallest value actually powered.
-    scale = d.norm2
-    lam_pos = _block_values(d, tol) / scale
-    m_limit = _power_limit(blocks[1][0] / scale)
+    # A's positive level block values: no rounding-negative member reaches
+    # the powers, and the power wall is read off the smallest of them.
+    positive = slice(blocks[0][1].stop, None)
+    mu_1 = blocks[1][0]
+    ratios = mu_1 / _block_values(d, tol)[positive]
+    m_limit = _power_limit(mu_1 / d.norm2)
+    t = _range_meet(d, S, tol).basis
+    c = d.vectors[:, positive].T @ t
 
-    # Rank of every iterate and of the limit: dimension of S meet range(A).
-    rank = _range_meet(d, S, tol).dim
-
-    comp = d.vectors.T @ S.complement().basis
     steps: list[TraceStep] = []
     prev: np.ndarray | None = None
     converged = False
@@ -237,15 +240,13 @@ def spectral_short_iterative(
         if k > 0 and m > m_limit:
             reason = "power_limit"
             break
-        # sqrt(A^m) from the one decomposition of A: exact per level.
-        root_m = lam_pos ** (m / 2.0)
-        u, s, _ = np.linalg.svd(root_m[:, None] * comp, full_matrices=False)
-        ru = root_m[:, None] * u[:, s > tol.rank_abs(root_m.max())]
-        raw = np.diag(root_m**2) - ru @ ru.T
-        b = scale * _rank_aware_root(raw, rank, 1.0 / m, d.vectors)
+        _, s, zt = np.linalg.svd(ratios[:, None] ** (m / 2.0) * c, full_matrices=False)
+        # The iterate's eigenvectors TZ, each scaled by the root of its value.
+        f = (t @ zt.T) * np.sqrt(mu_1 * s ** (-2.0 / m))
+        b = f @ f.T
         delta = None if prev is None else float(np.abs(b - prev).max())
         steps.append(TraceStep(m, b, delta))
-        if delta is not None and delta <= tol.conv_tol * max(1.0, scale):
+        if delta is not None and delta <= tol.conv_tol * max(1.0, d.norm2):
             converged = True
             reason = "converged"
             break
@@ -266,21 +267,6 @@ def spectral_short_iterative(
     )
 
 
-def _rank_aware_root(sigma: np.ndarray, rank: int, exponent: float, basis: np.ndarray) -> np.ndarray:
-    """basis sigma**exponent basis^T, keeping exactly `rank` top eigenvalues
-    of sigma.
-
-    The rank of every iterate is known in advance (it equals the dimension
-    of S meet range(A)), so eigenvalues outside the top block are structural
-    zeros; dropping them prevents tiny rounding noise from being amplified
-    to order one by the small exponent.
-    """
-    w, v = np.linalg.eigh(sigma)
-    top = basis @ v[:, w.size - rank :]
-    out = (top * np.maximum(w[w.size - rank :], 0.0) ** exponent) @ top.T
-    return (out + out.T) / 2.0
-
-
 def spectral_short_vector(
     A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL
 ) -> float:
@@ -293,30 +279,6 @@ def spectral_short_vector(
     return _half_line_level(eig_sym(A, tol), v, tol)
 
 
-class _Plateau:
-    """Stopping rule of the power routes' quotient estimates.
-
-    A quotient that has stopped moving may still sit on the plateau of a
-    neighbouring level when the coefficient of the limiting level is tiny,
-    so a candidate is accepted only once it has held to about twice the step
-    where it appeared.
-    """
-
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        self.value: float | None = None
-        self.since = 0
-        self.prev: float | None = None
-
-    def settled(self, step: int, r: float, consistent: bool, band: float) -> bool:
-        if self.value is not None and abs(r - self.value) > band:
-            self.value = None  # plateau escaped; keep iterating
-        if self.value is None and self.prev is not None and consistent and abs(r - self.prev) <= band:
-            self.value, self.since = r, step
-        self.prev = r
-        return self.value is not None and step >= min(self.n_max, 2 * self.since + 10)
-
-
 def spectral_short_vector_power(
     A: SymMatrix,
     xi,
@@ -325,13 +287,14 @@ def spectral_short_vector_power(
 ) -> tuple[float, ConvergenceTrace]:
     """Scalar spectral shorted value by pseudo-inverse power iteration.
 
-    Vectors off the range of A give exactly 0.  Otherwise the iteration
-    eta_m = pinv(A) eta_{m-1} is run with per-step renormalization; the trace
-    records the non-increasing root sequence ||eta_m||^{-1/m} (an infimum),
-    while the returned value is the Rayleigh-quotient estimate
-    1 / <pinv(A) u, u>, whose convergence is geometric in the level gap and
-    therefore reaches tight tolerances the slow root sequence cannot.
+    Vectors off the range of A give exactly 0.  Otherwise the value is
+    1 / k(pinv(A), xi), the reciprocal of kolmogorov_power on the
+    pseudo-inverse, and the trace records the reciprocals of its root
+    sequence: the non-increasing Sigma(xi, A^n)^{1/n} = <pinv(A)^n xi, xi>^{-1/n}
+    at every power n (an infimum).
     """
+    from .kolmogorov import kolmogorov_power  # kolmogorov imports this module
+
     if m_max < 1:
         raise DomainError(f"m_max must be at least 1, got {m_max}")
     v = _direction(xi, tol)
@@ -341,48 +304,16 @@ def spectral_short_vector_power(
     if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
         return 0.0, ConvergenceTrace.exact(0, 0.0)
 
-    pinv = pseudo_inverse(A, tol).entries
-    eta = v
-    log_norm = 0.0
-    steps: list[TraceStep] = []
-    prev_s: float | None = None
-    plateau = _Plateau(m_max)
-    value = 0.0
-    converged = False
-    reason = "max_iterations"
-    for m in range(1, m_max + 1):
-        w = pinv @ eta
-        rayleigh = float(w @ eta)
-        growth = float(np.linalg.norm(w))
-        if growth <= 0.0 or rayleigh <= 0.0:  # pragma: no cover - defensive
-            reason = "exact"
-            converged = True
-            value = 0.0
-            break
-        log_norm += math.log(growth)
-        s_m = math.exp(-log_norm / m)
-        r_m = 1.0 / rayleigh
-        delta_s = None if prev_s is None else abs(s_m - prev_s)
-        steps.append(TraceStep(m, s_m, delta_s))
-        # The root sequence decreases to the limit, so it bounds any honest
-        # estimate from above; a quotient sitting beyond that bound is still
-        # on a transient plateau of a higher level.
-        consistent = r_m <= s_m + tol.conv_tol * max(1.0, s_m)
-        if plateau.settled(m, r_m, consistent, tol.conv_tol * max(1.0, r_m)):
-            value = plateau.value
-            converged = True
-            reason = "converged"
-            break
-        prev_s = s_m
-        value = r_m
-        eta = w / growth
-    trace = ConvergenceTrace(
-        iterates=tuple(steps),
-        converged=converged,
-        final_delta=0.0 if not steps or steps[-1].delta is None else steps[-1].delta,
-        stop_reason=reason,
+    complexity = kolmogorov_power(pseudo_inverse(A, tol), v, n_max=m_max, tol=tol)
+    powers = [step.power for step in complexity.trace.iterates]
+    roots = [1.0 / step.value for step in complexity.trace.iterates]
+    deltas = [None] + [abs(b - a) for a, b in zip(roots, roots[1:])]
+    trace = replace(
+        complexity.trace,
+        iterates=tuple(map(TraceStep, powers, roots, deltas)),
+        final_delta=deltas[-1] or 0.0,
     )
-    return value, trace
+    return (0.0 if complexity.value == 0.0 else 1.0 / complexity.value), trace
 
 
 def spectral_short_min(

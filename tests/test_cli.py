@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -80,6 +82,22 @@ def test_spectral_short_report(files, capsys):
     assert rep["levels"] == [{"rank": 0, "value": 2.0}, {"rank": 1, "value": 1.0}]
     assert rep["trace"]["steps"][0]["power"] == 1.0
     assert not rep["trace"]["converged"]
+
+
+def test_spectral_short_line_and_iterative_rho(files, capsys):
+    # a subspace given as {"n", "xi"} is the line through xi
+    line = write_json(files["tmp"] / "xi_line.json", {"n": 2, "xi": [1.0, 1.0]})
+    code, out, _ = run_cli(["spectral-short", files["diag12"], line, "--method", "closed"], capsys)
+    assert code == 0
+    got = np.array(json.loads(out)["rho"]["data"]).reshape(2, 2)
+    np.testing.assert_allclose(got, 0.5 * np.ones((2, 2)), atol=1e-12)
+    # the iterative route reports its own rho, here the exact limit
+    code, out, _ = run_cli(["spectral-short", files["proj3"], files["s23"], "--method", "iterative"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    np.testing.assert_allclose(np.array(rep["rho"]["data"]).reshape(3, 3), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+    assert rep["trace"]["converged"] and rep["cross_residual"] is None
+    assert "levels" not in rep
 
 
 def test_kolmogorov_methods(files, capsys):
@@ -196,6 +214,55 @@ def test_exit_code_2_on_malformed(files, capsys, tmp_path):
     assert main(["short", missing, files["line"]]) == 2
 
 
+_MATRIX = {"n": 2, "data": [1.0, 0.0, 0.0, 1.0]}
+_LINE = {"n": 2, "basis": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, payloads, message",
+    [
+        # load_matrix
+        ("short", ([1.0], _LINE), 'expected an object with "n" and "data"'),
+        ("short", ({"n": 0, "data": []}, _LINE), '"n" must be a positive integer'),
+        ("short", ({"n": True, "data": [1.0]}, _LINE), '"n" must be a positive integer'),
+        ("short", ({"n": 2, "data": [1.0, 0.0, 1.0]}, _LINE), '"data" must hold exactly n*n = 4 numbers'),
+        ("short", ({"n": 2, "data": [1.0, 0.0, 0.0, "1"]}, _LINE), "matrix entries must be numbers"),
+        ("short", ({"n": 2, "data": [1, 0, 0, True]}, _LINE), "matrix entries must be numbers"),
+        ("short", ({"n": 2, "data": [1.0, 0.0, 0.0, 1e999]}, _LINE), "matrix entries must be finite"),
+        ("short", ({"n": 2, "data": [1.0, 0.0, 0.0, 10**400]}, _LINE), "matrix entries must be finite"),
+        # load_subspace
+        ("short", (_MATRIX, {"n": 3, "basis": [[1.0, 0.0, 0.0]]}), 'expected an object with "n" equal to 2'),
+        ("short", (_MATRIX, {"n": 2}), 'expected a "basis" or "xi" field'),
+        ("short", (_MATRIX, {"n": 2, "basis": []}), "basis must be a nonempty list of vectors"),
+        ("short", (_MATRIX, {"n": 2, "basis": [[1.0, 0.0, 0.0]]}), "each vector must have length 2"),
+        ("short", (_MATRIX, {"n": 2, "basis": [[True, 0.0]]}), "vector entries must be numbers"),
+        ("short", (_MATRIX, {"n": 2, "xi": [1e999, 0.0]}), "vector entries must be finite"),
+        ("short", (_MATRIX, {"n": 2, "basis": [[0.0, 0.0]]}), "vectors must be nonzero"),
+        # load_vector
+        ("kolmogorov", (_MATRIX, {"n": 2, "basis": [[1.0, 0.0]]}), 'expected an object with "n" = 2 and "xi"'),
+        ("kolmogorov", (_MATRIX, {"n": 2, "xi": [1.0]}), '"xi" must have length 2'),
+        ("kolmogorov", (_MATRIX, {"n": 2, "xi": ["1", 0.0]}), "xi entries must be numbers"),
+        ("kolmogorov", (_MATRIX, {"n": 2, "xi": [float("nan"), 0.0]}), "xi entries must be finite"),
+        ("kolmogorov", (_MATRIX, {"n": 2, "xi": [0.0, 0.0]}), "xi must be nonzero"),
+    ],
+)
+def test_loader_rejections_name_the_file(command, payloads, message, tmp_path, capsys):
+    paths = [write_json(tmp_path / f"in{i}.json", obj) for i, obj in enumerate(payloads)]
+    code, out, err = run_cli([command, *paths], capsys)
+    assert code == 2 and out == ""
+    bad = next(p for p, obj in zip(paths, payloads) if obj is not _MATRIX and obj is not _LINE)
+    assert f"{bad}: {message}" in err
+
+
+def test_unreadable_files_name_the_file(files, capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    missing = str(tmp_path / "nope.json")
+    for path, message in ((str(bad), "is not valid JSON"), (missing, "cannot read")):
+        code, _, err = run_cli(["order", path, files["diag12"]], capsys)
+        assert code == 2 and path in err and message in err
+
+
 def test_exit_code_3_on_bad_matrices(files, capsys, tmp_path):
     asym = write_json(tmp_path / "asym.json", {"n": 2, "data": [1.0, 0.5, 0.4, 1.0]})
     code, _, err = run_cli(["short", asym, files["line"]], capsys)
@@ -285,3 +352,12 @@ def test_harness_is_imported_on_first_use(tmp_path, capsys):
     assert main(["verify", "--seed", "0", "--out", str(loaded)]) == 0
     capsys.readouterr()
     assert fresh.read_bytes() == loaded.read_bytes()
+
+
+def test_every_exported_name_resolves_from_the_package():
+    for info in pkgutil.iter_modules(specshort.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"specshort.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert getattr(specshort, name) is getattr(module, name), f"{info.name}.{name}"

@@ -66,6 +66,19 @@ def test_power_zero_support():
     assert r.log_value == -math.inf
 
 
+def test_power_removes_a_rounding_negative_kernel_member():
+    # -1e-9 is at or below the rank cut, so it is kernel: xi sees the level
+    # 1, and powering the negative member would make the pairings negative
+    A = SymMatrix(np.diag([-1e-9, 1.0]))
+    xi = np.array([1.0, 1e-5])
+    r = kolmogorov_power(A, xi)
+    assert r.trace.converged and r.trace.stop_reason == "converged"
+    assert abs(r.value - 1.0) <= 1e-9
+    assert kolmogorov_closed(A, xi).value == kolmogorov_duality(A, xi)[0] == 1.0
+    # the kernel direction itself still has no positive support
+    assert kolmogorov_power(A, [1.0, 0.0]).value == 0.0
+
+
 def test_log_value():
     A = SymMatrix(np.diag([1.0, math.e]))
     assert kolmogorov_closed(A, [0.0, 1.0]).log_value == 1.0

@@ -469,11 +469,46 @@ def test_iterates_match_the_dense_construction():
         cases.append((A, gen_subspace(n, 1 + seed % n, seed)))
     A, _, rng = _generic(60, np.linspace(1.0, 2.0, 60), 5)
     cases.append((A, Subspace.span(rng.standard_normal((60, 30)))))
+    # S meets the kernel: S ^ R(A) is a proper part of S, or 0
+    meets = set()
+    for seed in range(6):
+        A = gen_psd(SpectrumSpec("with_zeros", 8, zero_count=3), seed)
+        for k in (2, 6, 7):
+            S = gen_subspace(8, k, seed)
+            t = _range_meet(eig_sym(A), S, DEFAULT_TOL).dim
+            meets.add("zero" if t == 0 else "proper" if t < k else "all")
+            cases.append((A, S))
+    assert meets == {"zero", "proper"}
     for A, S in cases:
         trace = spectral_short_iterative(A, S).trace
         reference = _dense_iterates(A, S, [st.power for st in trace.iterates])
         for step, want in zip(trace.iterates, reference):
             assert max_abs(step.value - want) <= 1e-8 * max(1.0, A.spectral_norm())
+
+
+def test_iterative_factors_have_one_column_per_meet_direction(monkeypatch):
+    # every SVD and eigh the oracle takes acts on the coordinates of
+    # S ^ R(A) alone: no n x n decomposition and no basis of S-perp
+    n = 200
+    A, _, rng = _generic(n, np.linspace(1.0, 2.0, n), 13)
+    S = Subspace.span(rng.standard_normal((n, n // 2)))
+    eig_sym(A)
+    shapes = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def spy(f):
+        def call(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return f(a, *args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", spy(svd))
+        m.setattr(np.linalg, "eigh", spy(eigh))
+        r = spectral_short_iterative(A, S)
+    assert len(shapes) == len(r.trace.iterates) > 1
+    assert max(cols for _, cols in shapes) <= _range_meet(eig_sym(A), S, DEFAULT_TOL).dim == n // 2
 
 
 def test_iterative_powers_level_values_not_members():
@@ -513,7 +548,8 @@ def test_vector_power_first_step_hand_value():
     A = SymMatrix(np.diag([1.0, 2.0]))
     xi = np.array([1.0, 1.0]) / math.sqrt(2.0)
     value, trace = spectral_short_vector_power(A, xi)
-    assert abs(float(trace.iterates[0].value) - math.sqrt(8.0 / 5.0)) < 1e-12
+    assert abs(float(trace.iterates[0].value) - 4.0 / 3.0) < 1e-12
+    assert abs(float(trace.iterates[1].value) - math.sqrt(8.0 / 5.0)) < 1e-12
     assert trace.converged
     assert abs(value - 1.0) <= 1e-8
     # the root sequence is non-increasing
@@ -539,7 +575,7 @@ def test_vector_power_off_range_is_exact_zero():
 
 
 def test_inverse_norm_identity_small_powers():
-    # scalar shorted value of A^{2m} equals the inverse-power norm, per m
+    # scalar shorted value of A^n equals <pinv(A)^n xi, xi>^{-1}, per n
     rng = np.random.default_rng(40)
     for seed in range(4):
         n = 4
@@ -550,12 +586,12 @@ def test_inverse_norm_identity_small_powers():
         xi = rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
         no_stop = replace(DEFAULT_TOL, conv_tol=0.0)
-        _, trace = spectral_short_vector_power(A, xi, m_max=8, tol=no_stop)
-        assert len(trace.iterates) == 8
+        _, trace = spectral_short_vector_power(A, xi, m_max=16, tol=no_stop)
+        assert len(trace.iterates) == 16
         for st in trace.iterates:
             m = int(st.power)
-            sigma = short_schur(matrix_power(A, 2.0 * m), Subspace.span(xi)).scalar()
-            assert abs(max(sigma, 0.0) ** (1.0 / (2.0 * m)) - float(st.value)) <= 1e-9
+            sigma = short_schur(matrix_power(A, float(m)), Subspace.span(xi)).scalar()
+            assert abs(max(sigma, 0.0) ** (1.0 / m) - float(st.value)) <= 1e-9
 
 
 def test_min_spectrum_examples():
