@@ -11,7 +11,6 @@ from .core import (
     STRICT_TOL,
     DimensionMismatchError,
     DomainError,
-    EigenConvergenceError,
     SpectralDecomposition,
     Subspace,
     SymMatrix,

@@ -7,16 +7,16 @@ package is built on.
 
 Every value is immutable in what it means, and every operation is a pure
 function of its inputs.  A few caches are filled on first use and never
-change after: a SymMatrix's eigenpairs (_eigens) and decompositions per
-cluster_tol (_decomps), a SpectralDecomposition's level blocks per rank_tol,
-and a Subspace's orthogonal complement.  Two threads that fill one at once
-store equal values, so everything here is safe to share across threads.
+change after: a SymMatrix's eigenpairs (_eigens) and its decompositions per
+(cluster_tol, rank_tol) (_decomps), and a Subspace's orthogonal complement.
+Two threads that fill one at once store equal values, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "DomainError",
     "DimensionMismatchError",
-    "EigenConvergenceError",
     "Tolerances",
     "DEFAULT_TOL",
     "STRICT_TOL",
@@ -48,30 +47,24 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions."""
 
 
-class EigenConvergenceError(RuntimeError):
-    """The eigensolver did not converge; carries the off-diagonal residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared by every operation.
 
     cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
-    every result scales with A.  rank_tol fixes the kernel for every route:
-    the levels at or below rank_tol * ||A||_2 form one block of value 0
-    (SpectralDecomposition.blocks), which the functional calculus maps to
-    f(0) and every shorted and spectral shorted route reads as the
-    complement of the range.  meet_tol bounds a principal-angle sine and
+    every result scales with A.  eig_sym reads both and decides A's one
+    level partition: it clusters the eigenvalues at cluster_tol * ||A||_2
+    and folds every level at or below rank_tol * ||A||_2 into the kernel,
+    one block of value 0 (SpectralDecomposition.blocks), which every route
+    reads.  Past eig_sym, rank_tol is read only by short_schur's trailing
+    block and by Subspace.span.  meet_tol bounds a principal-angle sine and
     decides every membership question: a direction lies in a meet, one
     subspace inside another, and a vector or subspace inside a half-line
-    (the range of A included), when the sine of its angle to the other
-    subspace is at most meet_tol.  The others are absolute on quantities
-    that are O(1) by construction (orthonormality residuals, unit vectors).
-    Every field must be finite and nonnegative.
+    (the range of A included, so kolmogorov_power's "no positive support"
+    too), when the sine of its angle to the other subspace is at most
+    meet_tol.  The others are absolute on quantities that are O(1) by
+    construction (orthonormality residuals, unit vectors).  Every field
+    must be finite and nonnegative.
     """
 
     cluster_tol: float = 1e-8
@@ -120,19 +113,14 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cluster(eigenvalues: np.ndarray, tol_abs: float) -> tuple[tuple[int, ...], ...]:
-    """Partition sorted eigenvalue indices into maximal groups whose members
-    pairwise differ by at most tol_abs."""
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, len(eigenvalues)):
-        if eigenvalues[i] - eigenvalues[current[0]] <= tol_abs:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    groups.append(tuple(current))
-    return tuple(groups)
+def _cluster(values: list[float], tol_abs: float) -> list[slice]:
+    """Partition the indices of sorted values into maximal runs whose
+    members lie within tol_abs of the run's first."""
+    starts = [0]
+    for i in range(1, len(values)):
+        if values[i] - values[starts[-1]] > tol_abs:
+            starts.append(i)
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(values)])]
 
 
 class SymMatrix:
@@ -165,7 +153,7 @@ class SymMatrix:
         arr.setflags(write=False)
         self.entries = arr
         self._eigens: tuple[np.ndarray, np.ndarray] | None = None
-        self._decomps: dict[float, "SpectralDecomposition"] = {}
+        self._decomps: dict[tuple[float, float], "SpectralDecomposition"] = {}
 
     @property
     def n(self) -> int:
@@ -204,16 +192,24 @@ class SymMatrix:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues, orthonormal eigenvector columns, and the
-    clustering of indices into distinct numerical levels."""
+    """Ascending eigenvalues, orthonormal eigenvector columns, and A's one
+    partition of the eigen indices into level blocks.
+
+    blocks lists (value, slice of eigen indices), ascending, and partitions
+    the eigen indices in order.  The first block is the kernel: every level
+    at or below the rank cut, folded into one block of value 0 (an empty
+    slice when no level is that small).  Each further block is one positive
+    level, valued at the mean of its members.  values holds each eigen
+    index's block value, the spectrum every route takes A to have.  levels
+    and level_values view the nonempty blocks.
+    """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    levels: tuple[tuple[int, ...], ...]
-    level_values: np.ndarray
+    blocks: tuple[tuple[float, slice], ...]
+    values: np.ndarray
     lambda_min: float
     lambda_max: float
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -223,70 +219,65 @@ class SpectralDecomposition:
     def norm2(self) -> float:
         return max(abs(self.lambda_min), abs(self.lambda_max))
 
-    def blocks(self, tol: Tolerances = DEFAULT_TOL) -> tuple[tuple[float, slice], ...]:
-        """Level blocks, ascending, as (value, slice of eigen indices).
+    def _nonempty(self) -> tuple[tuple[float, slice], ...]:
+        return self.blocks if self.blocks[0][1].stop else self.blocks[1:]
 
-        The first block is the kernel: every level at or below the rank
-        cutoff, merged into one block of value 0 (an empty slice when no
-        level is that small).  Each further block is one positive level.
-        The blocks partition the eigen indices in order; they are cached
-        per rank_tol.
-        """
-        cached = self._blocks.get(tol.rank_tol)
-        if cached is not None:
-            return cached
-        cut = tol.rank_abs(self.norm2)
-        blocks = [(0.0, slice(0, 0))]
-        for group, rep in zip(self.levels, self.level_values.tolist()):
-            if rep > cut:
-                blocks.append((rep, slice(group[0], group[-1] + 1)))
-            else:
-                blocks[0] = (0.0, slice(0, group[-1] + 1))
-        self._blocks[tol.rank_tol] = blocks = tuple(blocks)
-        return blocks
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """The eigen indices of each nonempty block, ascending."""
+        return tuple(tuple(range(idx.start, idx.stop)) for _, idx in self._nonempty())
+
+    @property
+    def level_values(self) -> np.ndarray:
+        """The value of each nonempty block, ascending."""
+        out = np.array([mu for mu, _ in self._nonempty()])
+        out.setflags(write=False)
+        return out
 
 
 def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    """Symmetric eigendecomposition with deterministic sign convention and
-    one-shot eigenvalue clustering.
+    """Symmetric eigendecomposition with a deterministic sign convention
+    and A's one level partition.
 
-    Clustering happens here, once; every downstream notion of "distinct
-    eigenvalue" reuses the same partition.  Results are cached per matrix
-    and clustering tolerance.
+    The partition is decided here, once: the eigenvalues are clustered at
+    cluster_tol * ||A||_2, and every level at or below rank_tol * ||A||_2 is
+    folded into the kernel block.  Every downstream notion of a level or of
+    the kernel reads it.  Eigenpairs are cached per matrix, decompositions
+    per matrix and (cluster_tol, rank_tol).
     """
-    cached = A._decomps.get(tol.cluster_tol)
+    key = (tol.cluster_tol, tol.rank_tol)
+    cached = A._decomps.get(key)
     if cached is not None:
         return cached
-    if A._eigens is not None:
-        w, v = A._eigens
-    else:
-        try:
-            w, v = np.linalg.eigh(A.entries)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh is robust
-            off = A.entries - np.diag(np.diag(A.entries))
-            residual = float(np.abs(off).max())
-            raise EigenConvergenceError(
-                f"eigendecomposition failed: {exc}", residual
-            ) from exc
+    if A._eigens is None:
+        w, v = np.linalg.eigh(A.entries)
         v = _fix_signs(v)
-        w = np.array(w)
         w.setflags(write=False)
         v.setflags(write=False)
         A._eigens = (w, v)
+    w, v = A._eigens
     norm = max(abs(float(w[0])), abs(float(w[-1])))
-    groups = _cluster(w, tol.cluster_abs(norm))
-    # A one-member level is its own mean, without np.mean's per-call cost.
-    reps = np.array([float(w[g[0]]) if len(g) == 1 else float(np.mean(w[g[0] : g[-1] + 1])) for g in groups])
-    reps.setflags(write=False)
+    cut = tol.rank_abs(norm)
+    blocks = [(0.0, slice(0, 0))]
+    listed = w.tolist()  # Python floats index faster than numpy scalars
+    for idx in _cluster(listed, tol.cluster_abs(norm)):
+        # A one-member level is its own mean, without np.mean's per-call cost.
+        mu = listed[idx.start] if idx.stop - idx.start == 1 else float(np.mean(w[idx]))
+        if mu > cut:
+            blocks.append((mu, idx))
+        else:
+            blocks[0] = (0.0, slice(0, idx.stop))
+    values = np.repeat([mu for mu, _ in blocks], [idx.stop - idx.start for _, idx in blocks])
+    values.setflags(write=False)
     decomp = SpectralDecomposition(
         eigenvalues=w,
         vectors=v,
-        levels=groups,
-        level_values=reps,
+        blocks=tuple(blocks),
+        values=values,
         lambda_min=float(w[0]),
         lambda_max=float(w[-1]),
     )
-    A._decomps[tol.cluster_tol] = decomp
+    A._decomps[key] = decomp
     return decomp
 
 
@@ -429,12 +420,10 @@ class _OnSubspace:
 
 
 def _half_line_start(D: SpectralDecomposition, lam, tol: Tolerances):
-    """First eigen index of the half-line E[lam, inf): whole levels from the
-    first whose representative reaches lam, up to the clustering
-    tolerance.  Given an array of thresholds, an array of the same shape."""
-    cut = np.asarray(lam) - tol.cluster_abs(D.norm2)
-    firsts = np.array([group[0] for group in D.levels] + [D.n])
-    return firsts[np.searchsorted(D.level_values, cut, side="left")]
+    """First eigen index of the half-line E[lam, inf): whole blocks from the
+    first whose value reaches lam, up to the clustering tolerance.  Given an
+    array of thresholds, an array of the same shape."""
+    return np.searchsorted(D.values, np.asarray(lam) - tol.cluster_abs(D.norm2), side="left")
 
 
 def _half_line_level(
@@ -450,9 +439,8 @@ def _half_line_level(
     and top down the largest level whose half-line still sees x.
     """
     c = D.vectors.T @ x
-    blocks = D.blocks(tol)
     mu = 0.0
-    for mu, rows in reversed(blocks) if top_down else blocks:
+    for mu, rows in reversed(D.blocks) if top_down else D.blocks:
         seen = c[rows.start :] if top_down else c[: rows.stop]
         if np.linalg.norm(seen, 2) > tol.meet_tol:
             break
@@ -462,11 +450,11 @@ def _half_line_level(
 def spectral_projection(
     D: SpectralDecomposition, lam: float, tol: Tolerances = DEFAULT_TOL
 ) -> Subspace:
-    """Projection onto the span of eigenvectors with eigenvalue >= lam,
+    """Projection onto the span of eigenvectors whose block value is >= lam,
     up to the clustering tolerance.
 
-    Whole levels are kept or dropped together, so the result is monotone in
-    lam exactly (as index sets).
+    Whole blocks are kept or dropped together, the kernel block (value 0)
+    included, so the result is monotone in lam exactly (as index sets).
     """
     return Subspace(D.vectors[:, _half_line_start(D, lam, tol) :])
 
@@ -484,7 +472,7 @@ def matrix_function(
     A.assert_psd(tol)
     d = eig_sym(A, tol)
     values = np.empty(d.n)
-    for mu, idx in d.blocks(tol):
+    for mu, idx in d.blocks:
         if idx.stop == idx.start:
             continue
         try:
@@ -514,14 +502,6 @@ def pseudo_inverse(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SymMatrix:
     return matrix_function(A, lambda mu: 1.0 / mu if mu else 0.0, tol)
 
 
-def _block_values(D: SpectralDecomposition, tol: Tolerances) -> np.ndarray:
-    """Each eigen index's level block value: 0 on the kernel block, the
-    level value on every positive block.  The spectrum the shorted and
-    iterative routes take A to have."""
-    blocks = D.blocks(tol)
-    return np.repeat([mu for mu, _ in blocks], [idx.stop - idx.start for _, idx in blocks])
-
-
 def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> Subspace:
     """S ^ R(A): the directions of S whose kernel-block component, the sine
     of their principal angle to the range of A, is at most meet_tol (S
@@ -530,7 +510,7 @@ def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> Subsp
     Both shorted routes and the iterative oracle read the part of a
     subspace inside the range of A here.
     """
-    kernel = D.vectors[:, D.blocks(tol)[0][1]]
+    kernel = D.vectors[:, D.blocks[0][1]]
     if not kernel.shape[1]:
         return S
     _, sines, vt = np.linalg.svd(kernel.T @ S.basis)

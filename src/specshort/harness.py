@@ -68,7 +68,8 @@ class SpectrumSpec:
     gap is the minimal relative gap between consecutive distinct eigenvalues
     (used by well_separated and commuting_pair); zero_count fixes the kernel
     dimension for with_zeros and projection (None picks a kind-specific
-    default).
+    default).  with_zeros needs at least one zero and one positive
+    eigenvalue, so n >= 2.
     """
 
     kind: str
@@ -85,6 +86,8 @@ class SpectrumSpec:
             raise DomainError("well separated spectra need a positive gap")
         if self.zero_count is not None and not 0 <= self.zero_count < self.n:
             raise DomainError("zero_count must lie in [0, n)")
+        if self.kind == "with_zeros" and (self.n < 2 or self.zero_count == 0):
+            raise DomainError("with_zeros needs n >= 2 and at least one zero eigenvalue")
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -117,8 +120,6 @@ def _spectrum(rng: np.random.Generator, spec: SpectrumSpec) -> np.ndarray:
         return np.repeat(base, sizes)
     if spec.kind == "with_zeros":
         zeros = 1 if spec.zero_count is None else spec.zero_count
-        if zeros < 1:
-            raise DomainError("with_zeros needs at least one zero eigenvalue")
         vals = _separated_values(rng, n - zeros, 0.2)
         return np.concatenate([vals, np.zeros(zeros)])
     if spec.kind == "projection":
@@ -265,7 +266,7 @@ def _check_spectrum_inclusion(rng, n, tol):
     comp = rho.compressed()
     eigs = np.linalg.eigvalsh(comp) if comp.size else np.zeros(0)
     d = eig_sym(A, tol)
-    targets = [mu for mu, _ in d.blocks(tol)]
+    targets = [mu for mu, _ in d.blocks]
     worst = 0.0
     for e in eigs:
         worst = max(worst, min(abs(float(e) - t) for t in targets))
@@ -291,7 +292,7 @@ def _check_monotone_calculus(rng, n, tol):
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     d = eig_sym(A, tol)
     lam_max = max(d.lambda_max, 0.0)
-    positives = [mu for mu, _ in d.blocks(tol)[1:]]
+    positives = [mu for mu, _ in d.blocks[1:]]
     if len(positives) >= 2:
         step_at = (positives[-1] + positives[-2]) / 2.0
     else:
@@ -341,7 +342,7 @@ def _check_vector_power_limit(rng, n, tol):
     else:
         A = _psd_from_rng(rng, SpectrumSpec("with_zeros", n, gap=0.2))
         d = eig_sym(A, tol)
-        positive = d.vectors[:, d.blocks(tol)[0][1].stop :]
+        positive = d.vectors[:, d.blocks[0][1].stop :]
         x = positive @ rng.standard_normal(positive.shape[1])
         xi = x / np.linalg.norm(x)
     closed = spectral_short_vector(A, xi, tol)
@@ -352,7 +353,7 @@ def _check_vector_power_limit(rng, n, tol):
     if n >= 2:
         B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
         dB = eig_sym(B, tol)
-        null = dB.vectors[:, dB.blocks(tol)[0][1]]
+        null = dB.vectors[:, dB.blocks[0][1]]
         if null.size:
             off = null[:, 0]
             off_value, _ = spectral_short_vector_power(B, off, m_max=200, tol=tol)
@@ -433,7 +434,7 @@ def _check_complexity_power(rng, n, tol):
     for a in (-1.0, 0.5, 10.0):
         parts.append(0.0 if kolmogorov_closed(A, a * np.asarray(xi), tol).value == closed else 2.0)
     d = eig_sym(A, tol)
-    positives = d.blocks(tol)[1:]
+    positives = d.blocks[1:]
     if positives and closed > 0.0:
         q = spectral_projection(d, positives[0][0], tol)
         truncated = q.projection() @ xi
@@ -449,7 +450,7 @@ def _check_levels_attained(rng, n, tol):
     d = eig_sym(A, tol)
     scale = max(1.0, d.norm2)
     worst = 0.0
-    for expected, idx in d.blocks(tol):
+    for expected, idx in d.blocks:
         if idx.stop > idx.start:
             v = d.vectors[:, idx.start]
             worst = max(worst, abs(spectral_short_vector(A, v, tol) - expected))
@@ -466,7 +467,7 @@ def _check_duality(rng, n, tol):
     k_value, dual = kolmogorov_duality(A, xi, tol)
     parts = []
     d = eig_sym(A, tol)
-    kernel = d.blocks(tol)[0][1]
+    kernel = d.blocks[0][1]
     if k_value == 0.0 and dual == 0.0:
         proj = float(np.linalg.norm(d.vectors[:, kernel.stop :].T @ xi))
         parts.append(0.0 if proj <= tol.orth_tol else 2.0)
@@ -585,13 +586,16 @@ def run_suite(
 
     bound_overrides replaces the pass boundary (default 1.0) per theorem id;
     setting a bound to 0 is a negative control that must produce failures.
-    trials = 0 yields an empty report.
+    trials = 0 yields an empty report.  Every dimension must be at least 2,
+    since the theorems draw matrices with a kernel and a positive level.
     """
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     dims = tuple(int(d) for d in dims)
     if not dims and trials > 0:
         raise DomainError("need at least one dimension")
+    if any(d < 2 for d in dims):
+        raise DomainError(f"every dimension must be at least 2, got {dims}")
     overrides = bound_overrides or {}
     start = time.monotonic()
     results: list[TheoremResult] = []

@@ -17,9 +17,11 @@ Two routes:
   converges geometrically in the level gap where the root sequence only
   converges like 1/n.
 
-  The eigen-part of A's kernel block (its levels at or below the rank cut)
-  is removed before powering, so a rounding-negative member cannot turn
-  the pairings negative.  This is the package's one power loop:
+  A vector whose component on A's positive blocks is within meet_tol has
+  no positive spectral support, as for every other route, and gets the
+  exact 0 without powering.  The eigen-part of A's kernel block is removed
+  before powering, so a rounding-negative member cannot turn the pairings
+  negative.  This is the package's one power loop:
   spectral_short_vector_power runs it on pinv(A), since the scalar spectral
   shorted value is rho(A, xi) = 1 / k(pinv(A), xi).
 
@@ -106,14 +108,16 @@ def kolmogorov_power(
     v = _direction(xi)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    floor = tol.rank_abs(d.norm2)
+    k = d.blocks[0][1].stop
+    if np.linalg.norm(d.vectors[:, k:].T @ v) <= tol.meet_tol:
+        # xi has no positive spectral support; every power pairing is 0.
+        return KolmogorovResult(0.0, "power", ConvergenceTrace((), True, 0.0, "exact"))
     # The kernel block's eigen-part is removed, so no rounding-negative
     # member is powered; without a kernel block A is powered as given.
-    kernel = d.blocks(tol)[0][1]
     m = A.entries
-    if kernel.stop:
-        z = d.vectors[:, kernel]
-        m = m - (z * d.eigenvalues[kernel]) @ z.T
+    if k:
+        z = d.vectors[:, :k]
+        m = m - (z * d.eigenvalues[:k]) @ z.T
     u = v
     log_norm = 0.0  # log ||A^n xi|| for the current n
     prev_inner = 1.0  # <u_{n-1}, xi> with u the renormalized iterate
@@ -126,12 +130,6 @@ def kolmogorov_power(
     for n in range(1, n_max + 1):
         w = m @ u
         growth = float(np.linalg.norm(w))
-        if growth <= floor:
-            # xi has no positive spectral support; every power pairing is 0.
-            value = 0.0
-            converged = True
-            reason = "exact"
-            break
         u = w / growth
         log_norm += math.log(growth)
         inner = float(u @ v)
@@ -177,7 +175,7 @@ def kolmogorov_duality(
     if k_value == 0.0:
         return 0.0, 0.0
     d = eig_sym(A, tol)
-    positive = d.vectors[:, d.blocks(tol)[0][1].stop :]
+    positive = d.vectors[:, d.blocks[0][1].stop :]
     projected = positive @ (positive.T @ v)
     pnorm = float(np.linalg.norm(projected))
     rho = spectral_short_vector(pseudo_inverse(A, tol), projected / pnorm, tol)

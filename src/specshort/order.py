@@ -73,7 +73,7 @@ def spectral_leq(
     B.assert_psd(tol)
     da = eig_sym(A, tol)
     db = eig_sym(B, tol)
-    levels = sorted({mu for d in (da, db) for mu, _ in d.blocks(tol)[1:]})
+    levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})
     mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
     grid = np.array(sorted(set(levels + mids)))
     a_starts = _half_line_start(da, grid, tol)

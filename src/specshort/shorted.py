@@ -34,7 +34,6 @@ from .core import (
     Subspace,
     SymMatrix,
     Tolerances,
-    _block_values,
     _check_pair,
     _direction,
     _OnSubspace,
@@ -73,9 +72,9 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     if S.dim == A.n:
         return ShortedResult(A, "anderson_trapp", S, 0.0)
     d = eig_sym(A, tol)
-    k = d.blocks(tol)[0][1].stop
+    k = d.blocks[0][1].stop
     u = d.vectors[:, k:]
-    root = np.sqrt(_block_values(d, tol)[k:])
+    root = np.sqrt(d.values[k:])
     m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol).basis) / root[:, None])
     f = u @ (root[:, None] * m)
     return _result(f @ f.T, "anderson_trapp", S)
@@ -111,8 +110,8 @@ def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
     v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    k = d.blocks(tol)[0][1].stop
+    k = d.blocks[0][1].stop
     coeffs = d.vectors.T @ v
     if np.linalg.norm(coeffs[:k]) > tol.meet_tol:
         return 0.0
-    return 1.0 / float(np.sum(coeffs[k:] ** 2 / _block_values(d, tol)[k:]))
+    return 1.0 / float(np.sum(coeffs[k:] ** 2 / d.values[k:]))

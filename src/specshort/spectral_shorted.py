@@ -49,7 +49,6 @@ from .core import (
     Subspace,
     SymMatrix,
     Tolerances,
-    _block_values,
     _check_pair,
     _direction,
     _half_line_level,
@@ -143,7 +142,7 @@ def spectral_short_closed(
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
-    blocks = d.blocks(tol)
+    blocks = d.blocks
     k = S.dim
     q, r = np.linalg.qr((d.vectors.T @ S.basis).T)
     j = 0  # coordinates entered: Q's first min(k, rows walked) columns
@@ -217,7 +216,7 @@ def spectral_short_iterative(
         raise DomainError(f"k_max must be nonnegative, got {k_max}")
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
-    blocks = d.blocks(tol)
+    blocks = d.blocks
     if len(blocks) == 1 or S.dim == 0:
         zero = SymMatrix(np.zeros((A.n, A.n)))
         return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
@@ -226,7 +225,7 @@ def spectral_short_iterative(
     # the powers, and the power wall is read off the smallest of them.
     positive = slice(blocks[0][1].stop, None)
     mu_1 = blocks[1][0]
-    ratios = mu_1 / _block_values(d, tol)[positive]
+    ratios = mu_1 / d.values[positive]
     m_limit = _power_limit(mu_1 / d.norm2)
     t = _range_meet(d, S, tol).basis
     c = d.vectors[:, positive].T @ t
@@ -300,7 +299,7 @@ def spectral_short_vector_power(
     v = _direction(xi, tol)
     A.assert_psd(tol)
     d = eig_sym(A, tol)
-    kernel = d.vectors[:, d.blocks(tol)[0][1]]
+    kernel = d.vectors[:, d.blocks[0][1]]
     if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
         return 0.0, ConvergenceTrace.exact(0, 0.0)
 
@@ -342,7 +341,7 @@ def monotone_calculus_residual(
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
-    samples = sorted({0.0, *(float(r) for r in d.level_values)})
+    samples = [mu for mu, _ in d.blocks]
     images = []
     for x in samples:
         y = float(f(x))

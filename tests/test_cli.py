@@ -270,9 +270,14 @@ def test_exit_code_3_on_bad_matrices(files, capsys, tmp_path):
     assert "not symmetric" in err
 
     neg = write_json(tmp_path / "neg.json", {"n": 2, "data": [1.0, 0.0, 0.0, -0.5]})
-    code, _, err = run_cli(["short", neg, files["line"]], capsys)
-    assert code == 3
-    assert "eigenvalue" in err and "-5" in err
+    runs = [["short", neg, files["line"], "--method", m] for m in ("at", "schur", "both")]
+    runs += [["spectral-short", neg, files["line"], "--method", m] for m in ("closed", "iterative", "both")]
+    runs += [["kolmogorov", neg, files["xi"], "--method", m] for m in ("closed", "power", "duality")]
+    runs += [["order", neg, files["diag12"]], ["order", files["diag12"], neg]]
+    for argv in runs:
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert "eigenvalue" in err and "-5" in err, argv
 
 
 def test_verify_deterministic_and_exit(tmp_path, capsys):
@@ -297,6 +302,9 @@ def test_verify_trials_zero_empty(tmp_path, capsys):
 def test_verify_rejects_bad_dims(capsys):
     assert main(["verify", "--dims", "2,x", "--trials", "1"]) == 2
     assert main(["verify", "--dims", "", "--trials", "1"]) == 2
+    for dims in ("1", "2,1"):
+        code, _, err = run_cli(["verify", "--dims", dims, "--trials", "1"], capsys)
+        assert code == 2 and "at least 2" in err
     capsys.readouterr()
 
 

@@ -126,6 +126,16 @@ def test_eig_deterministic_and_cached():
     B2 = SymMatrix(np.array(A.entries))
     np.testing.assert_array_equal(eig_sym(B1).eigenvalues, eig_sym(B2).eigenvalues)
     np.testing.assert_array_equal(eig_sym(B1).vectors, eig_sym(B2).vectors)
+    # tolerances that differ only in rank_tol: the kernel follows each
+    # rank_tol, and the same tolerances return the cached decomposition
+    C = SymMatrix.from_eigens([1e-9, 1e-6, 1.0], np.eye(3))
+    for rank_tol, k in ((1e-10, 0), (1e-8, 1), (1e-5, 2), (1e-10, 0)):
+        tol = Tolerances(rank_tol=rank_tol)
+        d = eig_sym(C, tol)
+        assert d is eig_sym(C, tol)
+        assert d.blocks[0] == (0.0, slice(0, k))
+        assert len(d.blocks) == 4 - k
+        assert not d.values[:k].any() and d.values[k:].all()
 
 
 def test_eig_reconstruction_random_psd():
@@ -163,6 +173,17 @@ def test_projection_examples_diag123():
     assert same_subspace(p2, Subspace.span(np.eye(3)[:, 1:3]))
     assert spectral_projection(d, 0.0).dim == 3
     assert spectral_projection(d, 3.5).dim == 0
+
+
+def test_projection_keeps_the_kernel_block_whole():
+    # -9.96e-9 and 5e-11 are two levels, both at or below the rank cut, so
+    # they fold into one kernel block that no threshold splits
+    d = eig_sym(SymMatrix.from_eigens([-9.96e-9, 5e-11, 1.0], np.eye(3)))
+    assert d.levels == ((0, 1), (2,))
+    dims = [spectral_projection(d, lam).dim for lam in np.linspace(-3e-8, 3e-8, 121)]
+    assert 2 not in dims and set(dims) == {3, 1}
+    assert spectral_projection(d, 5e-9).dim == 3
+    assert spectral_projection(d, 1.5e-8).dim == 1
 
 
 def test_projection_monotone_in_threshold():
@@ -308,7 +329,7 @@ def test_range_meet_is_meet_with_positive_blocks():
         A = gen_psd(SpectrumSpec("with_zeros", n), seed)
         S = gen_subspace(n, 1 + seed % (n - 1), seed + 1)
         d = eig_sym(A)
-        positive = Subspace(d.vectors[:, d.blocks()[0][1].stop :])
+        positive = Subspace(d.vectors[:, d.blocks[0][1].stop :])
         got = _range_meet(d, S, DEFAULT_TOL)
         assert same_subspace(got, projection_meet(S, positive))
 

@@ -69,6 +69,8 @@ def test_gen_validation_errors():
     with pytest.raises(DomainError):
         SpectrumSpec("with_zeros", 4, zero_count=4)
     with pytest.raises(DomainError):
+        SpectrumSpec("with_zeros", 1)
+    with pytest.raises(DomainError):
         gen_subspace(3, 7, 0)
 
 
@@ -91,6 +93,8 @@ def test_run_suite_empty():
 def test_run_suite_rejects_empty_dims():
     with pytest.raises(DomainError):
         run_suite(dims=(), trials=1, seed=0)
+    with pytest.raises(DomainError, match="at least 2"):
+        run_suite(dims=(2, 1), trials=1, seed=0)
 
 
 def test_run_suite_rejects_negative_trials():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specshort import (
+    ConvergenceTrace,
     DomainError,
     SpectrumSpec,
     SymMatrix,
@@ -77,6 +78,20 @@ def test_power_removes_a_rounding_negative_kernel_member():
     assert kolmogorov_closed(A, xi).value == kolmogorov_duality(A, xi)[0] == 1.0
     # the kernel direction itself still has no positive support
     assert kolmogorov_power(A, [1.0, 0.0]).value == 0.0
+
+
+def test_power_decides_support_on_the_meet_sine():
+    # xi = (1, eps) under diag(0, 1): every route decides whether xi has
+    # positive support on the same sine, eps / |xi|, against meet_tol
+    A = SymMatrix(np.diag([0.0, 1.0]))
+    for eps in (1e-12, 1e-9, 5e-9, 9e-9, 2e-8, 1e-6, 1e-3):
+        xi = np.array([1.0, eps])
+        closed = kolmogorov_closed(A, xi).value
+        assert closed == kolmogorov_duality(A, xi)[0] == (1.0 if eps > 1e-8 else 0.0)
+        r = kolmogorov_power(A, xi)
+        assert r.value == pytest.approx(closed, abs=1e-12)
+        if closed == 0.0:
+            assert r.trace == ConvergenceTrace((), True, 0.0, "exact")
 
 
 def test_log_value():

@@ -58,7 +58,7 @@ def test_witness_is_smallest_failing_threshold():
         rho = spectral_short_closed(A, gen_subspace(6, 3, seed)).value
         for low, high in ((A, rho), (rho, A), (CANONICAL_A, CANONICAL_B)):
             da, db = eig_sym(low), eig_sym(high)
-            levels = sorted({mu for d in (da, db) for mu, _ in d.blocks()[1:]})
+            levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})
             grid = sorted(set(levels + [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]))
             failing = [
                 lam
@@ -84,7 +84,7 @@ def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True):
         k = int(np.searchsorted(d.level_values, lam - tol.cluster_abs(d.norm2), side="left"))
         return d.levels[k][0] if k < len(d.levels) else d.n
 
-    levels = sorted({mu for d in (da, db) for mu, _ in d.blocks(tol)[1:]})
+    levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})
     mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
     w = db.vectors.T @ da.vectors
     worst, witness, blocks = 0.0, None, {}

@@ -30,7 +30,7 @@ from specshort import (
     spectral_projection,
 )
 
-from specshort.core import _block_values, _range_meet
+from specshort.core import _range_meet
 
 from conftest import max_abs, min_eig
 
@@ -133,7 +133,7 @@ def _cumulative_walk(A, S, tol=DEFAULT_TOL):
     c = d.vectors.T @ S.basis
     w = np.eye(S.dim)
     values, coords, levels = [], [], []
-    for mu, rows in d.blocks(tol):
+    for mu, rows in d.blocks:
         rank = 0
         if rows.stop > rows.start and w.shape[1]:
             _, sines, vt = np.linalg.svd(c[: rows.stop] @ w)
@@ -444,7 +444,7 @@ def _dense_iterates(A, S, powers, tol=DEFAULT_TOL):
     # image of S-perp under sqrt(A^m), then its rank-aware root
     d = eig_sym(A, tol)
     scale = d.norm2
-    lam = _block_values(d, tol) / scale
+    lam = d.values / scale
     rank = _range_meet(d, S, tol).dim
     iterates = []
     for m in powers:
