@@ -6,9 +6,12 @@ projection-lattice operations (meet, complement) that the rest of the
 package is built on.
 
 Every value is immutable in what it means, and every operation is a pure
-function of its inputs.  A few caches are filled on first use and never
-change after: a SymMatrix's eigenpairs (_eigens) and its decompositions per
-(cluster_tol, rank_tol) (_decomps), and a Subspace's orthogonal complement.
+function of its inputs.  A few caches are filled once and never change
+after: a SymMatrix's eigenpairs (_eigens: attached by from_eigens, else
+filled by the first eig_sym) and its decompositions per (cluster_tol,
+rank_tol) (_decomps), and a Subspace's orthogonal complement (_complement:
+stored by Subspace.span from the QR that gives the basis when the spanning
+set has full column rank, else filled on first use).
 Two threads that fill one at once store equal values, so everything here is
 safe to share across threads.
 """
@@ -138,7 +141,7 @@ class SymMatrix:
     __slots__ = ("entries", "_eigens", "_decomps")
 
     def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
-        arr = np.array(entries, dtype=float)
+        arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
@@ -161,14 +164,25 @@ class SymMatrix:
 
     @classmethod
     def from_eigens(cls, eigenvalues, vectors) -> "SymMatrix":
-        """Build V diag(w) V^T and attach (w, V) as the exact decomposition."""
+        """Build V diag(w) V^T and attach (w, V) as the exact decomposition.
+
+        V must be n x n with orthonormal columns (the residual bound
+        Subspace applies) and w must hold n values, so the attached
+        decomposition is the matrix's own.
+        """
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(vectors, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or w.shape != v.shape[1:]:
+            raise DomainError(
+                f"expected n eigenvalues and n x n eigenvectors, got {w.shape} and {v.shape}"
+            )
+        resid = float(np.abs(v.T @ v - np.eye(len(w))).max()) if w.size else 0.0
+        if resid > max(DEFAULT_TOL.orth_tol, 1e-12):
+            raise DomainError(f"eigenvectors are not orthonormal (residual {resid:.3e})")
         order = np.argsort(w, kind="stable")
         w = w[order]
         v = _fix_signs(v[:, order])
-        entries = (v * w) @ v.T
-        out = cls((entries + entries.T) / 2.0)
+        out = cls((v * w) @ v.T)
         w.setflags(write=False)
         v.setflags(write=False)
         out._eigens = (w, v)
@@ -328,23 +342,41 @@ class Subspace:
 
     @classmethod
     def span(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
-        """Orthonormal basis of the span of the given column vectors, with
-        rank decided on the singular values."""
+        """Orthonormal basis of the span of the given n x c column vectors,
+        from one complete Householder QR, m = QR (Golub & Van Loan 5.2).
+
+        Rank is decided on R's singular values, which are m's: a value at
+        or below rank_tol times the largest is dropped.  With full column
+        rank and c <= n the basis is Q's first c columns, and the rest of Q
+        is stored as the complement, so complement() takes no QR of its
+        own.  Otherwise the basis is Q U_R restricted to the kept singular
+        directions, U_R from the SVD of R's leading rows, and the
+        complement is left to complement().
+        """
         m = np.asarray(vectors, dtype=float)
         if m.ndim == 1:
             m = m.reshape(-1, 1)
         if m.size == 0:
             return cls.zero(m.shape[0])
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-        cut = max(tol.rank_tol * float(s[0]), 0.0) if len(s) else 0.0
-        keep = s > cut
-        return cls(_fix_signs(u[:, keep]))
+        n, c = m.shape
+        p = min(n, c)
+        q, r = np.linalg.qr(m, mode="complete")
+        s = np.linalg.svd(r[:p], compute_uv=False)
+        if c <= n and s[-1] > tol.rank_tol * s[0]:
+            out = cls(_fix_signs(q[:, :c]))
+            out._complement = cls(_fix_signs(q[:, c:]))
+            return out
+        u, s, _ = np.linalg.svd(r[:p], full_matrices=False)
+        return cls(_fix_signs(q[:, :p] @ u[:, s > tol.rank_tol * s[0]]))
 
     def projection(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement, computed once and cached."""
+        """Orthogonal complement, computed once and cached: Subspace.span
+        stores it from its own QR when the spanning set has full column
+        rank, and otherwise it is taken here from a complete QR of the
+        basis."""
         if self._complement is None:
             n, k = self.n, self.dim
             if k == 0:

@@ -334,7 +334,7 @@ def _check_inverse_norm_identity(rng, n, tol):
 
 
 def _check_vector_power_limit(rng, n, tol):
-    invertible = bool(rng.integers(0, 2)) or n < 2
+    invertible = bool(rng.integers(0, 2))
     if invertible:
         A = _psd_from_rng(rng, SpectrumSpec("well_separated", n, gap=0.2))
         xi = rng.standard_normal(n)
@@ -350,14 +350,13 @@ def _check_vector_power_limit(rng, n, tol):
     if not trace.converged:
         return 2.0
     parts = [abs(value - closed) / (1e-6 * max(1.0, A.spectral_norm(tol)))]
-    if n >= 2:
-        B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
-        dB = eig_sym(B, tol)
-        null = dB.vectors[:, dB.blocks[0][1]]
-        if null.size:
-            off = null[:, 0]
-            off_value, _ = spectral_short_vector_power(B, off, m_max=200, tol=tol)
-            parts.append(0.0 if off_value == 0.0 else 2.0)
+    B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
+    dB = eig_sym(B, tol)
+    null = dB.vectors[:, dB.blocks[0][1]]
+    if null.size:
+        off = null[:, 0]
+        off_value, _ = spectral_short_vector_power(B, off, m_max=200, tol=tol)
+        parts.append(0.0 if off_value == 0.0 else 2.0)
     return max(parts)
 
 
@@ -402,7 +401,7 @@ def _check_dim1_characterization(rng, n, tol):
         vb = spectral_short_vector(B, xi, tol)
         worst = max(worst, (va - vb) / 1e-9)
     parts = [worst]
-    A2, B2 = _loewner_not_spectral(rng, max(n, 2), tol)
+    A2, B2 = _loewner_not_spectral(rng, n, tol)
     d2 = eig_sym(A2, tol)
     found = False
     for j in range(d2.n):
@@ -459,7 +458,7 @@ def _check_levels_attained(rng, n, tol):
 
 
 def _check_duality(rng, n, tol):
-    singular = bool(rng.integers(0, 2)) and n >= 2
+    singular = bool(rng.integers(0, 2))
     kind = "with_zeros" if singular else "well_separated"
     A = _psd_from_rng(rng, SpectrumSpec(kind, n))
     xi = rng.standard_normal(n)
@@ -560,6 +559,11 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _check_dims(dims: tuple[int, ...]) -> None:
+    if any(d < 2 for d in dims):
+        raise DomainError(f"every dimension must be at least 2, got {tuple(dims)}")
+
+
 def run_trial(
     check: TheoremCheck,
     index: int,
@@ -569,7 +573,9 @@ def run_trial(
     tol: Tolerances,
 ) -> float:
     """One trial of one theorem, with a generator derived from
-    (seed, theorem index, trial) so results are order-independent."""
+    (seed, theorem index, trial) so results are order-independent.  Every
+    dimension must be at least 2, as in run_suite."""
+    _check_dims(dims)
     n = dims[trial % len(dims)]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), index, trial]))
     return float(check.run(rng, n, tol))
@@ -594,8 +600,7 @@ def run_suite(
     dims = tuple(int(d) for d in dims)
     if not dims and trials > 0:
         raise DomainError("need at least one dimension")
-    if any(d < 2 for d in dims):
-        raise DomainError(f"every dimension must be at least 2, got {dims}")
+    _check_dims(dims)
     overrides = bound_overrides or {}
     start = time.monotonic()
     results: list[TheoremResult] = []

@@ -61,7 +61,7 @@ class ShortedResult(_OnSubspace):
 
 
 def _result(raw: np.ndarray, method: str, S: Subspace) -> ShortedResult:
-    value = SymMatrix((raw + raw.T) / 2.0)
+    value = SymMatrix(raw)
     outside = value.entries - S.basis @ (S.basis.T @ value.entries)
     return ShortedResult(value, method, S, float(np.abs(outside).max()))
 
@@ -93,8 +93,8 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     d = eig_sym(A, tol)
     meet = _range_meet(d, S, tol)
     bs, bc = meet.basis, meet.complement().basis
-    a11 = bs.T @ A.entries @ bs
-    a12 = bs.T @ A.entries @ bc
+    sa = bs.T @ A.entries
+    a11, a12 = sa @ bs, sa @ bc
     w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
     keep = w > tol.rank_abs(d.norm2)
     h = (a12 @ v[:, keep]) / np.sqrt(w[keep])

@@ -138,7 +138,9 @@ def spectral_short_closed(
     [R[:j, block]^T stays, R[j:end, block]^T]], one small SVD per block; a
     block with no stays whose triangle R[j:end, block] has all its sines
     above meet_tol (|R_jj| for one row) settles Q[:, j:end] with no SVD.
-    The result's kernel eigenvectors are S's cached complement.
+    Once every coordinate has entered and none stays, the later blocks
+    settle nothing and the walk stops.  The result's kernel eigenvectors
+    are S's cached complement.
     """
     _check_pair(A, S, tol)
     d = eig_sym(A, tol)
@@ -149,8 +151,8 @@ def spectral_short_closed(
     # Q-coordinates of the stays (zero past j), their cumulative sines
     stays, sines = np.zeros((k, 0)), np.zeros(0)
     coords: list[np.ndarray] = [q[:, :0]]  # settled, in S-coordinates
-    ranks: list[int] = []  # directions settled per block
-    for _, rows in blocks:
+    ranks = [0] * len(blocks)  # directions settled per block
+    for i, (_, rows) in enumerate(blocks):
         e = min(k, rows.stop)
         rank = 0
         if not sines.size and e > j:
@@ -171,7 +173,9 @@ def spectral_short_closed(
             coords.append(q @ turned[:, :rank])
             stays, sines = turned[:, rank:], s[rank:]
         j = e
-        ranks.append(rank)
+        ranks[i] = rank
+        if j == k and not sines.size:
+            break  # every coordinate has entered and none stays
     # Every direction of S settles by the last block, whose sines are all
     # 1, so the settled directions span S and the kernel is its complement.
     vectors = np.hstack([S.basis @ np.hstack(coords), S.complement().basis])

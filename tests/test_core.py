@@ -25,7 +25,7 @@ from specshort import (
 
 from specshort.core import _fix_signs, _range_meet
 
-from conftest import max_abs, same_subspace
+from conftest import linalg_calls, max_abs, same_subspace
 
 
 # ---- SymMatrix ----
@@ -55,6 +55,19 @@ def test_rejects_empty_matrix():
         SymMatrix(np.zeros((0, 0)))
     with pytest.raises(DomainError, match="0 x 0"):
         SymMatrix.from_eigens(np.zeros(0), np.zeros((0, 0)))
+
+
+def test_from_eigens_needs_n_values_and_n_x_n_vectors():
+    with pytest.raises(DomainError, match="n x n"):
+        SymMatrix.from_eigens([1.0, 2.0], np.ones((3, 2)) / 3**0.5)
+    with pytest.raises(DomainError, match="n x n"):
+        SymMatrix.from_eigens([1.0, 2.0, 3.0], np.eye(2))
+
+
+def test_from_eigens_needs_orthonormal_vectors():
+    # V diag(1, 2) V^T has eigenvalues 0.44 and 4.56, not (1, 2)
+    with pytest.raises(DomainError, match="orthonormal"):
+        SymMatrix.from_eigens([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_assert_psd_names_eigenvalue():
@@ -379,6 +392,49 @@ def test_subspace_span_filters_rank():
     vecs = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])  # rank 1
     s = Subspace.span(vecs)
     assert s.dim == 1
+
+
+def _svd_span(m, tol=DEFAULT_TOL):
+    """Reference span: the left singular vectors of m above rank_tol times
+    its largest singular value."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, s > tol.rank_tol * s[0]] if s.size else u
+
+
+def test_full_rank_span_fills_its_complement_from_its_qr(monkeypatch):
+    rng = np.random.default_rng(5)
+    for n, c in ((1, 1), (6, 1), (6, 3), (6, 6), (40, 17)):
+        m = rng.standard_normal((n, c))
+        S = Subspace.span(m)
+        assert S._complement is not None
+        with linalg_calls(monkeypatch, "qr") as calls:
+            C = S.complement()
+        assert not calls
+        assert (S.dim, C.dim) == (c, n - c)
+        assert max_abs(S.basis.T @ S.basis - np.eye(c)) <= 1e-14
+        assert max_abs(C.basis.T @ C.basis - np.eye(n - c)) <= 1e-14
+        assert max_abs(S.basis.T @ C.basis) <= 1e-14
+        ref = _svd_span(m)
+        assert max_abs(S.projection() - ref @ ref.T) <= 1e-14
+
+
+def test_rank_deficient_span_matches_the_svd_reference():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((8, 3))
+    cases = {
+        "repeated column": np.column_stack([m, m[:, 1]]),
+        "column at 1e-12 relative scale": np.column_stack([m, 1e-12 * rng.standard_normal(8)]),
+        "more vectors than n": rng.standard_normal((8, 11)),
+        "more vectors than n, rank 3": m @ rng.standard_normal((3, 11)),
+        "all zeros": np.zeros((8, 4)),
+    }
+    for name, vecs in cases.items():
+        S = Subspace.span(vecs)
+        ref = _svd_span(vecs)
+        assert S.dim == ref.shape[1], name
+        assert max_abs(S.projection() - ref @ ref.T) <= 1e-14, name
+        C = S.complement()
+        assert C.dim == 8 - S.dim and max_abs(S.basis.T @ C.basis) <= 1e-14, name
 
 
 def test_subspace_complement_roundtrip():

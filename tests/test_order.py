@@ -18,7 +18,7 @@ from specshort import (
 )
 from specshort.harness import _loewner_not_spectral
 
-from conftest import min_eig
+from conftest import linalg_calls, min_eig
 
 
 CANONICAL_A = SymMatrix([[1.0, 1.0], [1.0, 1.0]])
@@ -154,15 +154,7 @@ def test_frobenius_certificate_keeps_the_sine_decision():
 
 
 def _svd_calls(monkeypatch, fn, *args):
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(*a, **kw):
-        calls.append(1)
-        return svd(*a, **kw)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", spy)
+    with linalg_calls(monkeypatch, "svd") as calls:
         out = fn(*args)
     return out, len(calls)
 

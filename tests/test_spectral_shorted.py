@@ -32,7 +32,7 @@ from specshort import (
 
 from specshort.core import _range_meet
 
-from conftest import max_abs, min_eig
+from conftest import linalg_calls, max_abs, min_eig
 
 
 def test_closed_projection_case():
@@ -155,17 +155,9 @@ def _walk_svds(monkeypatch, A, S):
     """spectral_short_closed(A, S) and the number of SVDs with singular
     vectors it takes (the walk's; the QR's triangles take values only)."""
     eig_sym(A)
-    calls = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(a, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", spy)
+    with linalg_calls(monkeypatch, "svd") as calls:
         r = spectral_short_closed(A, S)
-    return r, sum(calls)
+    return r, sum(call.kwargs.get("compute_uv", True) for call in calls)
 
 
 def _qr_walk_cases():
@@ -231,16 +223,9 @@ def test_walk_carries_only_its_stays(monkeypatch):
     basis -= np.outer(q[:, 0], q[:, 0] @ basis)
     S = Subspace.span(basis)
     eig_sym(A)
-    widths = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        widths.append(a.shape[1])
-        return svd(a, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", spy)
+    with linalg_calls(monkeypatch, "svd") as calls:
         r = spectral_short_closed(A, S)
+    widths = [call.shape[1] for call in calls]
     # bottom up: level 1 settles none, levels 2 .. n/2 + 1 one each
     assert len(widths) == n // 2 + 1 and max(widths) == 2
     assert [rank for _, rank in r.levels] == [0] * (n // 2 - 1) + [1] * (n // 2) + [0]
@@ -281,23 +266,20 @@ def test_kernel_is_the_complement_of_s():
 
 
 def test_one_complete_qr_per_op(monkeypatch):
-    # short_schur and the closed form share S's complement when A has no
-    # kernel (S ^ R(A) is S itself)
+    # Subspace.span's QR gives S's basis and its complement, which
+    # short_schur and the closed form share when A has no kernel (S ^ R(A)
+    # is S itself).  The walk settles this draw in its own QR, so no SVD
+    # computes singular vectors at all.
     A, _, rng = _generic(96, np.linspace(1.0, 2.0, 96), 3)
-    S = Subspace.span(rng.standard_normal((96, 48)))
+    m = rng.standard_normal((96, 48))
     eig_sym(A)
-    modes = []
-    qr = np.linalg.qr
-
-    def spy(a, mode="reduced"):
-        modes.append(mode)
-        return qr(a, mode=mode)
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "qr", spy)
+    with linalg_calls(monkeypatch, "qr", "svd") as calls:
+        S = Subspace.span(m)
         short_schur(A, S)
         spectral_short_closed(A, S)
+    modes = [call.kwargs.get("mode", "reduced") for call in calls if call.name == "qr"]
     assert modes.count("complete") == 1
+    assert not any(call.kwargs.get("compute_uv", True) for call in calls if call.name == "svd")
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-9, 1e-7])
@@ -493,20 +475,9 @@ def test_iterative_factors_have_one_column_per_meet_direction(monkeypatch):
     A, _, rng = _generic(n, np.linspace(1.0, 2.0, n), 13)
     S = Subspace.span(rng.standard_normal((n, n // 2)))
     eig_sym(A)
-    shapes = []
-    svd, eigh = np.linalg.svd, np.linalg.eigh
-
-    def spy(f):
-        def call(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return f(a, *args, **kwargs)
-
-        return call
-
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "svd", spy(svd))
-        m.setattr(np.linalg, "eigh", spy(eigh))
+    with linalg_calls(monkeypatch, "svd", "eigh") as calls:
         r = spectral_short_iterative(A, S)
+    shapes = [call.shape for call in calls]
     assert len(shapes) == len(r.trace.iterates) > 1
     assert max(cols for _, cols in shapes) <= _range_meet(eig_sym(A), S, DEFAULT_TOL).dim == n // 2
 
