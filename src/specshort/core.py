@@ -116,6 +116,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_orthonormal(b: np.ndarray, tol: Tolerances, what: str, hint: str = "") -> None:
+    """Raise DomainError unless b's columns are orthonormal: max |B^T B - I|
+    at most max(orth_tol, 1e-12)."""
+    if not b.size:
+        return
+    resid = float(np.abs(b.T @ b - np.eye(b.shape[1])).max())
+    if resid > max(tol.orth_tol, 1e-12):
+        raise DomainError(f"{what} are not orthonormal (residual {resid:.3e}){hint}")
+
+
 def _cluster(values: list[float], tol_abs: float) -> list[slice]:
     """Partition the indices of sorted values into maximal runs whose
     members lie within tol_abs of the run's first."""
@@ -167,8 +177,8 @@ class SymMatrix:
         """Build V diag(w) V^T and attach (w, V) as the exact decomposition.
 
         V must be n x n with orthonormal columns (the residual bound
-        Subspace applies) and w must hold n values, so the attached
-        decomposition is the matrix's own.
+        Subspace applies, at DEFAULT_TOL) and w must hold n values, so the
+        attached decomposition is the matrix's own.
         """
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(vectors, dtype=float)
@@ -176,9 +186,14 @@ class SymMatrix:
             raise DomainError(
                 f"expected n eigenvalues and n x n eigenvectors, got {w.shape} and {v.shape}"
             )
-        resid = float(np.abs(v.T @ v - np.eye(len(w))).max()) if w.size else 0.0
-        if resid > max(DEFAULT_TOL.orth_tol, 1e-12):
-            raise DomainError(f"eigenvectors are not orthonormal (residual {resid:.3e})")
+        _check_orthonormal(v, DEFAULT_TOL, "eigenvectors")
+        return cls._attach(w, v)
+
+    @classmethod
+    def _attach(cls, w: np.ndarray, v: np.ndarray) -> "SymMatrix":
+        """from_eigens without its checks, for eigenvectors built here:
+        eigh's, or a Subspace basis already checked at the caller's
+        orth_tol."""
         order = np.argsort(w, kind="stable")
         w = w[order]
         v = _fix_signs(v[:, order])
@@ -312,14 +327,7 @@ class Subspace:
             raise DomainError(
                 f"basis has {b.shape[1]} columns in dimension {b.shape[0]}"
             )
-        if b.size:
-            gram = b.T @ b
-            resid = float(np.abs(gram - np.eye(b.shape[1])).max())
-            if resid > max(tol.orth_tol, 1e-12):
-                raise DomainError(
-                    f"basis columns are not orthonormal (residual {resid:.3e}); "
-                    "use Subspace.span to orthonormalize"
-                )
+        _check_orthonormal(b, tol, "basis columns", "; use Subspace.span to orthonormalize")
         b.setflags(write=False)
         self.basis = b
         self._complement: Subspace | None = None
@@ -514,7 +522,7 @@ def matrix_function(
         if not np.isfinite(y):
             raise DomainError(f"function not finite at eigenvalue {mu!r}")
         values[idx] = y
-    return SymMatrix.from_eigens(values, d.vectors)
+    return SymMatrix._attach(values, d.vectors)
 
 
 def matrix_power(

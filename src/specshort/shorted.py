@@ -61,7 +61,10 @@ class ShortedResult(_OnSubspace):
 
 
 def _result(raw: np.ndarray, method: str, S: Subspace) -> ShortedResult:
-    value = SymMatrix(raw)
+    # Symmetrized before the constructor's check: the Schur blocks carry a
+    # rounding asymmetry of order eps ||A||, which can exceed sym_tol
+    # relative to a result much smaller than A.
+    value = SymMatrix((raw + raw.T) / 2.0)
     outside = value.entries - S.basis @ (S.basis.T @ value.entries)
     return ShortedResult(value, method, S, float(np.abs(outside).max()))
 

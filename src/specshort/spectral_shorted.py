@@ -182,7 +182,7 @@ def spectral_short_closed(
     values = np.repeat([mu for mu, _ in blocks] + [0.0], ranks + [A.n - k])
     levels = [(mu, rank) for (mu, _), rank in zip(blocks, ranks) if mu > 0.0]
     return SpectralShortResult(
-        value=SymMatrix.from_eigens(values, vectors),
+        value=SymMatrix._attach(values, vectors),
         levels=tuple(reversed(levels)),
         method="closed_form",
         subspace=S,

@@ -36,6 +36,19 @@ def test_short_of_projection_is_meet_projection():
         assert max_abs(routine(A, S).value.entries - expected) < 1e-12
 
 
+def test_schur_on_large_norm_with_small_levels():
+    # Sigma(S, A) is O(1) while ||A|| = 1e9: the rounding asymmetry of the
+    # Schur blocks, about n eps ||A||, exceeds sym_tol relative to the
+    # result, so the result must be symmetrized before it is stored.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        A = SymMatrix((v * [1e9, 1e9, 1.0, 1.0]) @ v.T)
+        S = Subspace.span(rng.standard_normal((4, 2)))
+        diff = short_schur(A, S).value.entries - short_at(A, S).value.entries
+        assert max_abs(diff) <= 1e-12 * 1e9
+
+
 def test_short_commuting_case_is_compression():
     A = SymMatrix(np.diag([1.0, 2.0]))
     S = Subspace.span([[0.0], [1.0]])

@@ -336,6 +336,20 @@ def test_closed_is_orthogonally_and_basis_invariant():
         assert [rank for _, rank in rebased.levels] == ranks
 
 
+def test_closed_on_basis_valid_only_at_a_loose_orth_tol():
+    # The closed form builds its eigenvectors from S.basis, which Subspace
+    # checked only to the caller's orth_tol.
+    tol = replace(DEFAULT_TOL, orth_tol=1e-6)
+    A = gen_psd(SpectrumSpec("with_zeros", 6), 3)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+    b = q + 1e-8 * rng.standard_normal((6, 3))
+    got = spectral_short_closed(A, Subspace(b, tol), tol)
+    ref = spectral_short_closed(A, Subspace.span(b), tol)
+    assert got.levels == ref.levels
+    assert max_abs(got.value.entries - ref.value.entries) < 1e-7
+
+
 def test_closed_range_inside_subspace():
     for seed in range(4):
         A = gen_psd(SpectrumSpec("with_zeros", 5), seed)
