@@ -90,7 +90,7 @@ def load_matrix(path: str, tol: Tolerances) -> SymMatrix:
 
 def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or type(obj.get("n")) not in _NUMBER_TYPES or obj["n"] != n:
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
         raise CliInputError(f'{path}: expected an object with "n" equal to {n}')
     if "xi" in obj:
         vecs = [obj["xi"]]
@@ -113,7 +113,7 @@ def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
 
 def load_vector(path: str, n: int) -> np.ndarray:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or type(obj.get("n")) not in _NUMBER_TYPES or obj["n"] != n or "xi" not in obj:
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n or "xi" not in obj:
         raise CliInputError(f'{path}: expected an object with "n" = {n} and "xi"')
     v = obj["xi"]
     if not isinstance(v, list) or len(v) != n:

@@ -122,8 +122,33 @@ def _check_orthonormal(b: np.ndarray, tol: Tolerances, what: str, hint: str = ""
     if not b.size:
         return
     resid = float(np.abs(b.T @ b - np.eye(b.shape[1])).max())
-    if resid > max(tol.orth_tol, 1e-12):
+    if not resid <= max(tol.orth_tol, 1e-12):  # a NaN residual fails too
         raise DomainError(f"{what} are not orthonormal (residual {resid:.3e}){hint}")
+
+
+def _smallest_sv_above(t: np.ndarray, floor: float, relative: bool = False) -> bool:
+    """Whether t's smallest singular value exceeds floor (floor times the
+    largest when relative), for a finite t with at least one entry.
+
+    A Cholesky of t's smaller Gram matrix G, shifted down by
+    2 (floor^2 (||t||_F^2 if relative else 1) + 64 m eps ||t||_F^2) I with m
+    its order, certifies it when it completes: forming G and factoring it
+    err by a small multiple of eps ||t||_F^2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), which the second term
+    covers, so s_min^2 = lambda_min(G) exceeds twice the first, and
+    ||t||_F bounds s_max.  When the Cholesky fails, one values-only SVD
+    decides by the exact rule.
+    """
+    gram = t @ t.T if t.shape[0] <= t.shape[1] else t.T @ t
+    m = gram.shape[0]
+    fro2 = float(np.trace(gram))
+    shift = 2.0 * (floor**2 * (fro2 if relative else 1.0) + 64 * m * np.finfo(float).eps * fro2)
+    try:
+        np.linalg.cholesky(gram - shift * np.eye(m))
+        return True
+    except np.linalg.LinAlgError:
+        s = np.linalg.svd(t, compute_uv=False)
+        return bool(s[-1] > floor * (s[0] if relative else 1.0))
 
 
 def _cluster(values: list[float], tol_abs: float) -> list[slice]:
@@ -354,23 +379,28 @@ class Subspace:
         from one complete Householder QR, m = QR (Golub & Van Loan 5.2).
 
         Rank is decided on R's singular values, which are m's: a value at
-        or below rank_tol times the largest is dropped.  With full column
-        rank and c <= n the basis is Q's first c columns, and the rest of Q
-        is stored as the complement, so complement() takes no QR of its
-        own.  Otherwise the basis is Q U_R restricted to the kept singular
-        directions, U_R from the SVD of R's leading rows, and the
-        complement is left to complement().
+        or below rank_tol times the largest is dropped.  Full column rank
+        is certified by a Cholesky of R's shifted Gram matrix
+        (_smallest_sv_above), so a well-conditioned set takes no SVD; a set
+        the certificate cannot clear takes R's values-only SVD, under the
+        same rule.  With full column rank and c <= n the basis is Q's first
+        c columns, and the rest of Q is stored as the complement, so
+        complement() takes no QR of its own.  Otherwise the basis is Q U_R
+        restricted to the kept singular directions, U_R from the SVD of R's
+        leading rows, and the complement is left to complement().
+        Non-finite entries raise DomainError.
         """
         m = np.asarray(vectors, dtype=float)
         if m.ndim == 1:
             m = m.reshape(-1, 1)
         if m.size == 0:
             return cls.zero(m.shape[0])
+        if not np.all(np.isfinite(m)):
+            raise DomainError("spanning vectors must be finite")
         n, c = m.shape
         p = min(n, c)
         q, r = np.linalg.qr(m, mode="complete")
-        s = np.linalg.svd(r[:p], compute_uv=False)
-        if c <= n and s[-1] > tol.rank_tol * s[0]:
+        if c <= n and _smallest_sv_above(r[:p], tol.rank_tol, relative=True):
             out = cls(_fix_signs(q[:, :c]))
             out._complement = cls(_fix_signs(q[:, c:]))
             return out

@@ -16,7 +16,10 @@ against projection_meet.
 - short_schur: the block route.  In a basis adapted to T and its
   complement, the shorted operator is the generalized Schur complement
   A11 - A12 pinv(A22) A21, embedded back into the full space; the trailing
-  block is inverted above the rank cutoff rank_tol * ||A||_2.
+  block is inverted above the rank cutoff rank_tol * ||A||_2.  When A's
+  smallest eigenvalue clears that cutoff by more than rounding, Cauchy
+  interlacing puts every eigenvalue of A22 above it, so A22 is inverted
+  whole by one solve; otherwise its eigh decides.
 
 Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
@@ -87,8 +90,13 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     """Shorted operator as a generalized Schur complement relative to the
     complement of S ^ R(A).
 
-    The trailing block is positive semidefinite; its eigenvalues at or
-    below rank_tol * ||A||_2 are its kernel, the rest are inverted.
+    The trailing block A22 = Bc^T A Bc is positive semidefinite; its
+    eigenvalues at or below rank_tol * ||A||_2 are its kernel, the rest are
+    inverted.  Its eigenvalues are at least A's smallest (Cauchy
+    interlacing; Golub & Van Loan, Matrix Computations, Thm 8.1.7), so when
+    lambda_min(A) exceeds the cutoff by 8 n eps ||A||_2, more than the
+    rounding of A22 and of eig_sym's lambda_min, nothing is cut and
+    A11 - A12 A22^{-1} A21 is taken by one solve with no eigh.
     """
     _check_pair(A, S, tol)
     if S.dim == A.n:
@@ -98,7 +106,10 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     bs, bc = meet.basis, meet.complement().basis
     sa = bs.T @ A.entries
     a11, a12 = sa @ bs, sa @ bc
-    w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
+    a22 = bc.T @ A.entries @ bc
+    if d.lambda_min > tol.rank_abs(d.norm2) + 8 * A.n * np.finfo(float).eps * d.norm2:
+        return _result(bs @ (a11 - a12 @ np.linalg.solve(a22, a12.T)) @ bs.T, "schur", S)
+    w, v = np.linalg.eigh(a22)
     keep = w > tol.rank_abs(d.norm2)
     h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
     return _result(bs @ (a11 - h @ h.T) @ bs.T, "schur", S)

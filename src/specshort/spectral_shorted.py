@@ -12,7 +12,8 @@ Householder QR of C^T, C the coordinates of S in A's eigenbasis (Golub &
 Van Loan, Matrix Computations, 5.2), where a coordinate enters at its own
 row: each level's SVD sees only the directions that entered and stayed and
 the coordinates entering there, and none is taken when nothing stays and
-the level's triangle of R settles all of its coordinates.
+the level's triangle of R settles all of its coordinates, which a Cholesky
+certificate on the triangle's Gram matrix shows for a generic S.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
 iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  Each is formed in the
@@ -54,6 +55,7 @@ from .core import (
     _half_line_level,
     _OnSubspace,
     _range_meet,
+    _smallest_sv_above,
     eig_sym,
     matrix_function,
     pseudo_inverse,
@@ -137,7 +139,10 @@ def spectral_short_closed(
     C[:block end] W has the Gram matrix of [[diag(sines), 0],
     [R[:j, block]^T stays, R[j:end, block]^T]], one small SVD per block; a
     block with no stays whose triangle R[j:end, block] has all its sines
-    above meet_tol (|R_jj| for one row) settles Q[:, j:end] with no SVD.
+    above meet_tol settles Q[:, j:end] with no SVD.  The triangle's
+    smallest sine is |R_jj| for one row; for several rows a Cholesky of its
+    shifted Gram matrix certifies it, and only a triangle the certificate
+    cannot clear takes a values-only SVD (core._smallest_sv_above).
     Once every coordinate has entered and none stays, the later blocks
     settle nothing and the walk stops.  The result's kernel eigenvectors
     are S's cached complement.
@@ -157,8 +162,11 @@ def spectral_short_closed(
         rank = 0
         if not sines.size and e > j:
             tri = r[j:e, rows]
-            low = abs(tri.item()) if tri.size == 1 else np.linalg.svd(tri, compute_uv=False).min()
-            if low > tol.meet_tol:
+            if tri.size == 1:
+                settles = abs(tri.item()) > tol.meet_tol
+            else:
+                settles = _smallest_sv_above(tri, tol.meet_tol)
+            if settles:
                 rank = e - j
                 coords.append(q[:, j:e])
         if not rank and (sines.size or e > j):

@@ -225,6 +225,7 @@ _LINE = {"n": 2, "basis": [[1.0, 0.0]]}
         ("short", ([1.0], _LINE), 'expected an object with "n" and "data"'),
         ("short", ({"n": 0, "data": []}, _LINE), '"n" must be a positive integer'),
         ("short", ({"n": True, "data": [1.0]}, _LINE), '"n" must be a positive integer'),
+        ("short", ({"n": 2.0, "data": [1.0, 0.0, 0.0, 1.0]}, _LINE), '"n" must be a positive integer'),
         ("short", ({"n": 2, "data": [1.0, 0.0, 1.0]}, _LINE), '"data" must hold exactly n*n = 4 numbers'),
         ("short", ({"n": 2, "data": [1.0, 0.0, 0.0, "1"]}, _LINE), "matrix entries must be numbers"),
         ("short", ({"n": 2, "data": [1, 0, 0, True]}, _LINE), "matrix entries must be numbers"),
@@ -232,6 +233,7 @@ _LINE = {"n": 2, "basis": [[1.0, 0.0]]}
         ("short", ({"n": 2, "data": [1.0, 0.0, 0.0, 10**400]}, _LINE), "matrix entries must be finite"),
         # load_subspace
         ("short", (_MATRIX, {"n": 3, "basis": [[1.0, 0.0, 0.0]]}), 'expected an object with "n" equal to 2'),
+        ("short", (_MATRIX, {"n": 2.0, "basis": [[1.0, 0.0]]}), 'expected an object with "n" equal to 2'),
         ("short", (_MATRIX, {"n": 2}), 'expected a "basis" or "xi" field'),
         ("short", (_MATRIX, {"n": 2, "basis": []}), "basis must be a nonempty list of vectors"),
         ("short", (_MATRIX, {"n": 2, "basis": [[1.0, 0.0, 0.0]]}), "each vector must have length 2"),
@@ -240,6 +242,7 @@ _LINE = {"n": 2, "basis": [[1.0, 0.0]]}
         ("short", (_MATRIX, {"n": 2, "basis": [[0.0, 0.0]]}), "vectors must be nonzero"),
         # load_vector
         ("kolmogorov", (_MATRIX, {"n": 2, "basis": [[1.0, 0.0]]}), 'expected an object with "n" = 2 and "xi"'),
+        ("kolmogorov", (_MATRIX, {"n": 2.0, "xi": [1.0, 0.0]}), 'expected an object with "n" = 2 and "xi"'),
         ("kolmogorov", (_MATRIX, {"n": 2, "xi": [1.0]}), '"xi" must have length 2'),
         ("kolmogorov", (_MATRIX, {"n": 2, "xi": ["1", 0.0]}), "xi entries must be numbers"),
         ("kolmogorov", (_MATRIX, {"n": 2, "xi": [float("nan"), 0.0]}), "xi entries must be finite"),

@@ -437,6 +437,32 @@ def test_rank_deficient_span_matches_the_svd_reference():
         assert C.dim == 8 - S.dim and max_abs(S.basis.T @ C.basis) <= 1e-14, name
 
 
+def test_span_certifies_full_rank_or_takes_the_svd(monkeypatch):
+    rng = np.random.default_rng(7)
+    # a generic draw at any scale: the Cholesky certificate settles full
+    # rank, with no SVD
+    for scale in (1e-12, 1.0, 1e12):
+        with linalg_calls(monkeypatch, "svd", "cholesky") as calls:
+            S = Subspace.span(scale * rng.standard_normal((40, 17)))
+        assert [call.name for call in calls] == ["cholesky"] and S.dim == 17
+    u, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    # condition number 1e9: full rank, which the certificate cannot clear,
+    # so R's values-only SVD decides and the QR's complement is kept
+    m = (u * np.r_[np.ones(5), 1e-9]) @ v.T
+    with linalg_calls(monkeypatch, "svd") as calls:
+        S = Subspace.span(m)
+    assert [call.kwargs.get("compute_uv") for call in calls] == [False]
+    assert S.dim == 6 and S._complement is not None
+    # rank_tol = 1e-3 at condition number 1e4 drops the small direction
+    tol = Tolerances(rank_tol=1e-3)
+    m = (u * np.r_[np.ones(5), 1e-4]) @ v.T
+    S = Subspace.span(m, tol)
+    ref = _svd_span(m, tol)
+    assert S.dim == ref.shape[1] == 5
+    assert max_abs(S.projection() - ref @ ref.T) <= 1e-14
+
+
 def test_subspace_complement_roundtrip():
     s = gen_subspace(6, 2, 4)
     c = s.complement()
@@ -452,6 +478,20 @@ def test_subspace_rejects_bad_inputs():
         Subspace(np.array([[1.0], [1.0]]))  # not orthonormal
     with pytest.raises(DomainError):
         gen_subspace(3, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Subspace.span([[np.inf], [1.0]]),
+        lambda: Subspace.span([[np.nan], [1.0]]),
+        lambda: Subspace([[np.nan], [0.0]]),  # its residual is NaN
+    ],
+    ids=["span inf", "span nan", "basis nan"],
+)
+def test_non_finite_subspaces_raise(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 # ---- hypothesis properties ----

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from specshort import (
+    DEFAULT_TOL,
     DomainError,
     SpectrumSpec,
     Subspace,
     SymMatrix,
+    Tolerances,
     eig_sym,
     gen_psd,
     gen_subspace,
@@ -18,7 +20,7 @@ from specshort import (
     short_vector,
 )
 
-from conftest import max_abs, min_eig
+from conftest import linalg_calls, max_abs, min_eig
 
 
 def _rand_pair(seed, n, kind="with_zeros"):
@@ -47,6 +49,55 @@ def test_schur_on_large_norm_with_small_levels():
         S = Subspace.span(rng.standard_normal((4, 2)))
         diff = short_schur(A, S).value.entries - short_at(A, S).value.entries
         assert max_abs(diff) <= 1e-12 * 1e9
+
+
+def _schur_by_eigh(A, S, tol=DEFAULT_TOL):
+    """short_schur's trailing block inverted through its eigh, above the
+    rank cut, for an A with no kernel (so S ^ R(A) is S)."""
+    bs, bc = S.basis, S.complement().basis
+    w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
+    keep = w > tol.rank_abs(A.spectral_norm(tol))
+    h = (bs.T @ A.entries @ bc @ v[:, keep]) / np.sqrt(w[keep])
+    return bs @ (bs.T @ A.entries @ bs - h @ h.T) @ bs.T
+
+
+def _trailing_eighs(monkeypatch, A, S, tol=DEFAULT_TOL):
+    """short_schur(A, S, tol) and the shapes of the eighs it takes once A's
+    own decomposition is cached."""
+    eig_sym(A, tol)
+    with linalg_calls(monkeypatch, "eigh") as calls:
+        r = short_schur(A, S, tol)
+    return r, [call.shape for call in calls]
+
+
+def test_schur_inverts_a_definite_trailing_block_whole(monkeypatch):
+    # lambda_min(A) above the rank cut by more than rounding: by interlacing
+    # the trailing block is inverted whole, with no eigh, and agrees with
+    # the eigh route; conditions up to 1e9 are covered
+    rng = np.random.default_rng(3)
+    for spectrum in (np.linspace(1.0, 2.0, 30), np.logspace(-4, 0, 30), np.logspace(-9, 0, 30)):
+        v, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        A = SymMatrix((v * spectrum) @ v.T)
+        S = Subspace.span(rng.standard_normal((30, 12)))
+        r, eighs = _trailing_eighs(monkeypatch, A, S)
+        assert eighs == []
+        assert max_abs(r.value.entries - _schur_by_eigh(A, S)) <= 1e-13 * max(1.0, A.spectral_norm())
+
+
+def test_schur_takes_the_eigh_near_the_cut_and_on_a_kernel(monkeypatch):
+    rng = np.random.default_rng(4)
+    v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    S = Subspace.span(rng.standard_normal((20, 8)))
+    # lambda_min at 1.5 times the cut, which 8 n eps ||A|| of rounding
+    # margin exceeds at rank_tol = 1e-14: the interlacing bound cannot clear
+    # the cut, so the trailing block's eigh decides
+    tol = Tolerances(rank_tol=1e-14)
+    A = SymMatrix((v * np.r_[3e-14, np.linspace(1.0, 2.0, 19)]) @ v.T)
+    assert eig_sym(A, tol).lambda_min == pytest.approx(1.5 * tol.rank_abs(2.0), rel=0.1)
+    assert _trailing_eighs(monkeypatch, A, S, tol)[1] == [(12, 12)]
+    # a singular A: S ^ R(A) has dimension 7, so the trailing block is 13 x 13
+    A = SymMatrix((v * np.r_[0.0, np.linspace(1.0, 2.0, 19)]) @ v.T)
+    assert _trailing_eighs(monkeypatch, A, S)[1] == [(13, 13)]
 
 
 def test_short_commuting_case_is_compression():

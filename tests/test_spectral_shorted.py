@@ -212,6 +212,33 @@ def test_qr_settled_blocks_match_the_cumulative_walk(monkeypatch):
         assert r.levels == levels
 
 
+@pytest.mark.parametrize(
+    "sine, uvs, ranks",
+    [
+        (1e-7, [], [0, 3]),  # the Cholesky certificate settles the triangle
+        (1.2e-8, [False], [0, 3]),  # too close to meet_tol for it: its SVD does
+        (1e-9, [False, True, True], [3, 0]),  # within meet_tol: all three stay
+    ],
+)
+def test_walk_certifies_a_multi_row_triangle(monkeypatch, sine, uvs, ranks):
+    # A has two levels of three members each, and S three directions whose
+    # components on the bottom level have singular values `sine`: the
+    # triangle of the bottom block settles all three there exactly when
+    # `sine` exceeds meet_tol
+    A, q, rng = _generic(6, np.repeat([1.0, 2.0], 3), 12)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    w, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    S = Subspace(q @ np.vstack([sine * u, math.sqrt(1.0 - sine**2) * w]))
+    eig_sym(A)
+    with linalg_calls(monkeypatch, "svd", "cholesky") as calls:
+        r = spectral_short_closed(A, S)
+    assert [call.name for call in calls][0] == "cholesky"
+    assert [call.kwargs.get("compute_uv", True) for call in calls if call.name == "svd"] == uvs
+    assert [rank for _, rank in r.levels] == ranks
+    rho, levels = _cumulative_walk(A, S)
+    assert max_abs(r.value.entries - rho) <= 1e-13 and r.levels == levels
+
+
 def test_walk_carries_only_its_stays(monkeypatch):
     # S orthogonal to A's bottom eigenvector: that level settles nothing
     # and leaves one direction of S in the meet, which stays until the last
@@ -266,20 +293,30 @@ def test_kernel_is_the_complement_of_s():
 
 
 def test_one_complete_qr_per_op(monkeypatch):
-    # Subspace.span's QR gives S's basis and its complement, which
-    # short_schur and the closed form share when A has no kernel (S ^ R(A)
-    # is S itself).  The walk settles this draw in its own QR, so no SVD
-    # computes singular vectors at all.
-    A, _, rng = _generic(96, np.linspace(1.0, 2.0, 96), 3)
-    m = rng.standard_normal((96, 48))
-    eig_sym(A)
-    with linalg_calls(monkeypatch, "qr", "svd") as calls:
-        S = Subspace.span(m)
-        short_schur(A, S)
-        spectral_short_closed(A, S)
-    modes = [call.kwargs.get("mode", "reduced") for call in calls if call.name == "qr"]
-    assert modes.count("complete") == 1
-    assert not any(call.kwargs.get("compute_uv", True) for call in calls if call.name == "svd")
+    # The factorizations of one op after A's eigh: Subspace.span's complete
+    # QR gives S's basis and its complement, which short_schur and the
+    # closed form share when A has no kernel (S ^ R(A) is S itself).
+    # Cholesky certificates settle span's rank and the walk's multi-row
+    # triangles, and interlacing lets short_schur invert its trailing block
+    # with one solve, so no SVD and no second eigh is taken.
+    draws = [
+        (_generic(96, np.linspace(1.0, 2.0, 96), 3), 48, 1),  # L = n
+        (_generic(200, np.repeat(np.linspace(1.0, 2.0, 4), 50), 4), 100, 3),  # 4 levels
+    ]
+    for (A, _, rng), k, choleskys in draws:
+        m = rng.standard_normal((A.n, k))
+        eig_sym(A)
+        with linalg_calls(monkeypatch, "qr", "svd", "eigh", "cholesky", "solve") as calls:
+            S = Subspace.span(m)
+            short_at(A, S)
+            short_schur(A, S)
+            rho = spectral_short_closed(A, S)
+            assert spectral_leq(rho.value, A).holds
+        names = [call.name for call in calls]
+        modes = [call.kwargs.get("mode", "reduced") for call in calls if call.name == "qr"]
+        assert modes == ["complete", "reduced", "reduced"]
+        assert "svd" not in names and "eigh" not in names
+        assert names.count("cholesky") == choleskys and names.count("solve") == 1
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-9, 1e-7])
