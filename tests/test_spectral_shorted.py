@@ -232,7 +232,7 @@ def test_walk_certifies_a_multi_row_triangle(monkeypatch, sine, uvs, ranks):
     eig_sym(A)
     with linalg_calls(monkeypatch, "svd", "cholesky") as calls:
         r = spectral_short_closed(A, S)
-    assert [call.name for call in calls][0] == "cholesky"
+    assert calls[0].name == "cholesky"
     assert [call.kwargs.get("compute_uv", True) for call in calls if call.name == "svd"] == uvs
     assert [rank for _, rank in r.levels] == ranks
     rho, levels = _cumulative_walk(A, S)
