@@ -14,6 +14,12 @@ stored by Subspace.span from the QR that gives the basis when the spanning
 set has full column rank, else filled on first use).
 Two threads that fill one at once store equal values, so everything here is
 safe to share across threads.
+
+Each check reads an n x n array in one pass: SymMatrix's finiteness and
+asymmetry, and its stored symmetrization, built in the array that held the
+difference; and the orthonormality residual, which takes the identity off
+B^T B in place.  Column signs are fixed in place, on arrays the library has
+just made, never on one a caller holds.
 """
 
 from __future__ import annotations
@@ -104,16 +110,18 @@ STRICT_TOL = Tolerances(
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so each column's first nonzero entry is positive."""
-    out = np.array(vectors)
-    if out.size == 0:
-        return out
-    absv = np.abs(out)
+    """Flip column signs in place so each column's first nonzero entry is
+    positive, and return the array.  Every caller passes an array the
+    library has just made (eigh's or QR's factor, a product or a fancy-
+    indexed copy), never one a caller of the package holds."""
+    if vectors.size == 0:
+        return vectors
+    absv = np.abs(vectors)
     # A zero column has no entry above 0, so its lead is row 0 and it stays.
     lead = np.argmax(absv > 1e-8 * absv.max(axis=0), axis=0)
-    flip = out[lead, np.arange(out.shape[1])] < 0
-    out[:, flip] = -out[:, flip]
-    return out
+    # Multiplying by -1 is an exact negation, -0.0 included.
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return vectors
 
 
 def _check_orthonormal(b: np.ndarray, tol: Tolerances, what: str, hint: str = "") -> None:
@@ -121,7 +129,9 @@ def _check_orthonormal(b: np.ndarray, tol: Tolerances, what: str, hint: str = ""
     at most max(orth_tol, 1e-12)."""
     if not b.size:
         return
-    resid = float(np.abs(b.T @ b - np.eye(b.shape[1])).max())
+    gram = b.T @ b
+    gram[np.diag_indices_from(gram)] -= 1.0
+    resid = float(np.abs(gram, out=gram).max())
     if not resid <= max(tol.orth_tol, 1e-12):  # a NaN residual fails too
         raise DomainError(f"{what} are not orthonormal (residual {resid:.3e}){hint}")
 
@@ -181,15 +191,21 @@ class SymMatrix:
             raise DomainError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise DomainError("expected a matrix of size at least 1 x 1, got 0 x 0")
-        if not np.all(np.isfinite(arr)):
+        # NaN and +-inf propagate through the largest magnitude.
+        scale = float(np.abs(arr).max())
+        if not math.isfinite(scale):
             raise DomainError("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(arr).max()))
-        asym = float(np.abs(arr - arr.T).max())
-        if asym > tol.sym_tol * scale:
+        # a - a^T is antisymmetric to the bit, so its largest entry is its
+        # largest magnitude; the array then holds (a + a^T) / 2, and x * 0.5
+        # is x / 2 exactly.
+        out = arr - arr.T
+        asym = float(out.max())
+        if asym > tol.sym_tol * max(1.0, scale):
             raise DomainError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-        arr = (arr + arr.T) / 2.0
-        arr.setflags(write=False)
-        self.entries = arr
+        np.add(arr, arr.T, out=out)
+        out *= 0.5
+        out.setflags(write=False)
+        self.entries = out
         self._eigens: tuple[np.ndarray, np.ndarray] | None = None
         self._decomps: dict[tuple[float, float], "SpectralDecomposition"] = {}
 
@@ -401,8 +417,9 @@ class Subspace:
         p = min(n, c)
         q, r = np.linalg.qr(m, mode="complete")
         if c <= n and _smallest_sv_above(r[:p], tol.rank_tol, relative=True):
-            out = cls(_fix_signs(q[:, :c]))
-            out._complement = cls(_fix_signs(q[:, c:]))
+            q = _fix_signs(q)
+            out = cls(q[:, :c])
+            out._complement = cls(q[:, c:])
             return out
         u, s, _ = np.linalg.svd(r[:p], full_matrices=False)
         return cls(_fix_signs(q[:, :p] @ u[:, s > tol.rank_tol * s[0]]))

@@ -67,9 +67,12 @@ def _result(raw: np.ndarray, method: str, S: Subspace) -> ShortedResult:
     # Symmetrized before the constructor's check: the Schur blocks carry a
     # rounding asymmetry of order eps ||A||, which can exceed sym_tol
     # relative to a result much smaller than A.
-    value = SymMatrix((raw + raw.T) / 2.0)
-    outside = value.entries - S.basis @ (S.basis.T @ value.entries)
-    return ShortedResult(value, method, S, float(np.abs(outside).max()))
+    sym = raw + raw.T
+    sym *= 0.5
+    value = SymMatrix(sym)
+    outside = S.basis @ (S.basis.T @ value.entries)
+    np.subtract(value.entries, outside, out=outside)
+    return ShortedResult(value, method, S, float(np.abs(outside, out=outside).max()))
 
 
 def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:

@@ -152,6 +152,17 @@ def test_order_size_mismatch_is_malformed_input(files, capsys):
     assert code == 2
     assert out == ""
     assert "dimensions differ: 2 vs 3" in err
+    # spectral_leq checks the sizes before positivity: an indefinite matrix
+    # of the wrong size is malformed input, one of the right size exit 3
+    neg = write_json(files["tmp"] / "neg.json", {"n": 2, "data": [1.0, 0.0, 0.0, -0.5]})
+    code, out, err = run_cli(["order", neg, files["proj3"]], capsys)
+    assert (code, out) == (2, "")
+    assert "dimensions differ: 2 vs 3" in err
+    code, out, err = run_cli(["order", files["proj3"], neg], capsys)
+    assert (code, out) == (2, "")
+    code, out, err = run_cli(["order", neg, files["diag12"]], capsys)
+    assert (code, out) == (3, "")
+    assert "not positive semidefinite" in err
 
 
 @pytest.mark.parametrize(
@@ -385,3 +396,41 @@ def test_every_exported_name_resolves_from_the_package():
         module = importlib.import_module(f"specshort.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert getattr(specshort, name) is getattr(module, name), f"{info.name}.{name}"
+            assert name in specshort.__all__, f"{info.name}.{name}"
+
+
+def test_a_fresh_package_resolves_every_submodule_and_name():
+    probe = (
+        "import pkgutil, sys, specshort; "
+        "assert sys.modules.keys() & {f'specshort.{m.name}' for m in pkgutil.iter_modules(specshort.__path__)} == set(); "
+        "[getattr(specshort, m.name) for m in pkgutil.iter_modules(specshort.__path__) if m.name != '__main__']; "
+        "[getattr(specshort, name) for name in specshort.__all__]; "
+        "from specshort import *"
+    )
+    proc = run_child("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["short", "diag12", "line"], {"core", "shorted"}),
+        (["spectral-short", "diag12", "line"], {"core", "spectral_shorted"}),
+        (["kolmogorov", "diag12", "xi"], {"core", "kolmogorov", "spectral_shorted"}),
+        (["order", "low", "high"], {"core", "order"}),
+    ],
+)
+def test_each_subcommand_loads_only_its_modules(files, argv, modules):
+    args = [argv[0], *(files[name] for name in argv[1:])]
+    # runpy runs specshort/__main__.py as `python -m specshort` does
+    probe = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['specshort', *{args!r}]\n"
+        "try: runpy.run_module('specshort', run_name='__main__')\n"
+        "except SystemExit as exc: code = exc.code\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('specshort.'))]))"
+    )
+    proc = run_child("-c", probe)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (0, 1), proc.stderr
+    assert set(loaded) == {"specshort.cli", *(f"specshort.{m}" for m in modules)}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,48 @@ def test_symmetrization_and_readonly():
 def test_rejects_asymmetric():
     with pytest.raises(DomainError, match="not symmetric"):
         SymMatrix([[1.0, 0.5], [0.4, 1.0]])
+
+
+def test_constructor_contract():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((7, 7))
+    for scale in 10.0 ** np.arange(-12, 13, 3):
+        a = scale * (g + g.T + 1e-12 * rng.standard_normal((7, 7)))
+        before = a.copy()
+        A = SymMatrix(a)
+        # stored bit for bit as (a + a^T) / 2, from an input left as it was
+        assert A.entries.tobytes() == ((a + a.T) / 2.0).tobytes(), scale
+        assert a.tobytes() == before.tobytes() and a.flags.writeable
+        assert not np.shares_memory(A.entries, a)
+    sym = g + g.T
+    assert not np.shares_memory(SymMatrix(sym).entries, sym)
+    # finiteness is decided first, whatever the asymmetry
+    for bad in ([[1.0, np.nan], [0.0, 1.0]], [[np.inf, 0.0], [5.0, 1.0]],
+                [[1.0, -np.inf], [-np.inf, 1.0]], [[1.0, 3.0], [-np.inf, np.nan]]):
+        with pytest.raises(DomainError, match="must be finite"):
+            SymMatrix(bad)
+    # the bound is sym_tol * max(1, max|a|), and an asymmetry at it passes
+    for top in (4.0, 0.5):
+        bound = DEFAULT_TOL.sym_tol * max(1.0, top)
+        for asym in (np.nextafter(bound, 0.0), bound):
+            SymMatrix([[top, asym], [0.0, 0.25]])
+        with pytest.raises(DomainError, match="not symmetric"):
+            SymMatrix([[top, np.nextafter(bound, 1.0)], [0.0, 0.25]])
+
+
+def test_constructor_peak_allocation():
+    # one difference array, reused for the stored entries, and the abs-max
+    # temporary before it: the peak stays below 1.5 arrays of doubles
+    n = 200
+    a = np.random.default_rng(12).standard_normal((n, n))
+    a += a.T
+    tracemalloc.start()
+    try:
+        SymMatrix(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8, peak / (8 * n * n)
 
 
 def test_rejects_non_square_and_non_finite():
@@ -377,7 +420,32 @@ def test_fix_signs_matches_column_loop():
     m[0, 2] = -1e-10 * np.abs(m[:, 2]).max()  # a lead below the relative floor
     m[:, 4] = 0.0  # a zero column
     m[:2, 5] = -0.0
-    np.testing.assert_array_equal(_fix_signs(m), reference(m))
+    given = m.copy()
+    out = _fix_signs(given)
+    assert out is given  # flipped in place
+    assert out.tobytes() == reference(m).tobytes()
+
+
+def test_inputs_stay_unchanged():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((6, 6))
+    a += a.T
+    m = rng.standard_normal((6, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    q *= -np.sign(q[0])  # every column's lead negative: the convention flips each
+    w = np.array([3.0, 1.0, 2.0, 0.5, 4.0, 1.5])
+    inputs = (a, m, q, w)
+    before = [x.copy() for x in inputs]
+    A = SymMatrix(a)
+    d = eig_sym(A)
+    S = Subspace.span(m)
+    S.complement()
+    B = Subspace(q[:, :4])
+    M = SymMatrix.from_eigens(w, q)
+    for x, y in zip(inputs, before):
+        assert x.tobytes() == y.tobytes() and x.flags.writeable
+    outputs = (A.entries, d.vectors, S.basis, S.complement().basis, B.basis, M.entries, *M._eigens)
+    assert not any(np.shares_memory(x, y) for x in inputs for y in outputs)
 
 
 def test_meet_dimension_mismatch():
