@@ -182,7 +182,7 @@ def _trace_payload(trace) -> dict:
     steps = []
     for st in trace.iterates:
         entry: dict = {"power": float(st.power)}
-        if np.isscalar(st.value) or isinstance(st.value, float):
+        if np.isscalar(st.value):
             entry["value"] = float(st.value)
         if st.delta is not None:
             entry["delta"] = float(st.delta)

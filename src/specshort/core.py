@@ -47,6 +47,9 @@ __all__ = [
     "projection_meet",
 ]
 
+# Above this largest magnitude, a + a^T can overflow.
+_HALF_MAX = float(np.finfo(float).max) / 2
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's mathematical domain."""
@@ -197,13 +200,19 @@ class SymMatrix:
             raise DomainError("matrix entries must be finite")
         # a - a^T is antisymmetric to the bit, so its largest entry is its
         # largest magnitude; the array then holds (a + a^T) / 2, and x * 0.5
-        # is x / 2 exactly.
+        # is x / 2 exactly.  Where a + a^T would overflow, each half is
+        # taken first; below that bound the sum keeps the last bit at
+        # subnormal scales.
         out = arr - arr.T
         asym = float(out.max())
         if asym > tol.sym_tol * max(1.0, scale):
             raise DomainError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-        np.add(arr, arr.T, out=out)
-        out *= 0.5
+        if scale > _HALF_MAX:
+            np.multiply(arr, 0.5, out=out)
+            out += out.T
+        else:
+            np.add(arr, arr.T, out=out)
+            out *= 0.5
         out.setflags(write=False)
         self.entries = out
         self._eigens: tuple[np.ndarray, np.ndarray] | None = None
@@ -474,6 +483,8 @@ def _direction(xi, tol: Tolerances | None = None) -> np.ndarray:
     """xi scaled to unit length; given tol, xi must already be a unit
     vector."""
     v = np.asarray(xi, dtype=float).reshape(-1)
+    if not np.isfinite(v).all():
+        raise DomainError("xi must be finite")
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise DomainError("xi must be a nonzero vector")

@@ -35,7 +35,12 @@ from .core import (
     pseudo_inverse,
     spectral_projection,
 )
-from .kolmogorov import kolmogorov_closed, kolmogorov_duality, kolmogorov_power
+from .kolmogorov import (
+    kolmogorov_closed,
+    kolmogorov_duality,
+    kolmogorov_power,
+    spectral_short_vector_power,
+)
 from .order import spectral_leq
 from .shorted import short_at, short_schur
 from .spectral_shorted import (
@@ -44,7 +49,6 @@ from .spectral_shorted import (
     spectral_short_iterative,
     spectral_short_min,
     spectral_short_vector,
-    spectral_short_vector_power,
 )
 
 __all__ = [

@@ -21,9 +21,13 @@ Two routes:
   no positive spectral support, as for every other route, and gets the
   exact 0 without powering.  The eigen-part of A's kernel block is removed
   before powering, so a rounding-negative member cannot turn the pairings
-  negative.  This is the package's one power loop:
-  spectral_short_vector_power runs it on pinv(A), since the scalar spectral
-  shorted value is rho(A, xi) = 1 / k(pinv(A), xi).
+  negative.
+
+kolmogorov_power is the package's one power loop, and the scalar spectral
+shorted value runs it too: rho(A, xi) = 1 / k(pinv(A), xi), so
+spectral_short_vector_power is the reciprocal of kolmogorov_power on
+pinv(A), and a vector leaning off the range of A gets the exact 0 without
+powering.
 
 kolmogorov_duality checks the reciprocal relation with the scalar spectral
 shorted value of the pseudo-inverse at the range-projected vector.
@@ -48,7 +52,13 @@ from .core import (
 )
 from .spectral_shorted import ConvergenceTrace, TraceStep, spectral_short_vector
 
-__all__ = ["KolmogorovResult", "kolmogorov_closed", "kolmogorov_power", "kolmogorov_duality"]
+__all__ = [
+    "KolmogorovResult",
+    "kolmogorov_closed",
+    "kolmogorov_power",
+    "kolmogorov_duality",
+    "spectral_short_vector_power",
+]
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,7 @@ def kolmogorov_power(
     k = d.blocks[0][1].stop
     if np.linalg.norm(d.vectors[:, k:].T @ v) <= tol.meet_tol:
         # xi has no positive spectral support; every power pairing is 0.
-        return KolmogorovResult(0.0, "power", ConvergenceTrace((), True, 0.0, "exact"))
+        return KolmogorovResult(0.0, "power", ConvergenceTrace((), "exact"))
     # The kernel block's eigen-part is removed, so no rounding-negative
     # member is powered; without a kernel block A is powered as given.
     m = A.entries
@@ -125,7 +135,6 @@ def kolmogorov_power(
     steps: list[TraceStep] = []
     plateau = _Plateau(n_max)
     value = 0.0
-    converged = False
     reason = "max_iterations"
     for n in range(1, n_max + 1):
         w = m @ u
@@ -135,7 +144,6 @@ def kolmogorov_power(
         inner = float(u @ v)
         if inner <= 0.0:  # rounding can leave a vanishing pairing at or below 0
             value = 0.0
-            converged = True
             reason = "exact"
             break
         s_n = math.exp((log_norm + math.log(inner)) / n)
@@ -146,19 +154,12 @@ def kolmogorov_power(
         # The root sequence bounds the limit from below.
         if plateau.settled(n, r_n, r_n >= s_n - band, band):
             value = plateau.value
-            converged = True
             reason = "converged"
             break
         prev_s = s_n
         prev_inner = inner
         value = r_n
-    trace = ConvergenceTrace(
-        iterates=tuple(steps),
-        converged=converged,
-        final_delta=0.0 if not steps or steps[-1].delta is None else abs(steps[-1].delta),
-        stop_reason=reason,
-    )
-    return KolmogorovResult(value=value, method="power", trace=trace)
+    return KolmogorovResult(value=value, method="power", trace=ConvergenceTrace(tuple(steps), reason))
 
 
 def kolmogorov_duality(
@@ -181,3 +182,34 @@ def kolmogorov_duality(
     rho = spectral_short_vector(pseudo_inverse(A, tol), projected / pnorm, tol)
     dual = 0.0 if rho == 0.0 else 1.0 / rho
     return k_value, dual
+
+
+def spectral_short_vector_power(
+    A: SymMatrix,
+    xi,
+    m_max: int = 200,
+    tol: Tolerances = DEFAULT_TOL,
+) -> tuple[float, ConvergenceTrace]:
+    """Scalar spectral shorted value by pseudo-inverse power iteration.
+
+    Vectors off the range of A give exactly 0.  Otherwise the value is
+    1 / k(pinv(A), xi), the reciprocal of kolmogorov_power on the
+    pseudo-inverse, and the trace records the reciprocals of its root
+    sequence: the non-increasing Sigma(xi, A^n)^{1/n} = <pinv(A)^n xi, xi>^{-1/n}
+    at every power n (an infimum).
+    """
+    if m_max < 1:
+        raise DomainError(f"m_max must be at least 1, got {m_max}")
+    v = _direction(xi, tol)
+    A.assert_psd(tol)
+    d = eig_sym(A, tol)
+    kernel = d.vectors[:, d.blocks[0][1]]
+    if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
+        return 0.0, ConvergenceTrace.exact(0, 0.0)
+
+    complexity = kolmogorov_power(pseudo_inverse(A, tol), v, n_max=m_max, tol=tol)
+    powers = [step.power for step in complexity.trace.iterates]
+    roots = [1.0 / step.value for step in complexity.trace.iterates]
+    deltas = [None] + [abs(b - a) for a, b in zip(roots, roots[1:])]
+    trace = ConvergenceTrace(tuple(map(TraceStep, powers, roots, deltas)), complexity.trace.stop_reason)
+    return (0.0 if complexity.value == 0.0 else 1.0 / complexity.value), trace

@@ -29,17 +29,16 @@ toward the limit is generally only O(1/m) in the power m, so slow runs stop
 at the wall or at k_max with converged=False; that is a flagged outcome, not
 an error.
 
-The one-dimensional scalar has two more routes: the largest half-line
-projection containing the vector (spectral_short_vector), and
-spectral_short_vector_power, the reciprocal 1 / k(pinv(A), xi) of the
-vector complexity under the pseudo-inverse by kolmogorov_power, the
-package's one power loop.
+For a one-dimensional subspace the scalar is also read off directly: the
+largest half-line projection containing the vector (spectral_short_vector).
+Its power route, spectral_short_vector_power, lives in the kolmogorov
+module beside the loop it runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,7 +57,6 @@ from .core import (
     _smallest_sv_above,
     eig_sym,
     matrix_function,
-    pseudo_inverse,
 )
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "spectral_short_closed",
     "spectral_short_iterative",
     "spectral_short_vector",
-    "spectral_short_vector_power",
     "spectral_short_min",
     "monotone_calculus_residual",
 ]
@@ -89,17 +86,30 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
-    """Iterates of a limit-based algorithm with per-step deltas."""
+    """Iterates of a limit-based algorithm with per-step deltas.
+
+    Only the iterates and the stop reason are stored; converged and
+    final_delta are derived from them.
+    """
 
     iterates: tuple[TraceStep, ...]
-    converged: bool
-    final_delta: float
     stop_reason: str  # "converged" | "max_iterations" | "power_limit" | "exact"
+
+    @property
+    def converged(self) -> bool:
+        """The loop stopped on a small step or knew its value exactly."""
+        return self.stop_reason in ("converged", "exact")
+
+    @property
+    def final_delta(self) -> float:
+        """The size of the last step's delta, 0 when there is none."""
+        delta = self.iterates[-1].delta if self.iterates else None
+        return 0.0 if delta is None else abs(delta)
 
     @classmethod
     def exact(cls, power: float, value) -> "ConvergenceTrace":
         """The one-step trace of a value known without iterating."""
-        return cls((TraceStep(power, value, None),), True, 0.0, "exact")
+        return cls((TraceStep(power, value, None),), "exact")
 
 
 @dataclass(frozen=True)
@@ -244,7 +254,6 @@ def spectral_short_iterative(
 
     steps: list[TraceStep] = []
     prev: np.ndarray | None = None
-    converged = False
     reason = "max_iterations"
     for k in range(k_max + 1):
         m = 2.0**k
@@ -258,23 +267,15 @@ def spectral_short_iterative(
         delta = None if prev is None else float(np.abs(b - prev).max())
         steps.append(TraceStep(m, b, delta))
         if delta is not None and delta <= tol.conv_tol * max(1.0, d.norm2):
-            converged = True
             reason = "converged"
             break
         prev = b
-    final = steps[-1]
-    trace = ConvergenceTrace(
-        iterates=tuple(steps),
-        converged=converged,
-        final_delta=0.0 if final.delta is None else final.delta,
-        stop_reason=reason,
-    )
     return SpectralShortResult(
-        value=SymMatrix(final.value),
+        value=SymMatrix(steps[-1].value),
         levels=(),
         method="iterative",
         subspace=S,
-        trace=trace,
+        trace=ConvergenceTrace(tuple(steps), reason),
     )
 
 
@@ -288,43 +289,6 @@ def spectral_short_vector(
     v = _direction(xi, tol)
     A.assert_psd(tol)
     return _half_line_level(eig_sym(A, tol), v, tol)
-
-
-def spectral_short_vector_power(
-    A: SymMatrix,
-    xi,
-    m_max: int = 200,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, ConvergenceTrace]:
-    """Scalar spectral shorted value by pseudo-inverse power iteration.
-
-    Vectors off the range of A give exactly 0.  Otherwise the value is
-    1 / k(pinv(A), xi), the reciprocal of kolmogorov_power on the
-    pseudo-inverse, and the trace records the reciprocals of its root
-    sequence: the non-increasing Sigma(xi, A^n)^{1/n} = <pinv(A)^n xi, xi>^{-1/n}
-    at every power n (an infimum).
-    """
-    from .kolmogorov import kolmogorov_power  # kolmogorov imports this module
-
-    if m_max < 1:
-        raise DomainError(f"m_max must be at least 1, got {m_max}")
-    v = _direction(xi, tol)
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
-    kernel = d.vectors[:, d.blocks[0][1]]
-    if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
-        return 0.0, ConvergenceTrace.exact(0, 0.0)
-
-    complexity = kolmogorov_power(pseudo_inverse(A, tol), v, n_max=m_max, tol=tol)
-    powers = [step.power for step in complexity.trace.iterates]
-    roots = [1.0 / step.value for step in complexity.trace.iterates]
-    deltas = [None] + [abs(b - a) for a, b in zip(roots, roots[1:])]
-    trace = replace(
-        complexity.trace,
-        iterates=tuple(map(TraceStep, powers, roots, deltas)),
-        final_delta=deltas[-1] or 0.0,
-    )
-    return (0.0 if complexity.value == 0.0 else 1.0 / complexity.value), trace
 
 
 def spectral_short_min(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -409,6 +410,46 @@ def test_a_fresh_package_resolves_every_submodule_and_name():
     )
     proc = run_child("-c", probe)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_but_the_cli_imports_a_sibling_inside_a_function():
+    # the CLI's per-subcommand imports are deliberate; anywhere else a
+    # function-level import would hide a cycle in the module graph
+    package = os.path.dirname(specshort.__file__)
+    for filename in sorted(os.listdir(package)):
+        if not filename.endswith(".py") or filename == "cli.py":
+            continue
+        with open(os.path.join(package, filename), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    sibling = node.level > 0 or node.module.split(".")[0] == "specshort"
+                elif isinstance(node, ast.Import):
+                    sibling = any(a.name.split(".")[0] == "specshort" for a in node.names)
+                else:
+                    continue
+                assert not sibling, f"{filename}:{node.lineno} imports a sibling inside {fn.name}"
+
+
+@pytest.mark.parametrize(
+    "statement, modules",
+    [
+        ("import specshort.spectral_shorted", {"core", "spectral_shorted"}),
+        ("specshort.SymMatrix", {"core"}),
+    ],
+)
+def test_the_module_graph_runs_one_way(statement, modules):
+    probe = (
+        "import json, sys, specshort\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('specshort.'))))"
+    )
+    proc = run_child("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {f"specshort.{m}" for m in modules}
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,10 @@ from specshort import (
     gen_subspace,
     matrix_function,
     matrix_power,
+    monotone_calculus_residual,
     projection_meet,
     pseudo_inverse,
+    short_at,
     spectral_projection,
 )
 
@@ -91,6 +93,12 @@ def test_rejects_non_square_and_non_finite():
         SymMatrix(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_symmetrizes_near_the_largest_float_without_overflow():
+    A = SymMatrix([[1.5e308, 0.0], [0.0, 1.0]])
+    assert A.entries[0, 0] == 1.5e308
+    assert np.isfinite(A.entries).all()
 
 
 def test_rejects_empty_matrix():
@@ -560,6 +568,53 @@ def test_subspace_rejects_bad_inputs():
 def test_non_finite_subspaces_raise(build):
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Subspace(np.ones(3)), DomainError, "basis must be a 2-d array, got shape (3,)"),
+        (
+            lambda: Subspace.full(2).containment_residual(Subspace.full(3)),
+            DimensionMismatchError,
+            "ambient dimensions differ: 2 vs 3",
+        ),
+        (
+            lambda: short_at(SymMatrix(np.eye(2)), Subspace.full(3)),
+            DimensionMismatchError,
+            "ambient dimensions differ: 2 vs 3",
+        ),
+        (
+            lambda: matrix_function(SymMatrix(np.eye(2)), lambda mu: math.inf),
+            DomainError,
+            "function not finite at eigenvalue 1.0",
+        ),
+        (
+            lambda: monotone_calculus_residual(SymMatrix(np.eye(2)), Subspace.full(2), lambda x: math.nan),
+            DomainError,
+            "function not finite at 0.0",
+        ),
+    ],
+    ids=["1-d basis", "containment across dimensions", "pair across dimensions", "inf image", "nan f"],
+)
+def test_each_input_check_names_its_fault(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Subspace.span(np.zeros((3, 0))),
+        lambda: projection_meet(Subspace.full(3), Subspace.zero(3)),
+        lambda: projection_meet(Subspace.zero(3), Subspace.full(3)),
+    ],
+    ids=["span of no vectors", "meet with zero", "meet of zero"],
+)
+def test_empty_operands_give_the_zero_subspace(build):
+    S = build()
+    assert (S.n, S.dim) == (3, 0)
 
 
 # ---- hypothesis properties ----

@@ -14,8 +14,10 @@ from specshort import (
     kolmogorov_duality,
     kolmogorov_power,
     pseudo_inverse,
+    short_vector,
     spectral_projection,
     spectral_short_vector,
+    spectral_short_vector_power,
 )
 
 
@@ -30,6 +32,23 @@ def test_closed_diag_examples():
 def test_closed_rejects_zero_vector():
     with pytest.raises(DomainError):
         kolmogorov_closed(SymMatrix(np.eye(2)), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("xi", [[math.nan, 0.0, 0.0], [math.inf, 1.0, 0.0]], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        spectral_short_vector,
+        short_vector,
+        spectral_short_vector_power,
+        kolmogorov_closed,
+        kolmogorov_power,
+        kolmogorov_duality,
+    ],
+)
+def test_every_vector_route_rejects_a_non_finite_xi(route, xi):
+    with pytest.raises(DomainError, match="^xi must be finite$"):
+        route(SymMatrix(np.diag([1.0, 2.0, 3.0])), xi)
 
 
 def test_power_hand_sequence():
@@ -91,7 +110,7 @@ def test_power_decides_support_on_the_meet_sine():
         r = kolmogorov_power(A, xi)
         assert r.value == pytest.approx(closed, abs=1e-12)
         if closed == 0.0:
-            assert r.trace == ConvergenceTrace((), True, 0.0, "exact")
+            assert r.trace == ConvergenceTrace((), "exact")
 
 
 def test_log_value():
