@@ -120,8 +120,13 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     if vectors.size == 0:
         return vectors
     absv = np.abs(vectors)
-    # A zero column has no entry above 0, so its lead is row 0 and it stays.
-    lead = np.argmax(absv > 1e-8 * absv.max(axis=0), axis=0)
+    floor = 1e-8 * absv.max(axis=0)
+    # Row 0 leads almost every column; only the others are searched.  A
+    # zero column has no entry above 0, so its lead is row 0 and it stays.
+    lead = np.zeros(vectors.shape[1], dtype=np.intp)
+    late = np.flatnonzero(absv[0] <= floor)
+    if late.size:
+        lead[late] = np.argmax(absv[:, late] > floor[late], axis=0)
     # Multiplying by -1 is an exact negation, -0.0 included.
     vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
     return vectors
@@ -200,15 +205,15 @@ class SymMatrix:
             raise DomainError("matrix entries must be finite")
         # a - a^T is antisymmetric to the bit, so its largest entry is its
         # largest magnitude; the array then holds (a + a^T) / 2, and x * 0.5
-        # is x / 2 exactly.  Where a + a^T would overflow, each half is
-        # taken first; below that bound the sum keeps the last bit at
-        # subnormal scales.
-        out = arr - arr.T
-        asym = float(out.max())
+        # is x / 2 exactly.  Where a - a^T or a + a^T would overflow, each
+        # half is taken first; below that bound the sum keeps the last bit
+        # at subnormal scales.
+        huge = scale > _HALF_MAX
+        out = arr * 0.5 if huge else arr - arr.T
+        asym = 2.0 * float((out - out.T).max()) if huge else float(out.max())
         if asym > tol.sym_tol * max(1.0, scale):
             raise DomainError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-        if scale > _HALF_MAX:
-            np.multiply(arr, 0.5, out=out)
+        if huge:
             out += out.T
         else:
             np.add(arr, arr.T, out=out)
@@ -243,11 +248,17 @@ class SymMatrix:
     def _attach(cls, w: np.ndarray, v: np.ndarray) -> "SymMatrix":
         """from_eigens without its checks, for eigenvectors built here:
         eigh's, or a Subspace basis already checked at the caller's
-        orth_tol."""
+        orth_tol.
+
+        The product V diag(w) V^T is formed from the columns with w != 0
+        only, since the others add exact zeros; every column stays in the
+        attached decomposition."""
         order = np.argsort(w, kind="stable")
         w = w[order]
         v = _fix_signs(v[:, order])
-        out = cls((v * w) @ v.T)
+        keep = w != 0.0
+        vk = v[:, keep]
+        out = cls((vk * w[keep]) @ vk.T)
         w.setflags(write=False)
         v.setflags(write=False)
         out._eigens = (w, v)

@@ -23,7 +23,11 @@ against projection_meet.
 
 Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
-action on the subspace itself.
+action on the subspace itself.  A result stores only its value, method and
+subspace: ShortedResult.range_residual, which no route reads, is computed
+from them when read.  short_at's F F^T goes to SymMatrix as it is; only
+short_schur's blocks, whose rounding asymmetry is of order eps ||A||, are
+symmetrized before SymMatrix checks them.
 """
 
 from __future__ import annotations
@@ -49,44 +53,41 @@ __all__ = ["ShortedResult", "short_at", "short_schur", "short_vector"]
 
 @dataclass(frozen=True)
 class ShortedResult(_OnSubspace):
-    """A shorted operator together with the subspace it was shorted to.
-
-    range_residual is the largest entry of the part of the value lying
-    outside the subspace: at rounding level when S meets the range of A
-    cleanly, and up to about meet_tol * ||A||_2 when S meets R(A) only
-    within meet_tol.
-    """
+    """A shorted operator together with the subspace it was shorted to."""
 
     value: SymMatrix
     method: str
     subspace: Subspace
-    range_residual: float
 
-
-def _result(raw: np.ndarray, method: str, S: Subspace) -> ShortedResult:
-    # Symmetrized before the constructor's check: the Schur blocks carry a
-    # rounding asymmetry of order eps ||A||, which can exceed sym_tol
-    # relative to a result much smaller than A.
-    sym = raw + raw.T
-    sym *= 0.5
-    value = SymMatrix(sym)
-    outside = S.basis @ (S.basis.T @ value.entries)
-    np.subtract(value.entries, outside, out=outside)
-    return ShortedResult(value, method, S, float(np.abs(outside, out=outside).max()))
+    @property
+    def range_residual(self) -> float:
+        """The largest entry of the part of the value lying outside the
+        subspace, max |(I - P_S) value|, computed when read (0 for the whole
+        space): at rounding level when S meets the range of A cleanly, and
+        up to about meet_tol * ||A||_2 on short_at's route when S meets R(A)
+        only within meet_tol."""
+        if self.subspace.dim == self.value.n:
+            return 0.0
+        b = self.subspace.basis
+        outside = b @ (b.T @ self.value.entries)
+        np.subtract(self.value.entries, outside, out=outside)
+        return float(np.abs(outside, out=outside).max())
 
 
 def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
     """Shorted operator by the square-root / projection construction."""
     _check_pair(A, S, tol)
     if S.dim == A.n:
-        return ShortedResult(A, "anderson_trapp", S, 0.0)
+        return ShortedResult(A, "anderson_trapp", S)
     d = eig_sym(A, tol)
     k = d.blocks[0][1].stop
     u = d.vectors[:, k:]
     root = np.sqrt(d.values[k:])
     m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol).basis) / root[:, None])
     f = u @ (root[:, None] * m)
-    return _result(f @ f.T, "anderson_trapp", S)
+    # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit;
+    # a plain product would be off by about eps ||Sigma||, inside sym_tol.
+    return ShortedResult(SymMatrix(f @ f.T), "anderson_trapp", S)
 
 
 def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
@@ -103,7 +104,7 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     """
     _check_pair(A, S, tol)
     if S.dim == A.n:
-        return ShortedResult(A, "schur", S, 0.0)
+        return ShortedResult(A, "schur", S)
     d = eig_sym(A, tol)
     meet = _range_meet(d, S, tol)
     bs, bc = meet.basis, meet.complement().basis
@@ -111,11 +112,19 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     a11, a12 = sa @ bs, sa @ bc
     a22 = bc.T @ A.entries @ bc
     if d.lambda_min > tol.rank_abs(d.norm2) + 8 * A.n * np.finfo(float).eps * d.norm2:
-        return _result(bs @ (a11 - a12 @ np.linalg.solve(a22, a12.T)) @ bs.T, "schur", S)
-    w, v = np.linalg.eigh(a22)
-    keep = w > tol.rank_abs(d.norm2)
-    h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
-    return _result(bs @ (a11 - h @ h.T) @ bs.T, "schur", S)
+        inner = a11 - a12 @ np.linalg.solve(a22, a12.T)
+    else:
+        w, v = np.linalg.eigh(a22)
+        keep = w > tol.rank_abs(d.norm2)
+        h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
+        inner = a11 - h @ h.T
+    # Symmetrized before the constructor's check: the Schur blocks carry a
+    # rounding asymmetry of order eps ||A||, which can exceed sym_tol
+    # relative to a result much smaller than A.
+    raw = bs @ inner @ bs.T
+    sym = raw + raw.T
+    sym *= 0.5
+    return ShortedResult(SymMatrix(sym), "schur", S)
 
 
 def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -24,6 +24,7 @@ from specshort import (
     pseudo_inverse,
     short_at,
     spectral_projection,
+    spectral_short_closed,
 )
 
 from specshort.core import _fix_signs, _range_meet
@@ -99,6 +100,16 @@ def test_symmetrizes_near_the_largest_float_without_overflow():
     A = SymMatrix([[1.5e308, 0.0], [0.0, 1.0]])
     assert A.entries[0, 0] == 1.5e308
     assert np.isfinite(A.entries).all()
+
+
+def test_rejects_asymmetry_near_the_largest_float_without_overflow():
+    # a - a^T would overflow here; the suite turns its warning into an error
+    with pytest.raises(DomainError, match="not symmetric"):
+        SymMatrix([[0.0, 1e308], [-1e308, 0.0]])
+    with pytest.raises(DomainError, match="not symmetric"):
+        SymMatrix([[1.5e308, 1e308], [0.0, 1.0]])
+    A = SymMatrix([[1.5e308, 1e300], [1e300 * (1 + 1e-12), 1.0]])
+    assert A.entries[0, 1] == A.entries[1, 0]
 
 
 def test_rejects_empty_matrix():
@@ -428,10 +439,71 @@ def test_fix_signs_matches_column_loop():
     m[0, 2] = -1e-10 * np.abs(m[:, 2]).max()  # a lead below the relative floor
     m[:, 4] = 0.0  # a zero column
     m[:2, 5] = -0.0
-    given = m.copy()
-    out = _fix_signs(given)
-    assert out is given  # flipped in place
-    assert out.tobytes() == reference(m).tobytes()
+    m[:, 6] = -0.0  # a column of -0.0
+    m[1, 7] = np.abs(m[1:, 7]).max()
+    m[0, 7] = -1e-8 * m[1, 7]  # at the relative floor, so not the lead
+    sym = rng.standard_normal((30, 30))
+    sym += sym.T
+    eigh_factor = np.linalg.eigh(sym)[1]
+    qr_factor = np.linalg.qr(rng.standard_normal((30, 12)), mode="complete")[0]
+    for given in (m, eigh_factor, qr_factor):
+        expected = reference(given)
+        out = _fix_signs(given)
+        assert out is given  # flipped in place
+        assert out.tobytes() == expected.tobytes()
+
+
+def _attached_matches_its_product(monkeypatch, build):
+    """Run build(), which attaches one matrix, and check it: its entries
+    match V diag(w) V^T over all n columns within n eps ||w||_inf, and its
+    attached eigenpairs are all n of them, sorted and sign-fixed.  Returns
+    the eigenvalues handed to attach, in their given order."""
+    given = []
+    attach = SymMatrix._attach.__func__
+
+    def recording(cls, w, v):
+        given.append((np.array(w), np.array(v)))
+        return attach(cls, w, v)
+
+    with monkeypatch.context() as m:
+        m.setattr(SymMatrix, "_attach", classmethod(recording))
+        made = build()
+    assert len(given) == 1
+    (w, v), n = given[0], made.n
+    order = np.argsort(w, kind="stable")
+    w_sorted, v_sorted = w[order], _fix_signs(v[:, order])
+    assert made._eigens[0].tobytes() == w_sorted.tobytes()
+    assert made._eigens[1].tobytes() == v_sorted.tobytes()
+    full = (v_sorted * w_sorted) @ v_sorted.T
+    bound = n * np.finfo(float).eps * float(np.abs(w).max(initial=0.0))
+    assert max_abs(made.entries - full) <= bound
+    return w
+
+
+def test_attach_skips_zero_eigenvalues_in_its_product(monkeypatch):
+    rng = np.random.default_rng(21)
+    n = 8
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = SymMatrix((q * [0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T)
+    # S holds a kernel direction, so rho's kernel-block directions (value
+    # 0) come before its positive ones, and S's complement follows
+    S = Subspace.span(np.column_stack([q[:, 0], q[:, 2] + q[:, 5], q[:, 3] - q[:, 6]]))
+    w = _attached_matches_its_product(monkeypatch, lambda: spectral_short_closed(A, S).value)
+    assert w[0] == 0.0 and min(w[1:3]) > 0.0 and np.count_nonzero(w == 0.0) == n - 2
+    # a level mapped to 0, and every level mapped to 0
+    w = _attached_matches_its_product(
+        monkeypatch, lambda: matrix_function(A, lambda mu: 0.0 if mu < 2.5 else mu)
+    )
+    assert np.count_nonzero(w == 0.0) == 5
+    zero = _attached_matches_its_product(monkeypatch, lambda: matrix_function(A, lambda mu: 0.0))
+    assert not np.any(zero)
+    assert not np.any(matrix_function(A, lambda mu: 0.0).entries)
+    # the pseudo-inverse of a singular matrix zeroes its kernel
+    w = _attached_matches_its_product(monkeypatch, lambda: pseudo_inverse(A))
+    assert np.count_nonzero(w == 0.0) == 2
+    # zeros between negative and positive values, -0.0 among them
+    given = [2.0, -0.0, -1.5, 0.0, 3.0, -0.5, 0.0, 1.0]
+    _attached_matches_its_product(monkeypatch, lambda: SymMatrix.from_eigens(given, q))
 
 
 def test_inputs_stay_unchanged():

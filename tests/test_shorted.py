@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from specshort import (
     short_schur,
     short_vector,
 )
+from specshort.shorted import ShortedResult
 
 from conftest import linalg_calls, max_abs, min_eig
 
@@ -245,3 +247,40 @@ def test_compressed_accessor():
     assert abs(comp[0, 0] - 4.0 / 3.0) < 1e-12
     with pytest.raises(DomainError):
         short_at(A, Subspace.full(2)).scalar()
+
+
+def _eager_range_residual(r):
+    # the formula each result once stored when it was built
+    b = r.subspace.basis
+    outside = b @ (b.T @ r.value.entries)
+    np.subtract(r.value.entries, outside, out=outside)
+    return float(np.abs(outside, out=outside).max())
+
+
+def test_range_residual_is_derived_on_read():
+    assert "range_residual" not in {f.name for f in dataclasses.fields(ShortedResult)}
+    for seed in range(8):
+        A, S = _rand_pair(seed, 3 + seed % 5)
+        for routine in (short_at, short_schur):
+            r = routine(A, S)
+            assert r.range_residual == _eager_range_residual(r), (seed, routine)
+
+
+def test_range_residual_reaches_meet_tol_where_S_meets_the_range_within_it():
+    # S = span(e1 + eps e2) lies within meet_tol of R(A) = span(e1), so it
+    # is shorted to whole; short_at's value lives on R(A), off S by eps.
+    eps, top = 5e-9, 1e3
+    A = SymMatrix(np.diag([top, 0.0, 0.0]))
+    S = Subspace.span([[1.0], [eps], [0.0]])
+    at, schur = short_at(A, S), short_schur(A, S)
+    assert 0.9 * eps * top <= at.range_residual <= DEFAULT_TOL.meet_tol * top
+    assert at.range_residual == _eager_range_residual(at)
+    assert schur.range_residual <= 1e-14 * top
+
+
+def test_range_residual_is_zero_on_the_whole_space():
+    A = gen_psd(SpectrumSpec("with_zeros", 5), 0)
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    for S in (Subspace.full(5), Subspace(q)):
+        for routine in (short_at, short_schur):
+            assert routine(A, S).range_residual == 0.0
