@@ -121,7 +121,7 @@ def load_vector(path: str, n: int) -> np.ndarray:
 
 
 def matrix_payload(M: SymMatrix) -> dict:
-    return {"n": M.n, "data": [float(x) for x in M.entries.reshape(-1)]}
+    return {"n": M.n, "data": M.entries.reshape(-1).tolist()}
 
 
 def _emit(payload: dict, out: str | None) -> None:

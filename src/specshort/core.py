@@ -3,7 +3,9 @@
 Eigendecomposition with level clustering, spectral projections, functional
 calculus, real matrix powers, Moore-Penrose pseudo-inverse, and the
 projection-lattice operations (meet, complement) that the rest of the
-package is built on.
+package is built on, and ShortedResult, the one result type of the
+operator routes.  SymMatrix.assert_psd returns the decomposition it checked,
+so every route reads A's eigenpairs from its positivity check.
 
 Every value is immutable in what it means, and every operation is a pure
 function of its inputs.  A few caches are filled once and never change
@@ -39,6 +41,7 @@ __all__ = [
     "SymMatrix",
     "SpectralDecomposition",
     "Subspace",
+    "ShortedResult",
     "eig_sym",
     "spectral_projection",
     "matrix_function",
@@ -267,7 +270,9 @@ class SymMatrix:
     def spectral_norm(self, tol: Tolerances = DEFAULT_TOL) -> float:
         return eig_sym(self, tol).norm2
 
-    def assert_psd(self, tol: Tolerances = DEFAULT_TOL) -> None:
+    def assert_psd(self, tol: Tolerances = DEFAULT_TOL) -> "SpectralDecomposition":
+        """Raise DomainError unless the matrix is positive semidefinite, and
+        return the decomposition that decided it, eig_sym(self, tol)."""
         # Scaled by max(1, norm) so matrices that are zero up to rounding
         # (e.g. shorted operators of disjoint ranges) count as positive.
         d = eig_sym(self, tol)
@@ -275,6 +280,7 @@ class SymMatrix:
             raise DomainError(
                 f"matrix is not positive semidefinite: eigenvalue {d.lambda_min:.6e}"
             )
+        return d
 
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n})"
@@ -326,8 +332,10 @@ class SpectralDecomposition:
 
 
 def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
-    """Symmetric eigendecomposition with a deterministic sign convention
-    and A's one level partition.
+    """Symmetric eigendecomposition and A's one level partition.
+
+    The eigenvectors carry eigh's signs, which no output reads; a matrix
+    built from its eigenpairs (SymMatrix._attach) keeps its sign-fixed ones.
 
     The partition is decided here, once: the eigenvalues are clustered at
     cluster_tol * ||A||_2, and every level at or below rank_tol * ||A||_2 is
@@ -341,7 +349,6 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         return cached
     if A._eigens is None:
         w, v = np.linalg.eigh(A.entries)
-        v = _fix_signs(v)
         w.setflags(write=False)
         v.setflags(write=False)
         A._eigens = (w, v)
@@ -504,15 +511,29 @@ def _direction(xi, tol: Tolerances | None = None) -> np.ndarray:
     return v / nrm
 
 
-def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> None:
+def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> SpectralDecomposition:
+    """A's checked decomposition, once A and S share their dimension."""
     if A.n != S.n:
         raise DimensionMismatchError(f"ambient dimensions differ: {A.n} vs {S.n}")
-    A.assert_psd(tol)
+    return A.assert_psd(tol)
 
 
-class _OnSubspace:
-    """compressed() and scalar() for a result whose `value` acts on its
-    `subspace`."""
+@dataclass(frozen=True)
+class ShortedResult:
+    """Sigma(S, A) or rho(S, A), embedded in the full space, with the
+    subspace S it acts on.
+
+    levels lists (level value, rank) per positive level of A, descending,
+    for the closed-form rho: the rank is the value's multiplicity in the
+    result, 0 where no direction of S settles.  trace holds the iterative
+    rho route's iterates.  Every other route leaves both empty.
+    """
+
+    value: SymMatrix
+    method: str
+    subspace: Subspace
+    levels: tuple[tuple[float, int], ...] = ()
+    trace: "ConvergenceTrace | None" = None  # defined in spectral_shorted
 
     def compressed(self) -> np.ndarray:
         """The value as an operator on the subspace (dim x dim array)."""
@@ -526,6 +547,20 @@ class _OnSubspace:
                 f"scalar() needs a one-dimensional subspace, got dim {self.subspace.dim}"
             )
         return float(self.compressed()[0, 0])
+
+    @property
+    def range_residual(self) -> float:
+        """The largest entry of the part of the value lying outside the
+        subspace, max |(I - P_S) value|, computed when read (0 for the whole
+        space): at rounding level when S meets the range of A cleanly, and
+        up to about meet_tol * ||A||_2 on short_at's route when S meets R(A)
+        only within meet_tol."""
+        if self.subspace.dim == self.value.n:
+            return 0.0
+        b = self.subspace.basis
+        outside = b @ (b.T @ self.value.entries)
+        np.subtract(self.value.entries, outside, out=outside)
+        return float(np.abs(outside, out=outside).max())
 
 
 def _half_line_start(D: SpectralDecomposition, lam, tol: Tolerances):
@@ -578,8 +613,7 @@ def matrix_function(
     a level receive the same image and the kernel (every level at or below
     the rank cutoff) maps to f(0).
     """
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
+    d = A.assert_psd(tol)
     values = np.empty(d.n)
     for mu, idx in d.blocks:
         if idx.stop == idx.start:

@@ -21,7 +21,10 @@ Two routes:
   no positive spectral support, as for every other route, and gets the
   exact 0 without powering.  The eigen-part of A's kernel block is removed
   before powering, so a rounding-negative member cannot turn the pairings
-  negative.
+  negative.  A normalized pairing <A^n xi, xi> / ||A^n xi|| at or below
+  meet_tol means rounding has carried the iterate off every level xi is
+  supported on, so the loop stops there ("power_limit", not converged)
+  with its last quotient estimate, as the iterative route stops at its wall.
 
 kolmogorov_power is the package's one power loop, and the scalar spectral
 shorted value runs it too: rho(A, xi) = 1 / k(pinv(A), xi), so
@@ -80,8 +83,7 @@ def kolmogorov_closed(
     """Largest level of A whose half-line projection keeps a component of xi
     (0 when no positive level does).  Invariant under scaling of xi."""
     v = _direction(xi)
-    A.assert_psd(tol)
-    value = _half_line_level(eig_sym(A, tol), v, tol, top_down=True)
+    value = _half_line_level(A.assert_psd(tol), v, tol, top_down=True)
     return KolmogorovResult(value=value, method="closed_form")
 
 
@@ -116,8 +118,7 @@ def kolmogorov_power(
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     v = _direction(xi)
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
+    d = A.assert_psd(tol)
     k = d.blocks[0][1].stop
     if np.linalg.norm(d.vectors[:, k:].T @ v) <= tol.meet_tol:
         # xi has no positive spectral support; every power pairing is 0.
@@ -142,9 +143,8 @@ def kolmogorov_power(
         u = w / growth
         log_norm += math.log(growth)
         inner = float(u @ v)
-        if inner <= 0.0:  # rounding can leave a vanishing pairing at or below 0
-            value = 0.0
-            reason = "exact"
+        if inner <= tol.meet_tol:  # the pairing is rounding: see the module docstring
+            reason = "power_limit"
             break
         s_n = math.exp((log_norm + math.log(inner)) / n)
         r_n = growth * inner / prev_inner
@@ -201,8 +201,7 @@ def spectral_short_vector_power(
     if m_max < 1:
         raise DomainError(f"m_max must be at least 1, got {m_max}")
     v = _direction(xi, tol)
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
+    d = A.assert_psd(tol)
     kernel = d.vectors[:, d.blocks[0][1]]
     if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
         return 0.0, ConvergenceTrace.exact(0, 0.0)

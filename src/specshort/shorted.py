@@ -23,63 +23,36 @@ against projection_meet.
 
 Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
-action on the subspace itself.  A result stores only its value, method and
-subspace: ShortedResult.range_residual, which no route reads, is computed
-from them when read.  short_at's F F^T goes to SymMatrix as it is; only
+action on the subspace itself.  A result (core.ShortedResult, which rho
+shares) stores only its value, method and subspace: range_residual, which
+no route reads, is computed from them when read.  short_at's F F^T goes to SymMatrix as it is; only
 short_schur's blocks, whose rounding asymmetry is of order eps ||A||, are
 symmetrized before SymMatrix checks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    ShortedResult,
     Subspace,
     SymMatrix,
     Tolerances,
     _check_pair,
     _direction,
-    _OnSubspace,
     _range_meet,
-    eig_sym,
 )
 
-__all__ = ["ShortedResult", "short_at", "short_schur", "short_vector"]
-
-
-@dataclass(frozen=True)
-class ShortedResult(_OnSubspace):
-    """A shorted operator together with the subspace it was shorted to."""
-
-    value: SymMatrix
-    method: str
-    subspace: Subspace
-
-    @property
-    def range_residual(self) -> float:
-        """The largest entry of the part of the value lying outside the
-        subspace, max |(I - P_S) value|, computed when read (0 for the whole
-        space): at rounding level when S meets the range of A cleanly, and
-        up to about meet_tol * ||A||_2 on short_at's route when S meets R(A)
-        only within meet_tol."""
-        if self.subspace.dim == self.value.n:
-            return 0.0
-        b = self.subspace.basis
-        outside = b @ (b.T @ self.value.entries)
-        np.subtract(self.value.entries, outside, out=outside)
-        return float(np.abs(outside, out=outside).max())
+__all__ = ["short_at", "short_schur", "short_vector"]
 
 
 def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
     """Shorted operator by the square-root / projection construction."""
-    _check_pair(A, S, tol)
+    d = _check_pair(A, S, tol)
     if S.dim == A.n:
         return ShortedResult(A, "anderson_trapp", S)
-    d = eig_sym(A, tol)
     k = d.blocks[0][1].stop
     u = d.vectors[:, k:]
     root = np.sqrt(d.values[k:])
@@ -102,10 +75,9 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     rounding of A22 and of eig_sym's lambda_min, nothing is cut and
     A11 - A12 A22^{-1} A21 is taken by one solve with no eigh.
     """
-    _check_pair(A, S, tol)
+    d = _check_pair(A, S, tol)
     if S.dim == A.n:
         return ShortedResult(A, "schur", S)
-    d = eig_sym(A, tol)
     meet = _range_meet(d, S, tol)
     bs, bc = meet.basis, meet.complement().basis
     sa = bs.T @ A.entries
@@ -134,8 +106,7 @@ def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
     Always lies in [0, <A xi, xi>] up to the clustering tolerance.
     """
     v = _direction(xi, tol)
-    A.assert_psd(tol)
-    d = eig_sym(A, tol)
+    d = A.assert_psd(tol)
     k = d.blocks[0][1].stop
     coeffs = d.vectors.T @ v
     if np.linalg.norm(coeffs[:k]) > tol.meet_tol:

@@ -29,6 +29,10 @@ toward the limit is generally only O(1/m) in the power m, so slow runs stop
 at the wall or at k_max with converged=False; that is a flagged outcome, not
 an error.
 
+Both routes return core.ShortedResult, as the shorted routes do, since rho
+is an operator on S just as Sigma is; the closed form also fills levels and
+the iterative route trace.
+
 For a one-dimensional subspace the scalar is also read off directly: the
 largest half-line projection containing the vector (spectral_short_vector).
 Its power route, spectral_short_vector_power, lives in the kolmogorov
@@ -46,23 +50,21 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     DomainError,
+    ShortedResult,
     Subspace,
     SymMatrix,
     Tolerances,
     _check_pair,
     _direction,
     _half_line_level,
-    _OnSubspace,
     _range_meet,
     _smallest_sv_above,
-    eig_sym,
     matrix_function,
 )
 
 __all__ = [
     "TraceStep",
     "ConvergenceTrace",
-    "SpectralShortResult",
     "spectral_short_closed",
     "spectral_short_iterative",
     "spectral_short_vector",
@@ -112,27 +114,9 @@ class ConvergenceTrace:
         return cls((TraceStep(power, value, None),), "exact")
 
 
-@dataclass(frozen=True)
-class SpectralShortResult(_OnSubspace):
-    """A spectral shorted operator with its construction data.
-
-    levels lists (level value, rank) pairs for the closed form, one per
-    positive level of A in descending order: the rank is the multiplicity
-    of that value in the result, 0 where no direction of S settles there
-    (empty for the iterative route).  trace carries the iterates for the
-    iterative route (None for the closed form).
-    """
-
-    value: SymMatrix
-    levels: tuple[tuple[float, int], ...]
-    method: str
-    subspace: Subspace
-    trace: ConvergenceTrace | None = None
-
-
 def spectral_short_closed(
     A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL
-) -> SpectralShortResult:
+) -> ShortedResult:
     """Closed-form spectral shorted operator by one level walk.
 
     With C = V^T B_S (S in A's eigen-coordinates) and W the S-coordinates
@@ -157,8 +141,7 @@ def spectral_short_closed(
     settle nothing and the walk stops.  The result's kernel eigenvectors
     are S's cached complement.
     """
-    _check_pair(A, S, tol)
-    d = eig_sym(A, tol)
+    d = _check_pair(A, S, tol)
     blocks = d.blocks
     k = S.dim
     q, r = np.linalg.qr((d.vectors.T @ S.basis).T)
@@ -199,11 +182,11 @@ def spectral_short_closed(
     vectors = np.hstack([S.basis @ np.hstack(coords), S.complement().basis])
     values = np.repeat([mu for mu, _ in blocks] + [0.0], ranks + [A.n - k])
     levels = [(mu, rank) for (mu, _), rank in zip(blocks, ranks) if mu > 0.0]
-    return SpectralShortResult(
+    return ShortedResult(
         value=SymMatrix._attach(values, vectors),
-        levels=tuple(reversed(levels)),
         method="closed_form",
         subspace=S,
+        levels=tuple(reversed(levels)),
     )
 
 
@@ -220,7 +203,7 @@ def spectral_short_iterative(
     S: Subspace,
     k_max: int = 20,
     tol: Tolerances = DEFAULT_TOL,
-) -> SpectralShortResult:
+) -> ShortedResult:
     """Iterated root-of-shorted-power route to the spectral shorted operator.
 
     Iterates are non-increasing in the semidefinite order and bound the limit
@@ -236,12 +219,11 @@ def spectral_short_iterative(
     """
     if k_max < 0:
         raise DomainError(f"k_max must be nonnegative, got {k_max}")
-    _check_pair(A, S, tol)
-    d = eig_sym(A, tol)
+    d = _check_pair(A, S, tol)
     blocks = d.blocks
     if len(blocks) == 1 or S.dim == 0:
         zero = SymMatrix(np.zeros((A.n, A.n)))
-        return SpectralShortResult(zero, (), "iterative", S, ConvergenceTrace.exact(1, zero.entries))
+        return ShortedResult(zero, "iterative", S, trace=ConvergenceTrace.exact(1, zero.entries))
 
     # A's positive level block values: no rounding-negative member reaches
     # the powers, and the power wall is read off the smallest of them.
@@ -270,9 +252,8 @@ def spectral_short_iterative(
             reason = "converged"
             break
         prev = b
-    return SpectralShortResult(
+    return ShortedResult(
         value=SymMatrix(steps[-1].value),
-        levels=(),
         method="iterative",
         subspace=S,
         trace=ConvergenceTrace(tuple(steps), reason),
@@ -287,8 +268,7 @@ def spectral_short_vector(
     smallest level carrying any of its spectral weight), and 0 if the vector
     leans outside the range of A."""
     v = _direction(xi, tol)
-    A.assert_psd(tol)
-    return _half_line_level(eig_sym(A, tol), v, tol)
+    return _half_line_level(A.assert_psd(tol), v, tol)
 
 
 def spectral_short_min(
@@ -297,10 +277,10 @@ def spectral_short_min(
     """Smallest spectrum point of the spectral shorted operator viewed on S:
     the largest level of A whose half-line projection contains all of S
     (0 when only the trivial threshold works)."""
-    _check_pair(A, S, tol)
+    d = _check_pair(A, S, tol)
     if S.dim == 0:
         raise DomainError("the zero subspace has no compressed spectrum")
-    return _half_line_level(eig_sym(A, tol), S.basis, tol)
+    return _half_line_level(d, S.basis, tol)
 
 
 def monotone_calculus_residual(
@@ -315,8 +295,7 @@ def monotone_calculus_residual(
     f must be nondecreasing and nonnegative on the sampled eigenvalues
     (checked; right continuity cannot be checked pointwise and is assumed).
     """
-    _check_pair(A, S, tol)
-    d = eig_sym(A, tol)
+    d = _check_pair(A, S, tol)
     samples = [mu for mu, _ in d.blocks]
     images = []
     for x in samples:

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import specshort
-from specshort.cli import main
+from specshort.cli import main, matrix_payload
+from specshort.core import SymMatrix
 
 
 def write_json(path, obj):
@@ -120,6 +121,29 @@ def test_kolmogorov_methods(files, capsys):
     )
     rep = json.loads(out)
     assert rep["duality"] == {"k": 2.0, "dual": 2.0}
+
+
+def test_matrix_payload_lists_each_entry_as_a_float():
+    entries = np.array([[-0.0, 5e-324, 1.0 / 3.0], [5e-324, 1e300, -2.5], [1.0 / 3.0, -2.5, 7.0]])
+    M = SymMatrix(entries)
+    payload = matrix_payload(M)
+    assert all(type(x) is float for x in payload["data"])
+    per_entry = {"n": 3, "data": [float(x) for x in M.entries.reshape(-1)]}
+    assert json.dumps(payload, indent=2, sort_keys=True) == json.dumps(per_entry, indent=2, sort_keys=True)
+
+
+def test_kolmogorov_power_reports_the_wall_as_not_converged(files, capsys):
+    # xi on the kernel and, by 1e-3, on the level 1e-3 of A: the power
+    # route stops at the wall rather than converge to the top level 1
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    entries = (q * [0.0, 1e-3, 0.5, 1.0]) @ q.T
+    a = write_json(files["tmp"] / "wall.json", {"n": 4, "data": entries.reshape(-1).tolist()})
+    v = write_json(files["tmp"] / "wall_xi.json", {"n": 4, "xi": (q[:, 0] + 1e-3 * q[:, 1]).tolist()})
+    code, out, _ = run_cli(["kolmogorov", a, v, "--method", "power"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["trace"]["converged"] is False and rep["trace"]["stop_reason"] == "power_limit"
+    assert abs(rep["value"] - 1e-3) <= 1e-9
 
 
 def test_kolmogorov_minus_inf_marker(files, capsys):

@@ -113,6 +113,31 @@ def test_power_decides_support_on_the_meet_sine():
             assert r.trace == ConvergenceTrace((), "exact")
 
 
+def test_power_stops_at_the_wall_once_the_pairing_is_rounding():
+    # xi lies on the kernel and, by 1e-3, on the level 1e-3: the iterate
+    # leaves that level within a few steps, and rounding in the powered
+    # matrix seeds the top level, which it would otherwise converge to
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    A = SymMatrix((q * [0.0, 1e-3, 0.5, 1.0]) @ q.T)
+    xi = q[:, 0] + 1e-3 * q[:, 1]
+    assert kolmogorov_closed(A, xi).value == pytest.approx(1e-3, rel=1e-12)
+    r = kolmogorov_power(A, xi)
+    assert r.trace.stop_reason == "power_limit" and not r.trace.converged
+    assert r.value == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_power_wall_on_a_large_kernel():
+    # a 5-dimensional kernel with xi 1e-5 off it, on the level 1e-3: every
+    # draw stops at the wall, its last quotient estimate on the level
+    for seed in range(20):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 8)))
+        A = SymMatrix((q * [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3, 0.5, 1.0]) @ q.T)
+        xi = q[:, 0] + 1e-5 * q[:, 5]
+        r = kolmogorov_power(A, xi)
+        assert r.trace.stop_reason == "power_limit", seed
+        assert abs(r.value - kolmogorov_closed(A, xi).value) <= 1e-6, seed
+
+
 def test_log_value():
     A = SymMatrix(np.diag([1.0, math.e]))
     assert kolmogorov_closed(A, [0.0, 1.0]).log_value == 1.0

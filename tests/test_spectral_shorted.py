@@ -30,7 +30,8 @@ from specshort import (
     spectral_projection,
 )
 
-from specshort.core import _range_meet
+from specshort import shorted
+from specshort.core import ShortedResult, _range_meet
 
 from conftest import linalg_calls, max_abs, min_eig
 
@@ -396,6 +397,31 @@ def test_closed_range_inside_subspace():
         assert max_abs(outside) <= 1e-9
 
 
+def test_every_operator_route_returns_one_result_type():
+    A = gen_psd(SpectrumSpec("with_zeros", 6), 2)
+    S = gen_subspace(6, 3, 2)
+    assert shorted.ShortedResult is ShortedResult
+    for route in (short_at, short_schur, spectral_short_closed, spectral_short_iterative):
+        r = route(A, S)
+        assert type(r) is ShortedResult and r.subspace is S, route
+        # only the closed form reads A's levels, only the iterative route iterates
+        assert bool(r.levels) == (route is spectral_short_closed), route
+        assert (r.trace is not None) == (route is spectral_short_iterative), route
+
+
+@pytest.mark.parametrize("n", [4, 12, 60, 200])
+def test_rho_range_residual_is_rounding(n):
+    # rho acts on S: both routes build it from S's own basis, so what lies
+    # outside S is the rounding of one product
+    for seed, kind in enumerate(("well_separated", "clustered", "with_zeros", "projection")):
+        A = gen_psd(SpectrumSpec(kind, n), seed)
+        bound = n * np.finfo(float).eps * max(1.0, eig_sym(A).norm2)
+        for k in (1, n // 2, n - 1):
+            S = gen_subspace(n, k, seed)
+            for route in (spectral_short_closed, spectral_short_iterative):
+                assert route(A, S).range_residual <= bound, (kind, k, route)
+
+
 def test_iterative_projection_converges_immediately():
     A = SymMatrix(np.diag([1.0, 1.0, 0.0]))
     S = gen_subspace(3, 2, 3)
@@ -587,6 +613,19 @@ def test_vector_power_eigenvector_constant():
     assert abs(value - lam) <= 1e-9
     for st in trace.iterates:
         assert abs(float(st.value) - lam) <= 1e-9
+
+
+def test_vector_power_stops_at_the_wall_once_the_pairing_is_rounding():
+    # x lies on the level 2 and, by 1e-3, on the level 1, so rho is 1; the
+    # powered pinv(B) carries the iterate off both toward its top level
+    # 1 / 1e-3, seeded by rounding, which it would otherwise converge to
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    B = SymMatrix((q * [1e-3, 0.5, 1.0, 2.0]) @ q.T)
+    x = q[:, 3] + 1e-3 * q[:, 2]
+    x /= np.linalg.norm(x)
+    assert spectral_short_vector(B, x) == pytest.approx(1.0, rel=1e-12)
+    _, trace = spectral_short_vector_power(B, x)
+    assert trace.stop_reason == "power_limit" and not trace.converged
 
 
 def test_vector_power_off_range_is_exact_zero():
