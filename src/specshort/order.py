@@ -8,18 +8,21 @@ merged distinct levels of both matrices plus the midpoints between
 consecutive levels decides the order exactly (up to clustering tolerance).
 Range inclusion is measured by the operator norm of the excluded component,
 the largest principal-angle sine, which stays robust near degenerate
-eigenvalues.  With W = V_B^T V_A formed once, that component at a threshold
-is the block of W pairing B's eigenvectors below it with A's at or above it.
+eigenvalues.  With W = V_B^T V_A, that component at a threshold is the
+block of W pairing B's eigenvectors below it with A's at or above it.
 Each distinct pair of half-line starts (the first eigen index of each
 matrix's half-line) is tested once: thresholds that share the pair share
-the block, hence the residual.  A block's Frobenius norm bounds its largest
-singular value (Golub & Van Loan, Matrix Computations, 2.3), so a block
-whose Frobenius norm is within meet_tol is certified by it, without an
-SVD, and that bound is its residual.  Any other block's residual is its
-largest sine, from one SVD; a sine of a block of the orthogonal W is at
-most 1, so it is clamped to 1, and the test stops at the first block whose
-residual reaches 1: the witness is set by then and no later block can raise
-the worst residual.
+the block, hence the residual.  A pair whose half-line of A is empty or
+of B is everything is included trivially and not tested.  Only the rows
+of W below the last tested start of B and its columns from the first
+tested start of A are formed, in one product: they hold every tested
+block.  A block's Frobenius norm bounds its largest singular value (Golub
+& Van Loan, Matrix Computations, 2.3), so a block whose Frobenius norm is
+within meet_tol is certified by it, without an SVD, and that bound is its
+residual.  Any other block's residual is its largest sine, from one SVD;
+a sine of a block of the orthogonal W is at most 1, so it is clamped to 1,
+and the test stops at the first block whose residual reaches 1: the
+witness is set by then and no later block can raise the worst residual.
 
 So holds and witness_lambda are those of the largest sines, and so is
 worst_residual when the order fails (its maximum lies at a block whose SVD
@@ -79,15 +82,19 @@ def spectral_leq(
     # follows its first threshold directly and selects the same block of W.
     new = np.ones(len(grid), dtype=bool)
     new[1:] = (a_starts[1:] != a_starts[:-1]) | (b_starts[1:] != b_starts[:-1])
-    w = db.vectors.T @ da.vectors
+    # an empty half-line of A or a full one of B is included trivially
+    new &= (a_starts < A.n) & (b_starts > 0)
+    if not new.any():
+        return OrderCertificate(holds=True, witness_lambda=None, worst_residual=0.0)
+    lams, a_list, b_list = grid[new].tolist(), a_starts[new].tolist(), b_starts[new].tolist()
+    # W's rows below the last B-start against its columns from the first
+    # A-start: every tested block and no more
+    a_lo = a_list[0]
+    w = db.vectors[:, : b_list[-1]].T @ da.vectors[:, a_lo:]
     worst = 0.0
     witness: float | None = None
-    for lam, a_start, b_start in zip(
-        grid[new].tolist(), a_starts[new].tolist(), b_starts[new].tolist()
-    ):
-        if a_start == A.n or b_start == 0:
-            continue
-        block = w[:b_start, a_start:]
+    for lam, a_start, b_start in zip(lams, a_list, b_list):
+        block = w[:b_start, a_start - a_lo :]
         residual = float(np.linalg.norm(block))  # bounds the block's sines
         if residual > tol.meet_tol:
             # a sine of a block of the orthogonal W: at most 1 but for rounding

@@ -13,7 +13,10 @@ Van Loan, Matrix Computations, 5.2), where a coordinate enters at its own
 row: each level's SVD sees only the directions that entered and stayed and
 the coordinates entering there, and none is taken when nothing stays and
 the level's triangle of R settles all of its coordinates, which a Cholesky
-certificate on the triangle's Gram matrix shows for a generic S.
+certificate on the triangle's Gram matrix shows for a generic S.  Every
+coordinate has entered by the end of the first level to reach row dim S,
+so the QR factors C's rows up to there, and a walk whose stays outlive
+them extends R through Q^T.
 
 Iterative (kept as an oracle and for trace pedagogy): root-of-shorted-power
 iterates B_k = (shorted(A^{2^k}, S))^{1/2^k}.  Each is formed in the
@@ -138,19 +141,26 @@ def spectral_short_closed(
     shifted Gram matrix certifies it, and only a triangle the certificate
     cannot clear takes a values-only SVD (core._smallest_sv_above).
     Once every coordinate has entered and none stays, the later blocks
-    settle nothing and the walk stops.  The result's kernel eigenvectors
-    are S's cached complement.
+    settle nothing and the walk stops.  Every coordinate has entered by
+    the stop c of the first block to reach row k = dim S, so the QR is of
+    (C[:c])^T, k x c; stays that outlive row c take R's other columns,
+    Q^T C[c:]^T, from one product.  The result's kernel eigenvectors are
+    S's cached complement.
     """
     d = _check_pair(A, S, tol)
     blocks = d.blocks
     k = S.dim
-    q, r = np.linalg.qr((d.vectors.T @ S.basis).T)
+    c = next(rows.stop for _, rows in blocks if rows.stop >= k)
+    q, r = np.linalg.qr((d.vectors[:, :c].T @ S.basis).T)
     j = 0  # coordinates entered: Q's first min(k, rows walked) columns
     # Q-coordinates of the stays (zero past j), their cumulative sines
     stays, sines = np.zeros((k, 0)), np.zeros(0)
     coords: list[np.ndarray] = [q[:, :0]]  # settled, in S-coordinates
     ranks = [0] * len(blocks)  # directions settled per block
     for i, (_, rows) in enumerate(blocks):
+        if rows.stop > r.shape[1]:
+            # stays outlive row c: R's other columns are Q^T C[c:]^T
+            r = np.hstack([r, q.T @ (d.vectors[:, c:].T @ S.basis).T])
         e = min(k, rows.stop)
         rank = 0
         if not sines.size and e > j:

@@ -493,9 +493,13 @@ def test_each_subcommand_loads_only_its_modules(files, argv, modules):
         f"sys.argv = ['specshort', *{args!r}]\n"
         "try: runpy.run_module('specshort', run_name='__main__')\n"
         "except SystemExit as exc: code = exc.code\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('specshort.'))]))"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('specshort.')),"
+        " 'numpy.ma' in sys.modules]))"
     )
     proc = run_child("-c", probe)
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    code, loaded, masked = json.loads(proc.stdout.splitlines()[-1])
     assert code in (0, 1), proc.stderr
     assert set(loaded) == {"specshort.cli", *(f"specshort.{m}" for m in modules)}
+    # numpy.ma, which np.unique imports, adds 13-18 ms and about 1 MB of
+    # peak RSS to each child (numpy 2.4, one x86-64 Xeon core)
+    assert not masked

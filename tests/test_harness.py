@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from specshort import (
     run_suite,
     spectral_leq,
 )
-from specshort.harness import THEOREMS, run_trial
+from specshort import harness
+from specshort.harness import THEOREMS, TheoremCheck, run_trial
 from specshort.core import DEFAULT_TOL
 
 from conftest import max_abs, min_eig
@@ -119,6 +123,18 @@ def test_negative_control_zero_bound_fails():
     assert t1.failures > 0
     assert t1.failing_trial is not None
     assert rep.total_failures == t1.failures
+
+
+def test_nan_residual_fails(monkeypatch):
+    # a check that returns NaN fails every trial, and its worst residual is
+    # reported as inf in a report that still parses
+    nan_check = TheoremCheck("T1", "returns NaN", lambda rng, n, tol: math.nan)
+    monkeypatch.setattr(harness, "THEOREMS", (nan_check,))
+    rep = run_suite(dims=(3,), trials=2)
+    (t1,) = rep.theorems
+    assert (t1.failures, t1.failing_trial, t1.worst_residual) == (2, 0, math.inf)
+    assert rep.total_failures == 2
+    assert json.loads(rep.to_json())["theorems"][0]["worst_residual"] == math.inf
 
 
 def test_trials_are_order_independent():

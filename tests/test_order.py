@@ -71,13 +71,16 @@ def test_witness_is_smallest_failing_threshold():
             assert cert.witness_lambda == (failing[0] if failing else None)
 
 
-def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True):
+def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False):
     # reference: one residual per threshold of the grid, as the order was
     # decided before repeated pairs of half-line starts were skipped.  A
     # block whose Frobenius norm is within meet_tol is certified by it;
     # every other residual is the block's largest sine (every residual is,
-    # with frobenius=False).  Also returns the residual of each distinct
-    # block in the order first tested.
+    # with frobenius=False).  The blocks are read from the rows of
+    # W = V_B^T V_A below the last tested B-start and its columns from the
+    # first tested A-start, formed alone as spectral_leq forms them, or
+    # from all of W with full=True.  Also returns the residual of each
+    # distinct block in the order first tested.
     da, db = eig_sym(A, tol), eig_sym(B, tol)
 
     def start(d, lam):
@@ -86,13 +89,14 @@ def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True):
 
     levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})
     mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
-    w = db.vectors.T @ da.vectors
+    starts = [(lam, start(da, lam), start(db, lam)) for lam in sorted(set(levels + mids))]
+    tested = [(lam, a, b) for lam, a, b in starts if a < A.n and b > 0]
+    a_lo = 0 if full or not tested else min(a for _, a, _ in tested)
+    b_hi = B.n if full or not tested else max(b for _, _, b in tested)
+    w = db.vectors[:, :b_hi].T @ da.vectors[:, a_lo:]
     worst, witness, blocks = 0.0, None, {}
-    for lam in sorted(set(levels + mids)):
-        a_start, b_start = start(da, lam), start(db, lam)
-        if a_start == A.n or b_start == 0:
-            continue
-        block = w[:b_start, a_start:]
+    for lam, a_start, b_start in tested:
+        block = w[:b_start, a_start - a_lo :]
         residual = float(np.linalg.norm(block))
         if not frobenius or residual > tol.meet_tol:
             residual = min(1.0, float(np.linalg.norm(block, 2)))
@@ -136,6 +140,28 @@ def test_distinct_pairs_match_threshold_loop():
     assert outcomes == {True, False}
     A, rho = _many_levels_pair(200)
     assert spectral_leq(rho, A).holds and not spectral_leq(A, rho).holds
+
+
+def test_tested_blocks_of_w_match_the_full_product():
+    # the sub-block of W that the thresholds read, formed alone, may round
+    # unlike the same entries of all of V_B^T V_A (on three holding pairs
+    # here), but it decides alike, with worst_residual within 1e-14
+    for low, high in _order_pairs():
+        cert = spectral_leq(low, high)
+        holds, witness, worst = _threshold_loop(low, high, full=True)[0]
+        assert (cert.holds, cert.witness_lambda) == (holds, witness)
+        assert abs(cert.worst_residual - worst) <= 1e-14
+
+
+def test_no_nontrivial_threshold_holds_at_once():
+    # A = 0 has an empty half-line at every positive threshold, and so does
+    # a pair of zero matrices, whose grid is empty
+    B = gen_psd(SpectrumSpec("clustered", 5), 3)
+    zero = SymMatrix(np.zeros((5, 5)))
+    for low, high in ((zero, B), (zero, zero)):
+        cert = spectral_leq(low, high)
+        assert (cert.holds, cert.witness_lambda, cert.worst_residual) == (True, None, 0.0)
+    assert not spectral_leq(B, zero).holds
 
 
 def test_frobenius_certificate_keeps_the_sine_decision():

@@ -152,13 +152,17 @@ def _cumulative_walk(A, S, tol=DEFAULT_TOL):
     return SymMatrix.from_eigens(values, vectors).entries, tuple(reversed(levels))
 
 
-def _walk_svds(monkeypatch, A, S):
-    """spectral_short_closed(A, S) and the number of SVDs with singular
-    vectors it takes (the walk's; the QR's triangles take values only)."""
+def _walk_calls(monkeypatch, A, S):
+    """spectral_short_closed(A, S), the number of SVDs with singular
+    vectors it takes (the walk's; the QR's triangles take values only) and
+    the shapes of its reduced QRs (an uncached complement of S takes a
+    complete QR of its own)."""
     eig_sym(A)
-    with linalg_calls(monkeypatch, "svd") as calls:
+    with linalg_calls(monkeypatch, "svd", "qr") as calls:
         r = spectral_short_closed(A, S)
-    return r, sum(call.kwargs.get("compute_uv", True) for call in calls)
+    svds = sum(call.kwargs.get("compute_uv", True) for call in calls if call.name == "svd")
+    qrs = [c.shape for c in calls if c.name == "qr" and c.kwargs.get("mode", "reduced") == "reduced"]
+    return r, svds, qrs
 
 
 def _qr_walk_cases():
@@ -205,9 +209,19 @@ def _qr_walk_cases():
 
 
 def test_qr_settled_blocks_match_the_cumulative_walk(monkeypatch):
+    # The walk takes one reduced QR, of C's first c rows, c the stop of the
+    # first block to reach row k = dim S.  A walk whose stays outlive row c
+    # (here exactly the walks that take an SVD) settles them with R's later
+    # columns, formed through Q^T and not by a second QR.
     for A, S, settled in _qr_walk_cases():
-        r, walk_svds = _walk_svds(monkeypatch, A, S)
+        r, walk_svds, qrs = _walk_calls(monkeypatch, A, S)
         assert (walk_svds == 0) == settled
+        blocks = eig_sym(A).blocks
+        c = next(rows.stop for _, rows in blocks if rows.stop >= S.dim)
+        assert qrs == [(S.dim, c)]
+        starts = [rows.start for _, rows in blocks[1:]]
+        past_c = any(rank and start >= c for (_, rank), start in zip(reversed(r.levels), starts))
+        assert past_c == (not settled)
         rho, levels = _cumulative_walk(A, S)
         assert max_abs(r.value.entries - rho) <= 1e-13 * max(1.0, A.spectral_norm())
         assert r.levels == levels
@@ -300,6 +314,8 @@ def test_one_complete_qr_per_op(monkeypatch):
     # Cholesky certificates settle span's rank and the walk's multi-row
     # triangles, and interlacing lets short_schur invert its trailing block
     # with one solve, so no SVD and no second eigh is taken.
+    # The closed form factors only C's rows up to the stop of the first
+    # level block to reach row k = dim S: k of them on both draws.
     draws = [
         (_generic(96, np.linspace(1.0, 2.0, 96), 3), 48, 1),  # L = n
         (_generic(200, np.repeat(np.linspace(1.0, 2.0, 4), 50), 4), 100, 3),  # 4 levels
@@ -316,6 +332,7 @@ def test_one_complete_qr_per_op(monkeypatch):
         names = [call.name for call in calls]
         modes = [call.kwargs.get("mode", "reduced") for call in calls if call.name == "qr"]
         assert modes == ["complete", "reduced", "reduced"]
+        assert [call.shape for call in calls if call.name == "qr"][-1] == (k, k)
         assert "svd" not in names and "eigh" not in names
         assert names.count("cholesky") == choleskys and names.count("solve") == 1
 
