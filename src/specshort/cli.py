@@ -101,7 +101,7 @@ def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
         if not isinstance(v, list) or len(v) != n:
             raise CliInputError(f"{path}: each vector must have length {n}")
         arr = _floats(v, "vector entries", path)
-        if float(np.linalg.norm(arr)) == 0.0:
+        if not arr.any():
             raise CliInputError(f"{path}: vectors must be nonzero")
         rows.append(arr)
     return Subspace.span(np.column_stack(rows), tol)
@@ -115,7 +115,7 @@ def load_vector(path: str, n: int) -> np.ndarray:
     if not isinstance(v, list) or len(v) != n:
         raise CliInputError(f'{path}: "xi" must have length {n}')
     arr = _floats(v, "xi entries", path)
-    if float(np.linalg.norm(arr)) == 0.0:
+    if not arr.any():
         raise CliInputError(f"{path}: xi must be nonzero")
     return arr
 

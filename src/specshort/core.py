@@ -78,8 +78,9 @@ class Tolerances:
     (the range of A included, so kolmogorov_power's "no positive support"
     too), when the sine of its angle to the other subspace is at most
     meet_tol.  The others are absolute on quantities that are O(1) by
-    construction (orthonormality residuals, unit vectors).  Every field
-    must be finite and nonnegative.
+    construction; orth_tol bounds orthonormality residuals only, since a
+    vector xi is read as its line at any length.  Every field must be
+    finite and nonnegative.
     """
 
     cluster_tol: float = 1e-8
@@ -431,11 +432,14 @@ class Subspace:
         complement() takes no QR of its own.  Otherwise the basis is Q U_R
         restricted to the kept singular directions, U_R from the SVD of R's
         leading rows, and the complement is left to complement().
-        Non-finite entries raise DomainError.
+        Non-finite entries, and an array of other than one or two
+        dimensions, raise DomainError.
         """
         m = np.asarray(vectors, dtype=float)
         if m.ndim == 1:
             m = m.reshape(-1, 1)
+        if m.ndim != 2:
+            raise DomainError(f"spanning vectors must be a 1-d or 2-d array, got shape {m.shape}")
         if m.size == 0:
             return cls.zero(m.shape[0])
         if not np.all(np.isfinite(m)):
@@ -497,18 +501,23 @@ def _principal_sines(P: Subspace, Q: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return sines, vt.T
 
 
-def _direction(xi, tol: Tolerances | None = None) -> np.ndarray:
-    """xi scaled to unit length; given tol, xi must already be a unit
-    vector."""
+def _check_line(A: SymMatrix, xi, tol: Tolerances) -> tuple[SpectralDecomposition, np.ndarray]:
+    """A's checked decomposition and xi scaled to unit length, once xi is a
+    finite, nonzero vector with A.n entries.  Every scalar route reads xi as
+    its line, at any length."""
     v = np.asarray(xi, dtype=float).reshape(-1)
     if not np.isfinite(v).all():
         raise DomainError("xi must be finite")
+    if v.size != A.n:
+        raise DimensionMismatchError(f"xi has {v.size} entries in dimension {A.n}")
+    # Scaled by a power of two, which is exact, so that the largest entry
+    # lies in [1/2, 1): the squares in the norm then neither overflow nor
+    # vanish at any length of xi, and 2^k xi gives the same v / nrm.
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise DomainError("xi must be a nonzero vector")
-    if tol is not None and abs(nrm - 1.0) > max(tol.orth_tol, 1e-9):
-        raise DomainError(f"xi must be a unit vector, got norm {nrm!r}")
-    return v / nrm
+    return A.assert_psd(tol), v / nrm
 
 
 def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> SpectralDecomposition:

@@ -579,6 +579,8 @@ def run_trial(
     """One trial of one theorem, with a generator derived from
     (seed, theorem index, trial) so results are order-independent.  Every
     dimension must be at least 2, as in run_suite."""
+    if not dims:
+        raise DomainError("need at least one dimension")
     _check_dims(dims)
     n = dims[trial % len(dims)]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), index, trial]))
@@ -602,8 +604,6 @@ def run_suite(
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     dims = tuple(int(d) for d in dims)
-    if not dims and trials > 0:
-        raise DomainError("need at least one dimension")
     _check_dims(dims)
     overrides = bound_overrides or {}
     start = time.monotonic()

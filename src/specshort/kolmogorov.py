@@ -17,8 +17,8 @@ Two routes:
   converges geometrically in the level gap where the root sequence only
   converges like 1/n.
 
-  A vector whose component on A's positive blocks is within meet_tol has
-  no positive spectral support, as for every other route, and gets the
+  A vector that kolmogorov_closed gives 0 (its component on A's positive
+  blocks is within meet_tol) has no positive spectral support and gets the
   exact 0 without powering.  The eigen-part of A's kernel block is removed
   before powering, so a rounding-negative member cannot turn the pairings
   negative.  A normalized pairing <A^n xi, xi> / ||A^n xi|| at or below
@@ -29,11 +29,16 @@ Two routes:
 kolmogorov_power is the package's one power loop, and the scalar spectral
 shorted value runs it too: rho(A, xi) = 1 / k(pinv(A), xi), so
 spectral_short_vector_power is the reciprocal of kolmogorov_power on
-pinv(A), and a vector leaning off the range of A gets the exact 0 without
-powering.
+pinv(A), and a vector that spectral_short_vector gives 0 (it leans off the
+range of A) gets the exact 0 without powering.  So each power route decides
+membership with its closed form's own half-line reader,
+core._half_line_level.
 
 kolmogorov_duality checks the reciprocal relation with the scalar spectral
 shorted value of the pseudo-inverse at the range-projected vector.
+
+Every route reads xi as its line: any finite, nonzero vector with n entries,
+scaled to unit length by core._check_line, which also checks A.
 """
 
 from __future__ import annotations
@@ -48,9 +53,8 @@ from .core import (
     DomainError,
     SymMatrix,
     Tolerances,
-    _direction,
+    _check_line,
     _half_line_level,
-    eig_sym,
     pseudo_inverse,
 )
 from .spectral_shorted import ConvergenceTrace, TraceStep, spectral_short_vector
@@ -82,33 +86,8 @@ def kolmogorov_closed(
 ) -> KolmogorovResult:
     """Largest level of A whose half-line projection keeps a component of xi
     (0 when no positive level does).  Invariant under scaling of xi."""
-    v = _direction(xi)
-    value = _half_line_level(A.assert_psd(tol), v, tol, top_down=True)
-    return KolmogorovResult(value=value, method="closed_form")
-
-
-class _Plateau:
-    """Stopping rule of the power route's quotient estimate.
-
-    A quotient that has stopped moving may still sit on the plateau of a
-    neighbouring level when the coefficient of the limiting level is tiny,
-    so a candidate is accepted only once it has held to about twice the step
-    where it appeared.
-    """
-
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        self.value: float | None = None
-        self.since = 0
-        self.prev: float | None = None
-
-    def settled(self, step: int, r: float, consistent: bool, band: float) -> bool:
-        if self.value is not None and abs(r - self.value) > band:
-            self.value = None  # plateau escaped; keep iterating
-        if self.value is None and self.prev is not None and consistent and abs(r - self.prev) <= band:
-            self.value, self.since = r, step
-        self.prev = r
-        return self.value is not None and step >= min(self.n_max, 2 * self.since + 10)
+    d, v = _check_line(A, xi, tol)
+    return KolmogorovResult(value=_half_line_level(d, v, tol, top_down=True), method="closed_form")
 
 
 def kolmogorov_power(
@@ -117,14 +96,13 @@ def kolmogorov_power(
     """Power-iteration route; see the module docstring for the estimator."""
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    v = _direction(xi)
-    d = A.assert_psd(tol)
-    k = d.blocks[0][1].stop
-    if np.linalg.norm(d.vectors[:, k:].T @ v) <= tol.meet_tol:
+    d, v = _check_line(A, xi, tol)
+    if _half_line_level(d, v, tol, top_down=True) == 0.0:
         # xi has no positive spectral support; every power pairing is 0.
         return KolmogorovResult(0.0, "power", ConvergenceTrace((), "exact"))
     # The kernel block's eigen-part is removed, so no rounding-negative
     # member is powered; without a kernel block A is powered as given.
+    k = d.blocks[0][1].stop
     m = A.entries
     if k:
         z = d.vectors[:, :k]
@@ -134,7 +112,13 @@ def kolmogorov_power(
     prev_inner = 1.0  # <u_{n-1}, xi> with u the renormalized iterate
     prev_s: float | None = None
     steps: list[TraceStep] = []
-    plateau = _Plateau(n_max)
+    # A quotient that has stopped moving may still sit on the plateau of a
+    # neighbouring level when the coefficient of the limiting level is tiny,
+    # so a candidate is accepted only once it has held to about twice the
+    # step where it appeared.
+    plateau: float | None = None
+    since = 0
+    prev_r: float | None = None
     value = 0.0
     reason = "max_iterations"
     for n in range(1, n_max + 1):
@@ -151,11 +135,16 @@ def kolmogorov_power(
         delta = None if prev_s is None else s_n - prev_s
         steps.append(TraceStep(n, s_n, delta))
         band = tol.conv_tol * max(1.0, r_n)
+        if plateau is not None and abs(r_n - plateau) > band:
+            plateau = None  # plateau escaped; keep iterating
         # The root sequence bounds the limit from below.
-        if plateau.settled(n, r_n, r_n >= s_n - band, band):
-            value = plateau.value
+        if plateau is None and prev_r is not None and r_n >= s_n - band and abs(r_n - prev_r) <= band:
+            plateau, since = r_n, n
+        if plateau is not None and n >= min(n_max, 2 * since + 10):
+            value = plateau
             reason = "converged"
             break
+        prev_r = r_n
         prev_s = s_n
         prev_inner = inner
         value = r_n
@@ -171,17 +160,13 @@ def kolmogorov_duality(
     The two agree for matrices (which always have closed range); when the
     range projection of xi vanishes both are 0 by convention.
     """
-    v = _direction(xi)
-    k_value = kolmogorov_closed(A, v, tol).value
+    d, v = _check_line(A, xi, tol)
+    k_value = _half_line_level(d, v, tol, top_down=True)
     if k_value == 0.0:
         return 0.0, 0.0
-    d = eig_sym(A, tol)
     positive = d.vectors[:, d.blocks[0][1].stop :]
-    projected = positive @ (positive.T @ v)
-    pnorm = float(np.linalg.norm(projected))
-    rho = spectral_short_vector(pseudo_inverse(A, tol), projected / pnorm, tol)
-    dual = 0.0 if rho == 0.0 else 1.0 / rho
-    return k_value, dual
+    rho = spectral_short_vector(pseudo_inverse(A, tol), positive @ (positive.T @ v), tol)
+    return k_value, (0.0 if rho == 0.0 else 1.0 / rho)
 
 
 def spectral_short_vector_power(
@@ -200,10 +185,8 @@ def spectral_short_vector_power(
     """
     if m_max < 1:
         raise DomainError(f"m_max must be at least 1, got {m_max}")
-    v = _direction(xi, tol)
-    d = A.assert_psd(tol)
-    kernel = d.vectors[:, d.blocks[0][1]]
-    if np.linalg.norm(kernel.T @ v) > tol.meet_tol:
+    d, v = _check_line(A, xi, tol)
+    if _half_line_level(d, v, tol) == 0.0:
         return 0.0, ConvergenceTrace.exact(0, 0.0)
 
     complexity = kolmogorov_power(pseudo_inverse(A, tol), v, n_max=m_max, tol=tol)

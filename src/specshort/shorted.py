@@ -23,11 +23,13 @@ against projection_meet.
 
 Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
-action on the subspace itself.  A result (core.ShortedResult, which rho
-shares) stores only its value, method and subspace: range_residual, which
-no route reads, is computed from them when read.  short_at's F F^T goes to SymMatrix as it is; only
-short_schur's blocks, whose rounding asymmetry is of order eps ||A||, are
-symmetrized before SymMatrix checks them.
+action on the subspace itself, and ShortedResult.scalar for the shorted
+value on a line, short_at(A, Subspace.span(xi)).scalar().  A result
+(core.ShortedResult, which rho shares) stores only its value, method and
+subspace: range_residual, which no route reads, is computed from them when
+read.  short_at's F F^T goes to SymMatrix as it is; only short_schur's
+blocks, whose rounding asymmetry is of order eps ||A||, are symmetrized
+before SymMatrix checks them.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .core import (
     SymMatrix,
     Tolerances,
     _check_pair,
-    _direction,
     _range_meet,
 )
 
-__all__ = ["short_at", "short_schur", "short_vector"]
+__all__ = ["short_at", "short_schur"]
 
 
 def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
@@ -97,18 +98,3 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     sym = raw + raw.T
     sym *= 0.5
     return ShortedResult(SymMatrix(sym), "schur", S)
-
-
-def short_vector(A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Scalar shorted value for a one-dimensional subspace: 0 when xi leans
-    outside the range of A (kernel sine above meet_tol), otherwise
-    1 / <pinv(A) xi, xi> on A's level values, as short_at takes them.
-    Always lies in [0, <A xi, xi>] up to the clustering tolerance.
-    """
-    v = _direction(xi, tol)
-    d = A.assert_psd(tol)
-    k = d.blocks[0][1].stop
-    coeffs = d.vectors.T @ v
-    if np.linalg.norm(coeffs[:k]) > tol.meet_tol:
-        return 0.0
-    return 1.0 / float(np.sum(coeffs[k:] ** 2 / d.values[k:]))

@@ -58,7 +58,7 @@ from .core import (
     SymMatrix,
     Tolerances,
     _check_pair,
-    _direction,
+    _check_line,
     _half_line_level,
     _range_meet,
     _smallest_sv_above,
@@ -276,9 +276,9 @@ def spectral_short_vector(
     """Scalar spectral shorted value for a one-dimensional subspace: the
     largest level of A whose half-line projection contains the vector (so the
     smallest level carrying any of its spectral weight), and 0 if the vector
-    leans outside the range of A."""
-    v = _direction(xi, tol)
-    return _half_line_level(A.assert_psd(tol), v, tol)
+    leans outside the range of A.  xi is read as its line (core._check_line)."""
+    d, v = _check_line(A, xi, tol)
+    return _half_line_level(d, v, tol)
 
 
 def spectral_short_min(

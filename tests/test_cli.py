@@ -122,6 +122,11 @@ def test_kolmogorov_methods(files, capsys):
     rep = json.loads(out)
     assert rep["duality"] == {"k": 2.0, "dual": 2.0}
 
+    # xi is read as its line at any length: its squares vanish here
+    tiny = write_json(files["tmp"] / "tiny.json", {"n": 2, "xi": [1e-170, 1e-170]})
+    code, out, _ = run_cli(["kolmogorov", files["diag12"], tiny], capsys)
+    assert code == 0 and json.loads(out)["value"] == 2.0
+
 
 def test_matrix_payload_lists_each_entry_as_a_float():
     entries = np.array([[-0.0, 5e-324, 1.0 / 3.0], [5e-324, 1e300, -2.5], [1.0 / 3.0, -2.5, 7.0]])

@@ -661,6 +661,11 @@ def test_non_finite_subspaces_raise(build):
     [
         (lambda: Subspace(np.ones(3)), DomainError, "basis must be a 2-d array, got shape (3,)"),
         (
+            lambda: Subspace.span(np.ones((2, 2, 1))),
+            DomainError,
+            "spanning vectors must be a 1-d or 2-d array, got shape (2, 2, 1)",
+        ),
+        (
             lambda: Subspace.full(2).containment_residual(Subspace.full(3)),
             DimensionMismatchError,
             "ambient dimensions differ: 2 vs 3",
@@ -681,7 +686,14 @@ def test_non_finite_subspaces_raise(build):
             "function not finite at 0.0",
         ),
     ],
-    ids=["1-d basis", "containment across dimensions", "pair across dimensions", "inf image", "nan f"],
+    ids=[
+        "1-d basis",
+        "3-d span",
+        "containment across dimensions",
+        "pair across dimensions",
+        "inf image",
+        "nan f",
+    ],
 )
 def test_each_input_check_names_its_fault(call, error, message):
     with pytest.raises(error) as info:

@@ -89,14 +89,17 @@ def test_run_suite_smoke_passes():
 
 
 def test_run_suite_empty():
-    rep = run_suite(dims=(2,), trials=0, seed=0)
-    assert rep.theorems == ()
-    assert rep.total_failures == 0
+    for dims in ((2,), ()):
+        rep = run_suite(dims=dims, trials=0, seed=0)
+        assert rep.theorems == ()
+        assert rep.total_failures == 0
 
 
 def test_run_suite_rejects_empty_dims():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^need at least one dimension$"):
         run_suite(dims=(), trials=1, seed=0)
+    with pytest.raises(DomainError, match="^need at least one dimension$"):
+        run_trial(THEOREMS[0], 0, 0, (), 0, DEFAULT_TOL)
     with pytest.raises(DomainError, match="at least 2"):
         run_suite(dims=(2, 1), trials=1, seed=0)
     # run_trial checks the dimensions before any theorem code runs

@@ -5,6 +5,7 @@ import pytest
 
 from specshort import (
     ConvergenceTrace,
+    DimensionMismatchError,
     DomainError,
     SpectrumSpec,
     SymMatrix,
@@ -14,7 +15,6 @@ from specshort import (
     kolmogorov_duality,
     kolmogorov_power,
     pseudo_inverse,
-    short_vector,
     spectral_projection,
     spectral_short_vector,
     spectral_short_vector_power,
@@ -34,20 +34,30 @@ def test_closed_rejects_zero_vector():
         kolmogorov_closed(SymMatrix(np.eye(2)), [0.0, 0.0])
 
 
-@pytest.mark.parametrize("xi", [[math.nan, 0.0, 0.0], [math.inf, 1.0, 0.0]], ids=["nan", "inf"])
+VECTOR_ROUTES = [
+    spectral_short_vector,
+    spectral_short_vector_power,
+    kolmogorov_closed,
+    kolmogorov_power,
+    kolmogorov_duality,
+]
+
+
 @pytest.mark.parametrize(
-    "route",
+    "xi, error, message",
     [
-        spectral_short_vector,
-        short_vector,
-        spectral_short_vector_power,
-        kolmogorov_closed,
-        kolmogorov_power,
-        kolmogorov_duality,
+        ([math.nan, 0.0, 0.0], DomainError, "^xi must be finite$"),
+        ([math.inf, 1.0, 0.0], DomainError, "^xi must be finite$"),
+        ([1.0, 0.0], DimensionMismatchError, "^xi has 2 entries in dimension 3$"),
+        ([1.0, 0.0, 0.0, 0.0], DimensionMismatchError, "^xi has 4 entries in dimension 3$"),
+        ([0.0, 0.0, 0.0], DomainError, "^xi must be a nonzero vector$"),
     ],
+    ids=["nan", "inf", "short", "long", "zero"],
 )
-def test_every_vector_route_rejects_a_non_finite_xi(route, xi):
-    with pytest.raises(DomainError, match="^xi must be finite$"):
+@pytest.mark.parametrize("route", VECTOR_ROUTES)
+def test_every_vector_route_rejects_a_non_finite_xi(route, xi, error, message):
+    # every route reads xi through one front door, with one message per cause
+    with pytest.raises(error, match=message):
         route(SymMatrix(np.diag([1.0, 2.0, 3.0])), xi)
 
 
@@ -144,12 +154,19 @@ def test_log_value():
 
 
 def test_scaling_invariance_exact():
+    # every route reads xi as its line: scaling by a power of two or by -1
+    # is exact, so it gives the same unit vector up to sign, and results
+    # (values and trace steps, compared as dataclasses) equal to the bit,
+    # out to scales where the squares of xi's entries overflow or vanish
     rng = np.random.default_rng(8)
     A = gen_psd(SpectrumSpec("with_zeros", 5), 3)
     xi = rng.standard_normal(5)
-    base = kolmogorov_closed(A, xi).value
-    for a in (-1.0, 0.5, 10.0):
-        assert kolmogorov_closed(A, a * xi).value == base
+    for route in VECTOR_ROUTES:
+        for line in (xi, A.entries @ xi):
+            base = route(A, line)
+            for a in (-1.0, 0.5, 2.0**-40, 2.0**40, 2.0**-600, 2.0**600):
+                assert route(A, a * line) == base, (route.__name__, a)
+    assert kolmogorov_closed(A, 10.0 * xi).value == kolmogorov_closed(A, xi).value
 
 
 def test_truncation_invariance():

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from specshort import (
     projection_meet,
     short_at,
     short_schur,
-    short_vector,
 )
 from specshort.shorted import ShortedResult
 
@@ -108,6 +106,8 @@ def test_short_commuting_case_is_compression():
     expected = np.diag([0.0, 2.0])
     for routine in (short_at, short_schur):
         assert max_abs(routine(A, S).value.entries - expected) < 1e-12
+        # a line in the kernel shorts to exactly 0
+        assert routine(SymMatrix(np.diag([1.0, 0.0])), S).scalar() == 0.0
 
 
 def test_short_hand_value_four_thirds():
@@ -118,37 +118,12 @@ def test_short_hand_value_four_thirds():
         r = routine(A, S)
         assert abs(r.scalar() - 4.0 / 3.0) < 1e-12
         assert max_abs(r.value.entries - (4.0 / 3.0) * S.projection()) < 1e-12
-
-
-def test_short_vector_examples():
-    A = SymMatrix(np.diag([1.0, 2.0]))
-    xi = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    assert abs(short_vector(A, xi) - 4.0 / 3.0) < 1e-12
-    assert abs(short_vector(SymMatrix(np.eye(3)), np.ones(3) / math.sqrt(3.0)) - 1.0) < 1e-12
-    assert short_vector(SymMatrix(np.diag([1.0, 0.0])), [0.0, 1.0]) == 0.0
-    # -1e-12 and 5e-9 form one level of value 2.4995e-9, which xi meets
+        assert abs(routine(SymMatrix(np.eye(3)), Subspace.span(np.ones(3))).scalar() - 1.0) < 1e-12
+    # short_at reads A's level values: -1e-12 and 5e-9 form one level of
+    # value 2.4995e-9, which the line meets (short_schur reads the entries)
     B = SymMatrix(np.diag([-1e-12, 5e-9, 1.0]))
-    xi = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    assert short_vector(B, xi) == pytest.approx(2.4995e-9, rel=1e-12, abs=0.0)
-    assert short_vector(B, xi) == pytest.approx(short_at(B, Subspace.span(xi)).scalar(), rel=1e-12, abs=0.0)
-
-
-def test_short_vector_range_bound():
-    for seed in range(6):
-        A, _ = _rand_pair(seed, 5)
-        rng = np.random.default_rng(seed)
-        xi = rng.standard_normal(5)
-        xi /= np.linalg.norm(xi)
-        val = short_vector(A, xi)
-        assert 0.0 <= val <= float(xi @ A.entries @ xi) + 1e-12
-
-
-def test_short_vector_rejects_bad_vectors():
-    A = SymMatrix(np.eye(2))
-    with pytest.raises(DomainError):
-        short_vector(A, [0.0, 0.0])
-    with pytest.raises(DomainError):
-        short_vector(A, [1.0, 1.0])  # not unit
+    line = Subspace.span([1.0, 1.0, 0.0])
+    assert short_at(B, line).scalar() == pytest.approx(2.4995e-9, rel=1e-12, abs=0.0)
 
 
 def test_result_invariants():
@@ -163,6 +138,12 @@ def test_result_invariants():
         assert r.range_residual <= 1e-10 * max(1.0, nrm)
         assert r.method == "anderson_trapp"
         assert short_schur(A, S).method == "schur"
+        # on a line, off the range of A and inside it: 0 <= Sigma <= <A xi, xi>
+        g = np.random.default_rng(seed).standard_normal(n)
+        for line in (Subspace.span(g), Subspace.span(A.entries @ g)):
+            xi = line.basis[:, 0]
+            for routine in (short_at, short_schur):
+                assert 0.0 <= routine(A, line).scalar() <= float(xi @ A.entries @ xi) + 1e-12
 
 
 def test_methods_agree_including_singular():

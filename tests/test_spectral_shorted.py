@@ -20,7 +20,6 @@ from specshort import (
     pseudo_inverse,
     short_at,
     short_schur,
-    short_vector,
     spectral_leq,
     spectral_short_closed,
     spectral_short_iterative,
@@ -362,7 +361,6 @@ def test_line_routes_share_one_membership_test(eps):
     for value in (
         spectral_short_vector_power(singular, off)[0],
         spectral_short_closed(singular, off_line).scalar(),
-        short_vector(singular, off),
         short_at(singular, off_line).scalar(),
         short_schur(singular, off_line).scalar(),
     ):
