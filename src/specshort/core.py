@@ -77,8 +77,14 @@ class Tolerances:
     subspace inside another, and a vector or subspace inside a half-line
     (the range of A included, so kolmogorov_power's "no positive support"
     too), when the sine of its angle to the other subspace is at most
-    meet_tol.  The others are absolute on quantities that are O(1) by
-    construction; orth_tol bounds orthonormality residuals only, since a
+    meet_tol.  sym_tol, psd_tol and conv_tol are applied as
+    tol * max(1, scale): relative above scale 1 and absolute below it.  The
+    scale is max |a_ij| for the symmetry check, ||A||_2 for positivity and
+    for spectral_short_iterative's stopping band, and the current quotient
+    for kolmogorov_power's (so for spectral_short_vector_power's too).  So
+    below scale 1 the limit routes stop on an absolute band, which does
+    not scale with A (CHANGES.md, FOUND line on the limit routes' scale).
+    orth_tol is absolute and bounds orthonormality residuals only, since a
     vector xi is read as its line at any length.  Every field must be
     finite and nonnegative.
     """
@@ -96,12 +102,6 @@ class Tolerances:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
                 raise DomainError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
-
-    def cluster_abs(self, norm: float) -> float:
-        return self.cluster_tol * norm
-
-    def rank_abs(self, norm: float) -> float:
-        return self.rank_tol * norm
 
 
 DEFAULT_TOL = Tolerances()
@@ -355,10 +355,10 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         A._eigens = (w, v)
     w, v = A._eigens
     norm = max(abs(float(w[0])), abs(float(w[-1])))
-    cut = tol.rank_abs(norm)
+    cut = tol.rank_tol * norm
     blocks = [(0.0, slice(0, 0))]
     listed = w.tolist()  # Python floats index faster than numpy scalars
-    for idx in _cluster(listed, tol.cluster_abs(norm)):
+    for idx in _cluster(listed, tol.cluster_tol * norm):
         # A one-member level is its own mean, without np.mean's per-call cost.
         mu = listed[idx.start] if idx.stop - idx.start == 1 else float(np.mean(w[idx]))
         if mu > cut:
@@ -576,7 +576,7 @@ def _half_line_start(D: SpectralDecomposition, lam, tol: Tolerances):
     """First eigen index of the half-line E[lam, inf): whole blocks from the
     first whose value reaches lam, up to the clustering tolerance.  Given an
     array of thresholds, an array of the same shape."""
-    return np.searchsorted(D.values, np.asarray(lam) - tol.cluster_abs(D.norm2), side="left")
+    return np.searchsorted(D.values, np.asarray(lam) - tol.cluster_tol * D.norm2, side="left")
 
 
 def _half_line_level(

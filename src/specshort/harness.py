@@ -15,7 +15,6 @@ configurations produce identical report files.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -30,6 +29,7 @@ from .core import (
     SymMatrix,
     Tolerances,
     eig_sym,
+    matrix_function,
     matrix_power,
     projection_meet,
     pseudo_inverse,
@@ -44,7 +44,6 @@ from .kolmogorov import (
 from .order import spectral_leq
 from .shorted import short_at, short_schur
 from .spectral_shorted import (
-    monotone_calculus_residual,
     spectral_short_closed,
     spectral_short_iterative,
     spectral_short_min,
@@ -69,16 +68,15 @@ _KINDS = ("well_separated", "clustered", "with_zeros", "projection", "commuting_
 class SpectrumSpec:
     """Recipe for a random spectrum.
 
-    gap is the minimal relative gap between consecutive distinct eigenvalues
-    (used by well_separated and commuting_pair); zero_count fixes the kernel
-    dimension for with_zeros and projection (None picks a kind-specific
-    default).  with_zeros needs at least one zero and one positive
-    eigenvalue, so n >= 2.
+    Consecutive distinct eigenvalues of well_separated, with_zeros and
+    commuting_pair spectra differ by a relative gap of at least 0.2;
+    zero_count fixes the kernel dimension for with_zeros and projection
+    (None picks a kind-specific default).  with_zeros needs at least one
+    zero and one positive eigenvalue, so n >= 2.
     """
 
     kind: str
     n: int
-    gap: float = 0.2
     zero_count: int | None = None
 
     def __post_init__(self):
@@ -86,17 +84,16 @@ class SpectrumSpec:
             raise DomainError(f"unknown spectrum kind {self.kind!r}")
         if self.n < 1:
             raise DomainError("dimension must be at least 1")
-        if self.kind in ("well_separated", "commuting_pair") and not self.gap > 0:
-            raise DomainError("well separated spectra need a positive gap")
         if self.zero_count is not None and not 0 <= self.zero_count < self.n:
             raise DomainError("zero_count must lie in [0, n)")
         if self.kind == "with_zeros" and (self.n < 2 or self.zero_count == 0):
             raise DomainError("with_zeros needs n >= 2 and at least one zero eigenvalue")
 
 
-def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+def _orthonormal(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k orthonormal columns in R^n: the Q of a Gaussian n x k matrix, with
+    R's diagonal made positive so the draw is unique."""
+    q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
 
 
@@ -114,7 +111,7 @@ def _separated_values(rng: np.random.Generator, count: int, gap: float) -> np.nd
 def _spectrum(rng: np.random.Generator, spec: SpectrumSpec) -> np.ndarray:
     n = spec.n
     if spec.kind == "well_separated":
-        return _separated_values(rng, n, spec.gap)
+        return _separated_values(rng, n, 0.2)
     if spec.kind == "clustered":
         groups = int(rng.integers(1, n)) if n > 1 else 1
         base = _separated_values(rng, groups, 0.3)
@@ -126,23 +123,21 @@ def _spectrum(rng: np.random.Generator, spec: SpectrumSpec) -> np.ndarray:
         zeros = 1 if spec.zero_count is None else spec.zero_count
         vals = _separated_values(rng, n - zeros, 0.2)
         return np.concatenate([vals, np.zeros(zeros)])
-    if spec.kind == "projection":
-        zeros = (n - max(1, n // 2)) if spec.zero_count is None else spec.zero_count
-        return np.concatenate([np.ones(n - zeros), np.zeros(zeros)])
-    raise DomainError(f"spectrum kind {spec.kind!r} is a pair recipe; use gen_psd")
+    zeros = (n - max(1, n // 2)) if spec.zero_count is None else spec.zero_count
+    return np.concatenate([np.ones(n - zeros), np.zeros(zeros)])  # projection
 
 
 def _psd_from_rng(rng: np.random.Generator, spec: SpectrumSpec):
     if spec.kind == "commuting_pair":
-        v = _orthogonal(rng, spec.n)
-        lam_b = _separated_values(rng, spec.n, spec.gap)
+        v = _orthonormal(rng, spec.n, spec.n)
+        lam_b = _separated_values(rng, spec.n, 0.2)
         lam_a = lam_b * rng.uniform(0.3, 0.95, size=spec.n)
         return (
             SymMatrix.from_eigens(lam_a, v),
             SymMatrix.from_eigens(lam_b, v),
         )
     lam = _spectrum(rng, spec)
-    v = _orthogonal(rng, spec.n)
+    v = _orthonormal(rng, spec.n, spec.n)
     return SymMatrix.from_eigens(lam, v)
 
 
@@ -161,9 +156,7 @@ def _subspace_from_rng(rng: np.random.Generator, n: int, k: int) -> Subspace:
         raise DomainError(f"subspace dimension {k} outside [0, {n}]")
     if k == 0:
         return Subspace.zero(n)
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
-    return Subspace(q * np.sign(np.diag(r)))
+    return Subspace(_orthonormal(rng, n, k))
 
 
 def gen_subspace(n: int, k: int, seed: int) -> Subspace:
@@ -306,23 +299,20 @@ def _check_monotone_calculus(rng, n, tol):
         (lambda x: math.sqrt(max(x, 0.0)), math.sqrt(lam_max) if lam_max > 0 else 1.0),
         (lambda x: 1.0 if x >= step_at else 0.0, 1.0),
     ]
+    rho = spectral_short_closed(A, S, tol).value
     worst = 0.0
     for f, f_top in cases:
-        res = monotone_calculus_residual(A, S, f, tol)
-        worst = max(worst, res / (1e-8 * max(1.0, f_top)))
+        lhs = matrix_function(rho, lambda x: max(f(x), 0.0), tol)
+        rhs = spectral_short_closed(matrix_function(A, f, tol), S, tol).value
+        worst = max(worst, _max_abs(lhs.entries - rhs.entries) / (1e-8 * max(1.0, f_top)))
     return worst
 
 
-def _gentle_invertible(rng, n):
+def _check_inverse_norm_identity(rng, n, tol):
     # Condition kept near 2 so the 16th power stays far from the
     # cancellation floor of the block-elimination route.
     lam = rng.uniform(0.7, 1.4, size=n)
-    v = _orthogonal(rng, n)
-    return SymMatrix.from_eigens(lam, v)
-
-
-def _check_inverse_norm_identity(rng, n, tol):
-    A = _gentle_invertible(rng, n)
+    A = SymMatrix.from_eigens(lam, _orthonormal(rng, n, n))
     xi = rng.standard_normal(n)
     xi /= np.linalg.norm(xi)
     no_stop = replace(tol, conv_tol=0.0)
@@ -340,11 +330,11 @@ def _check_inverse_norm_identity(rng, n, tol):
 def _check_vector_power_limit(rng, n, tol):
     invertible = bool(rng.integers(0, 2))
     if invertible:
-        A = _psd_from_rng(rng, SpectrumSpec("well_separated", n, gap=0.2))
+        A = _psd_from_rng(rng, SpectrumSpec("well_separated", n))
         xi = rng.standard_normal(n)
         xi /= np.linalg.norm(xi)
     else:
-        A = _psd_from_rng(rng, SpectrumSpec("with_zeros", n, gap=0.2))
+        A = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
         d = eig_sym(A, tol)
         positive = d.vectors[:, d.blocks[0][1].stop :]
         x = positive @ rng.standard_normal(positive.shape[1])
@@ -418,9 +408,7 @@ def _check_dim1_characterization(rng, n, tol):
 
 
 def _check_complexity_power(rng, n, tol):
-    A = _psd_from_rng(
-        rng, SpectrumSpec("well_separated" if rng.integers(0, 2) else "with_zeros", n, gap=0.2)
-    )
+    A = _psd_from_rng(rng, SpectrumSpec("well_separated" if rng.integers(0, 2) else "with_zeros", n))
     xi = rng.standard_normal(n)
     xi /= np.linalg.norm(xi)
     closed = kolmogorov_closed(A, xi, tol).value
@@ -558,9 +546,6 @@ class VerificationReport:
                 for t in self.theorems
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _check_dims(dims: tuple[int, ...]) -> None:

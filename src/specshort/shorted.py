@@ -84,11 +84,11 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     sa = bs.T @ A.entries
     a11, a12 = sa @ bs, sa @ bc
     a22 = bc.T @ A.entries @ bc
-    if d.lambda_min > tol.rank_abs(d.norm2) + 8 * A.n * np.finfo(float).eps * d.norm2:
+    if d.lambda_min > tol.rank_tol * d.norm2 + 8 * A.n * np.finfo(float).eps * d.norm2:
         inner = a11 - a12 @ np.linalg.solve(a22, a12.T)
     else:
         w, v = np.linalg.eigh(a22)
-        keep = w > tol.rank_abs(d.norm2)
+        keep = w > tol.rank_tol * d.norm2
         h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
         inner = a11 - h @ h.T
     # Symmetrized before the constructor's check: the Schur blocks carry a

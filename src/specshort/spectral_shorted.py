@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from .core import (
     _half_line_level,
     _range_meet,
     _smallest_sv_above,
-    matrix_function,
 )
 
 __all__ = [
@@ -72,7 +70,6 @@ __all__ = [
     "spectral_short_iterative",
     "spectral_short_vector",
     "spectral_short_min",
-    "monotone_calculus_residual",
 ]
 
 # Relative level content below this floor picks up enough rounding noise,
@@ -291,37 +288,4 @@ def spectral_short_min(
     if S.dim == 0:
         raise DomainError("the zero subspace has no compressed spectrum")
     return _half_line_level(d, S.basis, tol)
-
-
-def monotone_calculus_residual(
-    A: SymMatrix,
-    S: Subspace,
-    f: Callable[[float], float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Max-norm gap between f applied to the spectral shorted operator and
-    the spectral shorted operator of f(A).
-
-    f must be nondecreasing and nonnegative on the sampled eigenvalues
-    (checked; right continuity cannot be checked pointwise and is assumed).
-    """
-    d = _check_pair(A, S, tol)
-    samples = [mu for mu, _ in d.blocks]
-    images = []
-    for x in samples:
-        y = float(f(x))
-        if not np.isfinite(y):
-            raise DomainError(f"function not finite at {x!r}")
-        if y < -tol.psd_tol:
-            raise DomainError(f"function must be nonnegative, got f({x!r}) = {y!r}")
-        images.append(y)
-    for (x0, y0), (x1, y1) in zip(zip(samples, images), zip(samples[1:], images[1:])):
-        if y1 < y0 - 1e-12 * max(1.0, abs(y0)):
-            raise DomainError(
-                f"function is not nondecreasing: f({x0!r}) = {y0!r} > f({x1!r}) = {y1!r}"
-            )
-    rho = spectral_short_closed(A, S, tol)
-    lhs = matrix_function(rho.value, lambda x: max(float(f(x)), 0.0), tol)
-    rhs = spectral_short_closed(matrix_function(A, f, tol), S, tol)
-    return float(np.abs(lhs.entries - rhs.value.entries).max())
 

@@ -43,7 +43,7 @@ def test_gen_psd_kinds():
     gaps = np.diff(w)
     assert np.any(gaps < 1e-12)
 
-    sep = gen_psd(SpectrumSpec("well_separated", 6, gap=0.2), 5)
+    sep = gen_psd(SpectrumSpec("well_separated", 6), 5)
     w = np.sort(np.linalg.eigvalsh(sep.entries))
     ratios = w[:-1] / w[1:]
     assert np.all(ratios <= 0.8 + 1e-9)
@@ -116,8 +116,9 @@ def test_run_suite_rejects_negative_trials():
 def test_run_suite_deterministic_bytes():
     r1 = run_suite(dims=(2, 3), trials=3, seed=9)
     r2 = run_suite(dims=(2, 3), trials=3, seed=9)
-    assert r1.to_json() == r2.to_json()
-    assert "wall_time" not in r1.to_json()
+    text = json.dumps(r1.to_json_dict(), sort_keys=True)
+    assert text == json.dumps(r2.to_json_dict(), sort_keys=True)
+    assert "wall_time" not in text
 
 
 def test_negative_control_zero_bound_fails():
@@ -137,7 +138,7 @@ def test_nan_residual_fails(monkeypatch):
     (t1,) = rep.theorems
     assert (t1.failures, t1.failing_trial, t1.worst_residual) == (2, 0, math.inf)
     assert rep.total_failures == 2
-    assert json.loads(rep.to_json())["theorems"][0]["worst_residual"] == math.inf
+    assert json.loads(json.dumps(rep.to_json_dict()))["theorems"][0]["worst_residual"] == math.inf
 
 
 def test_trials_are_order_independent():
@@ -170,3 +171,30 @@ def test_monotone_calculus_maps_the_kernel_to_f0_at_n200():
     index = [t.theorem for t in THEOREMS].index("T8")
     for trial in range(6):
         assert run_trial(THEOREMS[index], index, trial, (200,), 0, DEFAULT_TOL) <= 1.0
+
+
+def _large_n_fault(theorem, n, trial, found):
+    reason = f"FOUND in CHANGES.md: {found}"
+    return pytest.param(theorem, n, trial, marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+@pytest.mark.parametrize(
+    "theorem, n, trial",
+    [
+        # residual 2.49
+        _large_n_fault("T1", 100, 9, "short_at reads level means while short_schur reads entries"),
+        # residual 40.1
+        _large_n_fault("T4", 60, 2, "eig_sym's clustering chains from an exact zero into small positive levels"),
+        # residual 2.0
+        _large_n_fault("T11", 60, 4, "spectral_leq rejects commuting ordered pairs at large n"),
+        # residual 8.5e7
+        _large_n_fault("T15", 60, 0, "T15 fails at n >= 60: pseudo_inverse re-clusters pinv(A) at cluster_tol * ||pinv(A)||"),
+        # residual 2.0
+        _large_n_fault("T3", 30, 2, "T3 scores 2.0 when the oracle stops at its power wall on the commuting family"),
+    ],
+)
+def test_open_large_n_theorem_faults(theorem, n, trial):
+    # each case flips to a pass when its fault is mended, and must then
+    # become a plain case
+    index = [t.theorem for t in THEOREMS].index(theorem)
+    assert run_trial(THEOREMS[index], index, trial, (n,), 0, DEFAULT_TOL) <= 1.0

@@ -242,7 +242,7 @@ def test_triple_characterization_consistency():
 def test_power_matches_closed_on_gapped_spectra():
     rng = np.random.default_rng(11)
     for seed in range(5):
-        A = gen_psd(SpectrumSpec("well_separated", 6, gap=0.2), seed)
+        A = gen_psd(SpectrumSpec("well_separated", 6), seed)
         xi = rng.standard_normal(6)
         xi /= np.linalg.norm(xi)
         closed = kolmogorov_closed(A, xi).value

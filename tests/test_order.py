@@ -84,7 +84,7 @@ def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False):
     da, db = eig_sym(A, tol), eig_sym(B, tol)
 
     def start(d, lam):
-        k = int(np.searchsorted(d.level_values, lam - tol.cluster_abs(d.norm2), side="left"))
+        k = int(np.searchsorted(d.level_values, lam - tol.cluster_tol * d.norm2, side="left"))
         return d.levels[k][0] if k < len(d.levels) else d.n
 
     levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})

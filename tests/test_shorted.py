@@ -56,7 +56,7 @@ def _schur_by_eigh(A, S, tol=DEFAULT_TOL):
     rank cut, for an A with no kernel (so S ^ R(A) is S)."""
     bs, bc = S.basis, S.complement().basis
     w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
-    keep = w > tol.rank_abs(A.spectral_norm(tol))
+    keep = w > tol.rank_tol * A.spectral_norm(tol)
     h = (bs.T @ A.entries @ bc @ v[:, keep]) / np.sqrt(w[keep])
     return bs @ (bs.T @ A.entries @ bs - h @ h.T) @ bs.T
 
@@ -93,7 +93,7 @@ def test_schur_takes_the_eigh_near_the_cut_and_on_a_kernel(monkeypatch):
     # the cut, so the trailing block's eigh decides
     tol = Tolerances(rank_tol=1e-14)
     A = SymMatrix((v * np.r_[3e-14, np.linspace(1.0, 2.0, 19)]) @ v.T)
-    assert eig_sym(A, tol).lambda_min == pytest.approx(1.5 * tol.rank_abs(2.0), rel=0.1)
+    assert eig_sym(A, tol).lambda_min == pytest.approx(1.5 * tol.rank_tol * 2.0, rel=0.1)
     assert _trailing_eighs(monkeypatch, A, S, tol)[1] == [(12, 12)]
     # a singular A: S ^ R(A) has dimension 7, so the trailing block is 13 x 13
     A = SymMatrix((v * np.r_[0.0, np.linspace(1.0, 2.0, 19)]) @ v.T)
