@@ -20,8 +20,7 @@ safe to share across threads.
 Each check reads an n x n array in one pass: SymMatrix's finiteness and
 asymmetry, and its stored symmetrization, built in the array that held the
 difference; and the orthonormality residual, which takes the identity off
-B^T B in place.  Column signs are fixed in place, on arrays the library has
-just made, never on one a caller holds.
+B^T B in place.
 """
 
 from __future__ import annotations
@@ -114,26 +113,6 @@ STRICT_TOL = Tolerances(
     sym_tol=1e-10,
     psd_tol=1e-10,
 )
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs in place so each column's first nonzero entry is
-    positive, and return the array.  Every caller passes an array the
-    library has just made (eigh's or QR's factor, a product or a fancy-
-    indexed copy), never one a caller of the package holds."""
-    if vectors.size == 0:
-        return vectors
-    absv = np.abs(vectors)
-    floor = 1e-8 * absv.max(axis=0)
-    # Row 0 leads almost every column; only the others are searched.  A
-    # zero column has no entry above 0, so its lead is row 0 and it stays.
-    lead = np.zeros(vectors.shape[1], dtype=np.intp)
-    late = np.flatnonzero(absv[0] <= floor)
-    if late.size:
-        lead[late] = np.argmax(absv[:, late] > floor[late], axis=0)
-    # Multiplying by -1 is an exact negation, -0.0 included.
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return vectors
 
 
 def _check_orthonormal(b: np.ndarray, tol: Tolerances, what: str, hint: str = "") -> None:
@@ -259,7 +238,7 @@ class SymMatrix:
         attached decomposition."""
         order = np.argsort(w, kind="stable")
         w = w[order]
-        v = _fix_signs(v[:, order])
+        v = v[:, order]
         keep = w != 0.0
         vk = v[:, keep]
         out = cls((vk * w[keep]) @ vk.T)
@@ -336,7 +315,7 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     """Symmetric eigendecomposition and A's one level partition.
 
     The eigenvectors carry eigh's signs, which no output reads; a matrix
-    built from its eigenpairs (SymMatrix._attach) keeps its sign-fixed ones.
+    built from its eigenpairs (SymMatrix._attach) keeps the ones it was given.
 
     The partition is decided here, once: the eigenvalues are clustered at
     cluster_tol * ||A||_2, and every level at or below rank_tol * ||A||_2 is
@@ -448,12 +427,11 @@ class Subspace:
         p = min(n, c)
         q, r = np.linalg.qr(m, mode="complete")
         if c <= n and _smallest_sv_above(r[:p], tol.rank_tol, relative=True):
-            q = _fix_signs(q)
             out = cls(q[:, :c])
             out._complement = cls(q[:, c:])
             return out
         u, s, _ = np.linalg.svd(r[:p], full_matrices=False)
-        return cls(_fix_signs(q[:, :p] @ u[:, s > tol.rank_tol * s[0]]))
+        return cls(q[:, :p] @ u[:, s > tol.rank_tol * s[0]])
 
     def projection(self) -> np.ndarray:
         return self.basis @ self.basis.T
@@ -471,18 +449,8 @@ class Subspace:
                 self._complement = Subspace.zero(n)
             else:
                 q, _ = np.linalg.qr(self.basis, mode="complete")
-                self._complement = Subspace(_fix_signs(q[:, k:]))
+                self._complement = Subspace(q[:, k:])
         return self._complement
-
-    def containment_residual(self, other: "Subspace") -> float:
-        """||(I - P_other) restricted to self||_2; 0 means self is inside other."""
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"ambient dimensions differ: {self.n} vs {other.n}"
-            )
-        if self.dim == 0:
-            return 0.0
-        return float(_principal_sines(self, other)[0][0])
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim})"
@@ -679,5 +647,5 @@ def projection_meet(
     if P.dim == 0 or Q.dim == 0:
         return Subspace.zero(P.n)
     sines, directions = _principal_sines(P, Q)
-    return Subspace(_fix_signs(P.basis @ directions[:, sines <= tol.meet_tol]))
+    return Subspace(P.basis @ directions[:, sines <= tol.meet_tol])
 

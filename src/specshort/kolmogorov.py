@@ -3,7 +3,7 @@
 
 Kept on the exponential scale so the value is always a nonnegative real (the
 log scale would need -inf for vectors with no positive spectral support);
-the log form is exposed as KolmogorovResult.log_value.
+the CLI reports the log form beside it.
 
 Two routes:
 
@@ -25,6 +25,9 @@ Two routes:
   meet_tol means rounding has carried the iterate off every level xi is
   supported on, so the loop stops there ("power_limit", not converged)
   with its last quotient estimate, as the iterative route stops at its wall.
+  An iterate whose norm comes out 0 stops there too, before dividing by it:
+  it vanished (its pairing is 0), or its squares underflowed (a scale
+  fault: CHANGES.md, FOUND line on the limit routes' scale).
 
 kolmogorov_power is the package's one power loop, and the scalar spectral
 shorted value runs it too: rho(A, xi) = 1 / k(pinv(A), xi), so
@@ -74,12 +77,6 @@ class KolmogorovResult:
     method: str
     trace: ConvergenceTrace | None = None
 
-    @property
-    def log_value(self) -> float:
-        """Log-scale complexity; -inf marks a vector with no positive
-        spectral support."""
-        return -math.inf if self.value == 0.0 else math.log(self.value)
-
 
 def kolmogorov_closed(
     A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL
@@ -124,6 +121,9 @@ def kolmogorov_power(
     for n in range(1, n_max + 1):
         w = m @ u
         growth = float(np.linalg.norm(w))
+        if growth == 0.0:  # see the module docstring
+            reason = "power_limit"
+            break
         u = w / growth
         log_norm += math.log(growth)
         inner = float(u @ v)

@@ -22,6 +22,14 @@ def max_abs(a):
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def containment_residual(p, q):
+    """||(I - P_q) B_p||_2 for p's orthonormal basis B_p: 0 means p lies
+    inside q."""
+    if not p.dim:
+        return 0.0
+    return float(np.linalg.norm(p.basis - q.basis @ (q.basis.T @ p.basis), 2))
+
+
 def same_subspace(s, t, tol=1e-9):
     """Two subspaces are equal iff their orthogonal projections agree."""
     return max_abs(s.projection() - t.projection()) <= tol

@@ -151,6 +151,19 @@ def test_kolmogorov_power_reports_the_wall_as_not_converged(files, capsys):
     assert abs(rep["value"] - 1e-3) <= 1e-9
 
 
+def test_kolmogorov_power_stops_when_the_iterate_vanishes(files, capsys):
+    # e0 passes the support check (clustered into the level 5e-9) but
+    # A e0 = 0: the report is 0 at the power limit, with exit 0
+    entries = np.diag([0.0, 1e-8, 1.0, 2.0])
+    a = write_json(files["tmp"] / "tiny_level.json", {"n": 4, "data": entries.reshape(-1).tolist()})
+    v = write_json(files["tmp"] / "e0.json", {"n": 4, "xi": [1.0, 0.0, 0.0, 0.0]})
+    code, out, _ = run_cli(["kolmogorov", a, v, "--method", "power"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == 0.0 and rep["K"] == "-inf"
+    assert rep["trace"]["converged"] is False and rep["trace"]["stop_reason"] == "power_limit"
+
+
 def test_kolmogorov_minus_inf_marker(files, capsys):
     a = write_json(files["tmp"] / "a20.json", {"n": 2, "data": [2.0, 0, 0, 0.0]})
     v = write_json(files["tmp"] / "e2.json", {"n": 2, "xi": [0.0, 1.0]})

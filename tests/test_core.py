@@ -27,9 +27,9 @@ from specshort import (
     spectral_short_closed,
 )
 
-from specshort.core import _fix_signs, _range_meet
+from specshort.core import _range_meet
 
-from conftest import linalg_calls, max_abs, same_subspace
+from conftest import containment_residual, linalg_calls, max_abs, same_subspace
 
 
 # ---- SymMatrix ----
@@ -193,17 +193,6 @@ def test_eig_2x2_hand_values():
         assert np.linalg.norm(r) < 1e-14
 
 
-def test_eig_sign_convention_first_nonzero_positive():
-    # gen_psd attaches its eigenpairs, so these are _attach's sign-fixed ones
-    for seed in range(5):
-        A = gen_psd(SpectrumSpec("well_separated", 6), seed)
-        d = eig_sym(A)
-        for j in range(6):
-            col = d.vectors[:, j]
-            lead = np.argmax(np.abs(col) > 1e-8 * np.abs(col).max())
-            assert col[lead] > 0
-
-
 def test_eig_deterministic_and_cached():
     A = gen_psd(SpectrumSpec("clustered", 5), 3)
     d1 = eig_sym(A)
@@ -285,7 +274,7 @@ def test_projection_monotone_in_threshold():
             bigger = spectral_projection(d, lam - 0.05)
             assert q.dim <= prev_dim or q.dim == prev_dim
             # containment of index sets shows up as exact subspace containment
-            assert q.containment_residual(bigger) <= 1e-10
+            assert containment_residual(q, bigger) <= 1e-10
             prev_dim = q.dim
 
 
@@ -402,11 +391,11 @@ def test_meet_is_lattice_meet_on_constructed_triples():
         P = Subspace.span(np.column_stack([core.basis, extra1]))
         Q = Subspace.span(np.column_stack([core.basis, extra2]))
         meet = projection_meet(P, Q)
-        assert meet.containment_residual(P) <= 1e-8
-        assert meet.containment_residual(Q) <= 1e-8
+        assert containment_residual(meet, P) <= 1e-8
+        assert containment_residual(meet, Q) <= 1e-8
         # any subspace inside both is inside the meet
         R = Subspace(core.basis[:, :1])
-        assert R.containment_residual(meet) <= 1e-8
+        assert containment_residual(R, meet) <= 1e-8
 
 
 def test_range_meet_is_meet_with_positive_blocks():
@@ -428,49 +417,16 @@ def test_meet_and_containment_agree_on_a_small_angle():
     t = 1e-4
     line = Subspace.span([[math.cos(t)], [math.sin(t)], [0.0]])
     e1 = Subspace.span([[1.0], [0.0], [0.0]])
-    assert abs(line.containment_residual(e1) - math.sin(t)) <= 1e-12
+    assert abs(containment_residual(line, e1) - math.sin(t)) <= 1e-12
     assert projection_meet(line, e1).dim == 0
     assert projection_meet(e1, line).dim == 0
-
-
-def test_fix_signs_matches_column_loop():
-    def reference(vectors):
-        out = np.array(vectors)
-        absv = np.abs(out)
-        for j in range(out.shape[1]):
-            col_max = absv[:, j].max()
-            if col_max == 0.0:
-                continue
-            lead = int(np.argmax(absv[:, j] > 1e-8 * col_max))
-            if out[lead, j] < 0:
-                out[:, j] = -out[:, j]
-        return out
-
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((7, 9))
-    m[:3, 1] = 0.0  # zero leading entries
-    m[0, 2] = -1e-10 * np.abs(m[:, 2]).max()  # a lead below the relative floor
-    m[:, 4] = 0.0  # a zero column
-    m[:2, 5] = -0.0
-    m[:, 6] = -0.0  # a column of -0.0
-    m[1, 7] = np.abs(m[1:, 7]).max()
-    m[0, 7] = -1e-8 * m[1, 7]  # at the relative floor, so not the lead
-    sym = rng.standard_normal((30, 30))
-    sym += sym.T
-    eigh_factor = np.linalg.eigh(sym)[1]
-    qr_factor = np.linalg.qr(rng.standard_normal((30, 12)), mode="complete")[0]
-    for given in (m, eigh_factor, qr_factor):
-        expected = reference(given)
-        out = _fix_signs(given)
-        assert out is given  # flipped in place
-        assert out.tobytes() == expected.tobytes()
 
 
 def _attached_matches_its_product(monkeypatch, build):
     """Run build(), which attaches one matrix, and check it: its entries
     match V diag(w) V^T over all n columns within n eps ||w||_inf, and its
-    attached eigenpairs are all n of them, sorted and sign-fixed.  Returns
-    the eigenvalues handed to attach, in their given order."""
+    attached eigenpairs are all n of them, sorted, with the signs they were
+    given.  Returns the eigenvalues handed to attach, in their given order."""
     given = []
     attach = SymMatrix._attach.__func__
 
@@ -484,7 +440,7 @@ def _attached_matches_its_product(monkeypatch, build):
     assert len(given) == 1
     (w, v), n = given[0], made.n
     order = np.argsort(w, kind="stable")
-    w_sorted, v_sorted = w[order], _fix_signs(v[:, order])
+    w_sorted, v_sorted = w[order], v[:, order]
     assert made._eigens[0].tobytes() == w_sorted.tobytes()
     assert made._eigens[1].tobytes() == v_sorted.tobytes()
     full = (v_sorted * w_sorted) @ v_sorted.T
@@ -525,7 +481,7 @@ def test_inputs_stay_unchanged():
     a += a.T
     m = rng.standard_normal((6, 3))
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    q *= -np.sign(q[0])  # every column's lead negative: the convention flips each
+    q *= -np.sign(q[0])  # every column's lead negative: a sign flip in place would show
     w = np.array([3.0, 1.0, 2.0, 0.5, 4.0, 1.5])
     inputs = (a, m, q, w)
     before = [x.copy() for x in inputs]
@@ -665,7 +621,7 @@ def test_non_finite_subspaces_raise(build):
             "spanning vectors must be a 1-d or 2-d array, got shape (2, 2, 1)",
         ),
         (
-            lambda: Subspace.full(2).containment_residual(Subspace.full(3)),
+            lambda: projection_meet(Subspace.full(2), Subspace.full(3)),
             DimensionMismatchError,
             "ambient dimensions differ: 2 vs 3",
         ),
@@ -683,7 +639,7 @@ def test_non_finite_subspaces_raise(build):
     ids=[
         "1-d basis",
         "3-d span",
-        "containment across dimensions",
+        "meet across dimensions",
         "pair across dimensions",
         "inf image",
     ],
@@ -736,4 +692,4 @@ def test_projection_monotone_property(rows, a, b):
     lo, hi = min(a, b), max(a, b)
     q_hi = spectral_projection(d, hi)
     q_lo = spectral_projection(d, lo)
-    assert q_hi.containment_residual(q_lo) <= 1e-9
+    assert containment_residual(q_hi, q_lo) <= 1e-9
