@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the theorem verification suite")
     p.add_argument("--dims", default="2,3,4,5,6,7,8,9,10,11,12")
     p.add_argument("--trials", type=_at_least(0), default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -3,9 +3,10 @@
 Eigendecomposition with level clustering, spectral projections, functional
 calculus, real matrix powers, Moore-Penrose pseudo-inverse, and the
 projection-lattice operations (meet, complement) that the rest of the
-package is built on, and ShortedResult, the one result type of the
-operator routes.  SymMatrix.assert_psd returns the decomposition it checked,
-so every route reads A's eigenpairs from its positivity check.
+package is built on; ShortedResult, the one result type of the operator
+routes; and ConvergenceTrace, the iterates of every limit route.
+SymMatrix.assert_psd returns the decomposition it checked, so every route
+reads A's eigenpairs from its positivity check.
 
 Every value is immutable in what it means, and every operation is a pure
 function of its inputs.  A few caches are filled once and never change
@@ -41,6 +42,8 @@ __all__ = [
     "SpectralDecomposition",
     "Subspace",
     "ShortedResult",
+    "TraceStep",
+    "ConvergenceTrace",
     "eig_sym",
     "spectral_projection",
     "matrix_function",
@@ -456,17 +459,16 @@ class Subspace:
         return f"Subspace(n={self.n}, dim={self.dim})"
 
 
-def _principal_sines(P: Subspace, Q: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """Sines of the principal angles from R(P) to R(Q), descending, with
-    the matching directions as P-coordinate columns.
+def _split(m: np.ndarray, tol: Tolerances) -> tuple[int, np.ndarray, np.ndarray]:
+    """(count, sines, vt) of m's SVD: its singular values, descending, which
+    every caller reads as principal-angle sines; its right singular vectors
+    as the rows of vt; and how many sines exceed meet_tol, so vt[count:]
+    spans the directions within meet_tol.
 
-    Taken as the singular values of (I - P_Q) P.basis, which stay accurate
-    for small angles where cosines lose them (Bjorck & Golub 1973; Knyazev
-    & Argentati 2002).
+    A wide m takes the full SVD, so vt has a row for every column of m.
     """
-    rest = P.basis - Q.basis @ (Q.basis.T @ P.basis)
-    _, sines, vt = np.linalg.svd(rest, full_matrices=False)
-    return sines, vt.T
+    _, sines, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return int(np.count_nonzero(sines > tol.meet_tol)), sines, vt
 
 
 def _check_line(A: SymMatrix, xi, tol: Tolerances) -> tuple[SpectralDecomposition, np.ndarray]:
@@ -496,6 +498,36 @@ def _check_pair(A: SymMatrix, S: Subspace, tol: Tolerances) -> SpectralDecomposi
 
 
 @dataclass(frozen=True)
+class TraceStep:
+    power: float
+    value: object  # float for scalar iterations, ndarray for matrix ones
+    delta: float | None
+
+
+@dataclass(frozen=True)
+class ConvergenceTrace:
+    """Iterates of a limit-based algorithm with per-step deltas.
+
+    Only the iterates and the stop reason are stored; converged and
+    final_delta are derived from them.
+    """
+
+    iterates: tuple[TraceStep, ...]
+    stop_reason: str  # "converged" | "max_iterations" | "power_limit" | "exact"
+
+    @property
+    def converged(self) -> bool:
+        """The loop stopped on a small step or knew its value exactly."""
+        return self.stop_reason in ("converged", "exact")
+
+    @property
+    def final_delta(self) -> float:
+        """The size of the last step's delta, 0 when there is none."""
+        delta = self.iterates[-1].delta if self.iterates else None
+        return 0.0 if delta is None else abs(delta)
+
+
+@dataclass(frozen=True)
 class ShortedResult:
     """Sigma(S, A) or rho(S, A), embedded in the full space, with the
     subspace S it acts on.
@@ -507,10 +539,9 @@ class ShortedResult:
     """
 
     value: SymMatrix
-    method: str
     subspace: Subspace
     levels: tuple[tuple[float, int], ...] = ()
-    trace: "ConvergenceTrace | None" = None  # defined in spectral_shorted
+    trace: ConvergenceTrace | None = None
 
     def compressed(self) -> np.ndarray:
         """The value as an operator on the subspace (dim x dim array)."""
@@ -633,19 +664,24 @@ def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> Subsp
     kernel = D.vectors[:, D.blocks[0][1]]
     if not kernel.shape[1]:
         return S
-    _, sines, vt = np.linalg.svd(kernel.T @ S.basis)
-    return Subspace(S.basis @ vt[np.count_nonzero(sines > tol.meet_tol) :].T)
+    count, _, vt = _split(kernel.T @ S.basis, tol)
+    return Subspace(S.basis @ vt[count:].T)
 
 
 def projection_meet(
     P: Subspace, Q: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> Subspace:
     """Orthogonal projection onto R(P) intersect R(Q): the directions of P
-    whose principal-angle sine to Q is at most meet_tol."""
+    whose principal-angle sine to Q is at most meet_tol.
+
+    The sines are the singular values of (I - P_Q) P.basis, which stay
+    accurate for small angles where cosines lose them (Bjorck & Golub 1973;
+    Knyazev & Argentati 2002).
+    """
     if P.n != Q.n:
         raise DimensionMismatchError(f"ambient dimensions differ: {P.n} vs {Q.n}")
     if P.dim == 0 or Q.dim == 0:
         return Subspace.zero(P.n)
-    sines, directions = _principal_sines(P, Q)
-    return Subspace(P.basis @ directions[:, sines <= tol.meet_tol])
+    count, _, vt = _split(P.basis - Q.basis @ (Q.basis.T @ P.basis), tol)
+    return Subspace(P.basis @ vt[count:].T)
 

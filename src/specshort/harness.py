@@ -3,8 +3,7 @@
 Every cross-module identity the package claims is checked here, over seeded
 random positive semidefinite matrices and subspaces, with residuals recorded.
 Residuals are reported as fractions of each criterion's acceptance bound, so
-1.0 is the pass/fail boundary for every theorem; overriding a bound to 0
-turns the corresponding check into a deliberately failing negative control.
+1.0 is the pass/fail boundary for every theorem.
 
 Trials are independent: trial t of theorem Ti derives its generator from
 (seed, i, t), so failure counts and worst residuals do not depend on
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -141,14 +140,19 @@ def _psd_from_rng(rng: np.random.Generator, spec: SpectrumSpec):
     return SymMatrix.from_eigens(lam, v)
 
 
+def _seeded(seed: int, *keys: int) -> np.random.Generator:
+    """The generator of (seed, *keys); the seed must be nonnegative."""
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, *keys]))
+
+
 def gen_psd(spec: SpectrumSpec, seed: int):
     """Seeded random positive semidefinite matrix (or a commuting ordered
     pair for kind commuting_pair).  Same (spec, seed) gives bitwise-identical
     output."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(seed), spec.n, _KINDS.index(spec.kind)])
-    )
-    return _psd_from_rng(rng, spec)
+    return _psd_from_rng(_seeded(seed, spec.n, _KINDS.index(spec.kind)), spec)
 
 
 def _subspace_from_rng(rng: np.random.Generator, n: int, k: int) -> Subspace:
@@ -161,8 +165,7 @@ def _subspace_from_rng(rng: np.random.Generator, n: int, k: int) -> Subspace:
 
 def gen_subspace(n: int, k: int, seed: int) -> Subspace:
     """Seeded random k-dimensional subspace of R^n."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), n, k]))
-    return _subspace_from_rng(rng, n, k)
+    return _subspace_from_rng(_seeded(seed, n, k), n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +319,7 @@ def _check_inverse_norm_identity(rng, n, tol):
     xi = rng.standard_normal(n)
     xi /= np.linalg.norm(xi)
     no_stop = replace(tol, conv_tol=0.0)
-    _, trace = spectral_short_vector_power(A, xi, m_max=16, tol=no_stop)
+    trace = spectral_short_vector_power(A, xi, m_max=16, tol=no_stop).trace
     worst = 0.0
     for step in trace.iterates[1::2]:  # the even powers 2, 4, ..., 16
         m = int(step.power)
@@ -340,16 +343,16 @@ def _check_vector_power_limit(rng, n, tol):
         x = positive @ rng.standard_normal(positive.shape[1])
         xi = x / np.linalg.norm(x)
     closed = spectral_short_vector(A, xi, tol)
-    value, trace = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
-    if not trace.converged:
+    power = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
+    if not power.trace.converged:
         return 2.0
-    parts = [abs(value - closed) / (1e-6 * max(1.0, A.spectral_norm(tol)))]
+    parts = [abs(power.value - closed) / (1e-6 * max(1.0, A.spectral_norm(tol)))]
     B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
     dB = eig_sym(B, tol)
     null = dB.vectors[:, dB.blocks[0][1]]
     if null.size:
         off = null[:, 0]
-        off_value, _ = spectral_short_vector_power(B, off, m_max=200, tol=tol)
+        off_value = spectral_short_vector_power(B, off, m_max=200, tol=tol).value
         parts.append(0.0 if off_value == 0.0 else 2.0)
     return max(parts)
 
@@ -508,7 +511,6 @@ class TheoremResult:
     failures: int
     worst_residual: float
     failing_trial: int | None
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -526,26 +528,15 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         """Canonical report content; excludes wall time so identical
-        configurations serialize to identical bytes."""
-        return {
-            "schema": self.schema,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "failures_total": self.total_failures,
-            "theorems": [
-                {
-                    "id": t.theorem,
-                    "description": t.description,
-                    "trials": t.trials,
-                    "failures": t.failures,
-                    "worst_residual": float(t.worst_residual),
-                    "failing_trial": t.failing_trial,
-                    "bound": t.bound,
-                }
-                for t in self.theorems
-            ],
-        }
+        configurations serialize to identical bytes.  Every theorem passes
+        at residual 1.0, its "bound"."""
+        report = asdict(self)
+        del report["wall_time_s"]
+        report["failures_total"] = self.total_failures
+        for t in report["theorems"]:
+            t["id"] = t.pop("theorem")
+            t["bound"] = 1.0
+        return report
 
 
 def _check_dims(dims: tuple[int, ...]) -> None:
@@ -568,8 +559,7 @@ def run_trial(
         raise DomainError("need at least one dimension")
     _check_dims(dims)
     n = dims[trial % len(dims)]
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), index, trial]))
-    return float(check.run(rng, n, tol))
+    return float(check.run(_seeded(seed, index, trial), n, tol))
 
 
 def run_suite(
@@ -577,12 +567,10 @@ def run_suite(
     trials: int = 50,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    bound_overrides: dict[str, float] | None = None,
 ) -> VerificationReport:
-    """Run every theorem check over seeded random instances.
+    """Run every theorem check over seeded random instances; a trial fails
+    when its residual exceeds 1.0, or is NaN.
 
-    bound_overrides replaces the pass boundary (default 1.0) per theorem id;
-    setting a bound to 0 is a negative control that must produce failures.
     trials = 0 yields an empty report.  Every dimension must be at least 2,
     since the theorems draw matrices with a kernel and a positive level.
     """
@@ -590,12 +578,10 @@ def run_suite(
         raise DomainError(f"trials must be nonnegative, got {trials}")
     dims = tuple(int(d) for d in dims)
     _check_dims(dims)
-    overrides = bound_overrides or {}
     start = time.monotonic()
     results: list[TheoremResult] = []
     if trials > 0:
         for index, check in enumerate(THEOREMS):
-            bound = float(overrides.get(check.theorem, 1.0))
             worst = 0.0
             failures = 0
             failing: int | None = None
@@ -603,7 +589,7 @@ def run_suite(
                 residual = run_trial(check, index, trial, dims, seed, tol)
                 # a NaN fails, and is reported as inf so the JSON report parses
                 worst = max(worst, math.inf if math.isnan(residual) else residual)
-                if not residual <= bound:
+                if not residual <= 1.0:
                     failures += 1
                     if failing is None:
                         failing = trial
@@ -615,7 +601,6 @@ def run_suite(
                     failures=failures,
                     worst_residual=worst,
                     failing_trial=failing,
-                    bound=bound,
                 )
             )
     return VerificationReport(

@@ -38,7 +38,12 @@ membership with its closed form's own half-line reader,
 core._half_line_level.
 
 kolmogorov_duality checks the reciprocal relation with the scalar spectral
-shorted value of the pseudo-inverse at the range-projected vector.
+shorted value of the pseudo-inverse at the range-projected vector, read by
+the same half-line reader bottom up, as spectral_short_vector reads it.
+
+kolmogorov_closed and both power routes return ScalarResult: the value,
+and a power route's trace.  Each power route gives its exact 0 without
+powering, as an empty trace stopped on "exact".
 
 Every route reads xi as its line: any finite, nonzero vector with n entries,
 scaled to unit length by core._check_line, which also checks A.
@@ -53,17 +58,18 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    ConvergenceTrace,
     DomainError,
     SymMatrix,
     Tolerances,
+    TraceStep,
     _check_line,
     _half_line_level,
     pseudo_inverse,
 )
-from .spectral_shorted import ConvergenceTrace, TraceStep, spectral_short_vector
 
 __all__ = [
-    "KolmogorovResult",
+    "ScalarResult",
     "kolmogorov_closed",
     "kolmogorov_power",
     "kolmogorov_duality",
@@ -72,31 +78,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KolmogorovResult:
+class ScalarResult:
+    """A scalar route's value, with a power route's trace."""
+
     value: float
-    method: str
     trace: ConvergenceTrace | None = None
 
 
 def kolmogorov_closed(
     A: SymMatrix, xi, tol: Tolerances = DEFAULT_TOL
-) -> KolmogorovResult:
+) -> ScalarResult:
     """Largest level of A whose half-line projection keeps a component of xi
     (0 when no positive level does).  Invariant under scaling of xi."""
     d, v = _check_line(A, xi, tol)
-    return KolmogorovResult(value=_half_line_level(d, v, tol, top_down=True), method="closed_form")
+    return ScalarResult(_half_line_level(d, v, tol, top_down=True))
 
 
 def kolmogorov_power(
     A: SymMatrix, xi, n_max: int = 200, tol: Tolerances = DEFAULT_TOL
-) -> KolmogorovResult:
+) -> ScalarResult:
     """Power-iteration route; see the module docstring for the estimator."""
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     d, v = _check_line(A, xi, tol)
     if _half_line_level(d, v, tol, top_down=True) == 0.0:
         # xi has no positive spectral support; every power pairing is 0.
-        return KolmogorovResult(0.0, "power", ConvergenceTrace((), "exact"))
+        return ScalarResult(0.0, ConvergenceTrace((), "exact"))
     # The kernel block's eigen-part is removed, so no rounding-negative
     # member is powered; without a kernel block A is powered as given.
     k = d.blocks[0][1].stop
@@ -148,7 +155,7 @@ def kolmogorov_power(
         prev_s = s_n
         prev_inner = inner
         value = r_n
-    return KolmogorovResult(value=value, method="power", trace=ConvergenceTrace(tuple(steps), reason))
+    return ScalarResult(value, ConvergenceTrace(tuple(steps), reason))
 
 
 def kolmogorov_duality(
@@ -165,7 +172,7 @@ def kolmogorov_duality(
     if k_value == 0.0:
         return 0.0, 0.0
     positive = d.vectors[:, d.blocks[0][1].stop :]
-    rho = spectral_short_vector(pseudo_inverse(A, tol), positive @ (positive.T @ v), tol)
+    rho = _half_line_level(*_check_line(pseudo_inverse(A, tol), positive @ (positive.T @ v), tol), tol)
     return k_value, (0.0 if rho == 0.0 else 1.0 / rho)
 
 
@@ -174,7 +181,7 @@ def spectral_short_vector_power(
     xi,
     m_max: int = 200,
     tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, ConvergenceTrace]:
+) -> ScalarResult:
     """Scalar spectral shorted value by pseudo-inverse power iteration.
 
     Vectors off the range of A give exactly 0.  Otherwise the value is
@@ -187,11 +194,11 @@ def spectral_short_vector_power(
         raise DomainError(f"m_max must be at least 1, got {m_max}")
     d, v = _check_line(A, xi, tol)
     if _half_line_level(d, v, tol) == 0.0:
-        return 0.0, ConvergenceTrace.exact(0, 0.0)
+        return ScalarResult(0.0, ConvergenceTrace((), "exact"))
 
     complexity = kolmogorov_power(pseudo_inverse(A, tol), v, n_max=m_max, tol=tol)
     powers = [step.power for step in complexity.trace.iterates]
     roots = [1.0 / step.value for step in complexity.trace.iterates]
     deltas = [None] + [abs(b - a) for a, b in zip(roots, roots[1:])]
     trace = ConvergenceTrace(tuple(map(TraceStep, powers, roots, deltas)), complexity.trace.stop_reason)
-    return (0.0 if complexity.value == 0.0 else 1.0 / complexity.value), trace
+    return ScalarResult(0.0 if complexity.value == 0.0 else 1.0 / complexity.value, trace)

@@ -25,7 +25,7 @@ Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
 action on the subspace itself, and ShortedResult.scalar for the shorted
 value on a line, short_at(A, Subspace.span(xi)).scalar().  A result
-(core.ShortedResult, which rho shares) stores only its value, method and
+(core.ShortedResult, which rho shares) stores only its value and
 subspace: range_residual, which no route reads, is computed from them when
 read.  short_at's F F^T goes to SymMatrix as it is; only short_schur's
 blocks, whose rounding asymmetry is of order eps ||A||, are symmetrized
@@ -53,7 +53,7 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     """Shorted operator by the square-root / projection construction."""
     d = _check_pair(A, S, tol)
     if S.dim == A.n:
-        return ShortedResult(A, "anderson_trapp", S)
+        return ShortedResult(A, S)
     k = d.blocks[0][1].stop
     u = d.vectors[:, k:]
     root = np.sqrt(d.values[k:])
@@ -61,7 +61,7 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     f = u @ (root[:, None] * m)
     # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit;
     # a plain product would be off by about eps ||Sigma||, inside sym_tol.
-    return ShortedResult(SymMatrix(f @ f.T), "anderson_trapp", S)
+    return ShortedResult(SymMatrix(f @ f.T), S)
 
 
 def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
@@ -78,7 +78,7 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     """
     d = _check_pair(A, S, tol)
     if S.dim == A.n:
-        return ShortedResult(A, "schur", S)
+        return ShortedResult(A, S)
     meet = _range_meet(d, S, tol)
     bs, bc = meet.basis, meet.complement().basis
     sa = bs.T @ A.entries
@@ -97,4 +97,4 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     raw = bs @ inner @ bs.T
     sym = raw + raw.T
     sym *= 0.5
-    return ShortedResult(SymMatrix(sym), "schur", S)
+    return ShortedResult(SymMatrix(sym), S)

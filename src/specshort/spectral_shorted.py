@@ -45,27 +45,27 @@ module beside the loop it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    ConvergenceTrace,
     DomainError,
     ShortedResult,
     Subspace,
     SymMatrix,
     Tolerances,
+    TraceStep,
     _check_pair,
     _check_line,
     _half_line_level,
     _range_meet,
     _smallest_sv_above,
+    _split,
 )
 
 __all__ = [
-    "TraceStep",
-    "ConvergenceTrace",
     "spectral_short_closed",
     "spectral_short_iterative",
     "spectral_short_vector",
@@ -77,41 +77,6 @@ __all__ = [
 # the iterates beyond the 1e-9 monotonicity budget; the iterative route
 # stops powering there.
 _POWER_NOISE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    power: float
-    value: object  # float for scalar iterations, ndarray for matrix ones
-    delta: float | None
-
-
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    """Iterates of a limit-based algorithm with per-step deltas.
-
-    Only the iterates and the stop reason are stored; converged and
-    final_delta are derived from them.
-    """
-
-    iterates: tuple[TraceStep, ...]
-    stop_reason: str  # "converged" | "max_iterations" | "power_limit" | "exact"
-
-    @property
-    def converged(self) -> bool:
-        """The loop stopped on a small step or knew its value exactly."""
-        return self.stop_reason in ("converged", "exact")
-
-    @property
-    def final_delta(self) -> float:
-        """The size of the last step's delta, 0 when there is none."""
-        delta = self.iterates[-1].delta if self.iterates else None
-        return 0.0 if delta is None else abs(delta)
-
-    @classmethod
-    def exact(cls, power: float, value) -> "ConvergenceTrace":
-        """The one-step trace of a value known without iterating."""
-        return cls((TraceStep(power, value, None),), "exact")
 
 
 def spectral_short_closed(
@@ -174,8 +139,7 @@ def spectral_short_closed(
             # walked before give the stays their sines and nothing else.
             t = sines.size
             m = np.block([[np.diag(sines), np.zeros((t, e - j))], [r[:, rows].T @ stays, r[j:e, rows].T]])
-            _, s, vt = np.linalg.svd(m, full_matrices=False)
-            rank = int(np.count_nonzero(s > tol.meet_tol))
+            rank, s, vt = _split(m, tol)
             turned = stays @ vt[:, :t].T
             turned[j:e] += vt[:, t:].T
             coords.append(q @ turned[:, :rank])
@@ -191,7 +155,6 @@ def spectral_short_closed(
     levels = [(mu, rank) for (mu, _), rank in zip(blocks, ranks) if mu > 0.0]
     return ShortedResult(
         value=SymMatrix._attach(values, vectors),
-        method="closed_form",
         subspace=S,
         levels=tuple(reversed(levels)),
     )
@@ -230,7 +193,7 @@ def spectral_short_iterative(
     blocks = d.blocks
     if len(blocks) == 1 or S.dim == 0:
         zero = SymMatrix(np.zeros((A.n, A.n)))
-        return ShortedResult(zero, "iterative", S, trace=ConvergenceTrace.exact(1, zero.entries))
+        return ShortedResult(zero, S, trace=ConvergenceTrace((TraceStep(1, zero.entries, None),), "exact"))
 
     # A's positive level block values: no rounding-negative member reaches
     # the powers, and the power wall is read off the smallest of them.
@@ -261,7 +224,6 @@ def spectral_short_iterative(
         prev = b
     return ShortedResult(
         value=SymMatrix(steps[-1].value),
-        method="iterative",
         subspace=S,
         trace=ConvergenceTrace(tuple(steps), reason),
     )
