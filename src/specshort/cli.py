@@ -16,15 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    STRICT_TOL,
     DimensionMismatchError,
     DomainError,
     Subspace,
@@ -48,7 +46,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -71,6 +69,8 @@ def _floats(values: list, what: str, path: str) -> np.ndarray:
 
 
 def load_matrix(path: str, tol: Tolerances) -> SymMatrix:
+    """The matrix in a JSON file.  tol is not read: the symmetry check's
+    bound is fixed in core."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or "n" not in obj or "data" not in obj:
         raise CliInputError(f'{path}: expected an object with "n" and "data"')
@@ -81,7 +81,7 @@ def load_matrix(path: str, tol: Tolerances) -> SymMatrix:
     if not isinstance(data, list) or len(data) != n * n:
         raise CliInputError(f'{path}: "data" must hold exactly n*n = {n * n} numbers')
     arr = _floats(data, "matrix entries", path).reshape(n, n)
-    return SymMatrix(arr, tol)  # DomainError here surfaces as exit 3
+    return SymMatrix(arr)  # DomainError here surfaces as exit 3
 
 
 def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
@@ -129,27 +129,17 @@ def _emit(payload: dict, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _base_tolerances() -> Tolerances:
-    profile = os.environ.get("SPECSHORT_TOL_PROFILE", "default")
-    if profile == "strict":
-        return STRICT_TOL
-    if profile == "default":
-        return DEFAULT_TOL
-    raise CliInputError(
-        f"SPECSHORT_TOL_PROFILE must be 'strict' or 'default', got {profile!r}"
-    )
-
-
-_TOL_FLAGS = ("cluster_tol", "rank_tol", "meet_tol", "conv_tol")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliInputError(f"cannot write {out}: {exc}") from exc
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    updates = {f: getattr(args, f) for f in _TOL_FLAGS if getattr(args, f) is not None}
-    return replace(_base_tolerances(), **updates)
+    """DEFAULT_TOL with each --tol-* flag given on the command line."""
+    names = [f.name for f in fields(Tolerances)]
+    return replace(DEFAULT_TOL, **{f: getattr(args, f) for f in names if getattr(args, f) is not None})
 
 
 def _at_least(low, kind=int):
@@ -170,7 +160,7 @@ _TOLERANCE = _at_least(0.0, float)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    # dest names are the Tolerances fields the flags override (_TOL_FLAGS).
+    # dest names are the Tolerances fields the flags override, one flag each.
     parser.add_argument("--tol-eig", dest="cluster_tol", type=_TOLERANCE, help="eigenvalue clustering tolerance")
     parser.add_argument("--tol-rank", dest="rank_tol", type=_TOLERANCE, help="rank cutoff, relative to the spectral norm")
     parser.add_argument("--tol-meet", dest="meet_tol", type=_TOLERANCE, help="principal-angle sine cutoff")

@@ -37,7 +37,6 @@ __all__ = [
     "DimensionMismatchError",
     "Tolerances",
     "DEFAULT_TOL",
-    "STRICT_TOL",
     "SymMatrix",
     "SpectralDecomposition",
     "Subspace",
@@ -66,7 +65,8 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by every operation.
+    """The four numerical thresholds a caller sets, shared by every
+    operation (the CLI's --tol-eig, --tol-rank, --tol-meet and --tol-conv).
 
     cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
     every result scales with A.  eig_sym reads both and decides A's one
@@ -79,25 +79,20 @@ class Tolerances:
     subspace inside another, and a vector or subspace inside a half-line
     (the range of A included, so kolmogorov_power's "no positive support"
     too), when the sine of its angle to the other subspace is at most
-    meet_tol.  sym_tol, psd_tol and conv_tol are applied as
-    tol * max(1, scale): relative above scale 1 and absolute below it.  The
-    scale is max |a_ij| for the symmetry check, ||A||_2 for positivity and
-    for spectral_short_iterative's stopping band, and the current quotient
-    for kolmogorov_power's (so for spectral_short_vector_power's too).  So
+    meet_tol.  conv_tol is applied as conv_tol * max(1, scale): relative
+    above scale 1 and absolute below it.  The scale is ||A||_2 for
+    spectral_short_iterative's stopping band and the current quotient for
+    kolmogorov_power's (so for spectral_short_vector_power's too).  So
     below scale 1 the limit routes stop on an absolute band, which does
     not scale with A (CHANGES.md, FOUND line on the limit routes' scale).
-    orth_tol is absolute and bounds orthonormality residuals only, since a
-    vector xi is read as its line at any length.  Every field must be
-    finite and nonnegative.
+    The input checks' bounds are not settable: _SYM_TOL, _PSD_TOL and
+    _ORTH_TOL below.  Every field must be finite and nonnegative.
     """
 
     cluster_tol: float = 1e-8
     rank_tol: float = 1e-10
     meet_tol: float = 1e-8
     conv_tol: float = 1e-9
-    orth_tol: float = 1e-10
-    sym_tol: float = 1e-8
-    psd_tol: float = 1e-8
 
     def __post_init__(self):
         for f in fields(self):
@@ -107,26 +102,26 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-STRICT_TOL = Tolerances(
-    cluster_tol=1e-10,
-    rank_tol=1e-12,
-    meet_tol=1e-10,
-    conv_tol=1e-11,
-    orth_tol=1e-12,
-    sym_tol=1e-10,
-    psd_tol=1e-10,
-)
+
+# The input checks' bounds, one value each.  SymMatrix rejects an asymmetry
+# above _SYM_TOL * max(1, max |a_ij|), assert_psd an eigenvalue below
+# -_PSD_TOL * max(1, ||A||_2): relative above scale 1 and absolute below
+# it.  _ORTH_TOL is absolute and bounds orthonormality residuals only,
+# since a vector xi is read as its line at any length.
+_SYM_TOL = 1e-8
+_PSD_TOL = 1e-8
+_ORTH_TOL = 1e-10
 
 
-def _check_orthonormal(b: np.ndarray, tol: Tolerances, what: str, hint: str = "") -> None:
+def _check_orthonormal(b: np.ndarray, what: str, hint: str = "") -> None:
     """Raise DomainError unless b's columns are orthonormal: max |B^T B - I|
-    at most max(orth_tol, 1e-12)."""
+    at most _ORTH_TOL."""
     if not b.size:
         return
     gram = b.T @ b
     gram[np.diag_indices_from(gram)] -= 1.0
     resid = float(np.abs(gram, out=gram).max())
-    if not resid <= max(tol.orth_tol, 1e-12):  # a NaN residual fails too
+    if not resid <= _ORTH_TOL:  # a NaN residual fails too
         raise DomainError(f"{what} are not orthonormal (residual {resid:.3e}){hint}")
 
 
@@ -169,8 +164,8 @@ class SymMatrix:
     """Real symmetric n x n matrix, stored canonically symmetrized.
 
     The entry array is made read-only on construction.  Construction rejects
-    an empty (0 x 0) input and inputs whose asymmetry exceeds sym_tol
-    relative to the largest entry.
+    an empty (0 x 0) input and inputs whose asymmetry exceeds
+    _SYM_TOL * max(1, max |a_ij|).
     Matrices built from a known eigendecomposition (matrix_function,
     matrix_power, pseudo_inverse) keep the exact eigenvalue list attached so
     downstream spectral logic never re-diagonalizes a powered matrix; this is
@@ -179,7 +174,7 @@ class SymMatrix:
 
     __slots__ = ("entries", "_eigens", "_decomps")
 
-    def __init__(self, entries, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, entries):
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {arr.shape}")
@@ -197,7 +192,7 @@ class SymMatrix:
         huge = scale > _HALF_MAX
         out = arr * 0.5 if huge else arr - arr.T
         asym = 2.0 * float((out - out.T).max()) if huge else float(out.max())
-        if asym > tol.sym_tol * max(1.0, scale):
+        if asym > _SYM_TOL * max(1.0, scale):
             raise DomainError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
         if huge:
             out += out.T
@@ -218,7 +213,7 @@ class SymMatrix:
         """Build V diag(w) V^T and attach (w, V) as the exact decomposition.
 
         V must be n x n with orthonormal columns (the residual bound
-        Subspace applies, at DEFAULT_TOL) and w must hold n values, so the
+        Subspace applies) and w must hold n values, so the
         attached decomposition is the matrix's own.
         """
         w = np.asarray(eigenvalues, dtype=float)
@@ -227,14 +222,13 @@ class SymMatrix:
             raise DomainError(
                 f"expected n eigenvalues and n x n eigenvectors, got {w.shape} and {v.shape}"
             )
-        _check_orthonormal(v, DEFAULT_TOL, "eigenvectors")
+        _check_orthonormal(v, "eigenvectors")
         return cls._attach(w, v)
 
     @classmethod
     def _attach(cls, w: np.ndarray, v: np.ndarray) -> "SymMatrix":
         """from_eigens without its checks, for eigenvectors built here:
-        eigh's, or a Subspace basis already checked at the caller's
-        orth_tol.
+        eigh's, or a Subspace basis, already checked.
 
         The product V diag(w) V^T is formed from the columns with w != 0
         only, since the others add exact zeros; every column stays in the
@@ -250,8 +244,8 @@ class SymMatrix:
         out._eigens = (w, v)
         return out
 
-    def spectral_norm(self, tol: Tolerances = DEFAULT_TOL) -> float:
-        return eig_sym(self, tol).norm2
+    def spectral_norm(self) -> float:
+        return eig_sym(self).norm2
 
     def assert_psd(self, tol: Tolerances = DEFAULT_TOL) -> "SpectralDecomposition":
         """Raise DomainError unless the matrix is positive semidefinite, and
@@ -259,7 +253,7 @@ class SymMatrix:
         # Scaled by max(1, norm) so matrices that are zero up to rounding
         # (e.g. shorted operators of disjoint ranges) count as positive.
         d = eig_sym(self, tol)
-        if d.lambda_min < -tol.psd_tol * max(1.0, d.norm2):
+        if d.lambda_min < -_PSD_TOL * max(1.0, d.norm2):
             raise DomainError(
                 f"matrix is not positive semidefinite: eigenvalue {d.lambda_min:.6e}"
             )
@@ -370,7 +364,7 @@ class Subspace:
 
     __slots__ = ("basis", "_complement")
 
-    def __init__(self, basis, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, basis):
         b = np.array(basis, dtype=float)
         if b.ndim != 2:
             raise DomainError(f"basis must be a 2-d array, got shape {b.shape}")
@@ -378,7 +372,7 @@ class Subspace:
             raise DomainError(
                 f"basis has {b.shape[1]} columns in dimension {b.shape[0]}"
             )
-        _check_orthonormal(b, tol, "basis columns", "; use Subspace.span to orthonormalize")
+        _check_orthonormal(b, "basis columns", "; use Subspace.span to orthonormalize")
         b.setflags(write=False)
         self.basis = b
         self._complement: Subspace | None = None

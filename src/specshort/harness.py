@@ -194,7 +194,7 @@ def _check_method_agreement(rng, n, tol):
     r1 = short_at(A, S, tol)
     r2 = short_schur(A, S, tol)
     gap = _max_abs(r1.value.entries - r2.value.entries)
-    return gap / (1e-8 * A.spectral_norm(tol))
+    return gap / (1e-8 * A.spectral_norm())
 
 
 def _check_short_composition(rng, n, tol):
@@ -203,7 +203,7 @@ def _check_short_composition(rng, n, tol):
     T = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     lhs = short_at(A, projection_meet(S, T, tol), tol).value.entries
     rhs = short_at(short_at(A, T, tol).value, S, tol).value.entries
-    return _max_abs(lhs - rhs) / (1e-8 * A.spectral_norm(tol))
+    return _max_abs(lhs - rhs) / (1e-8 * A.spectral_norm())
 
 
 def _check_closed_vs_iterative(rng, n, tol):
@@ -222,7 +222,7 @@ def _check_closed_vs_iterative(rng, n, tol):
         S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     closed = spectral_short_closed(A, S, tol)
     it = spectral_short_iterative(A, S, k_max=20, tol=tol)
-    nrm = A.spectral_norm(tol)
+    nrm = A.spectral_norm()
     scale = max(1.0, nrm)
     parts = [0.0]
     values = [np.asarray(step.value) for step in it.trace.iterates]
@@ -241,7 +241,7 @@ def _check_power_identity(rng, n, tol):
     A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
     S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     rho = spectral_short_closed(A, S, tol)
-    nrm = A.spectral_norm(tol)
+    nrm = A.spectral_norm()
     worst = 0.0
     for t in (0.5, 2.0, 3.0):
         lhs = spectral_short_closed(matrix_power(A, t, tol), S, tol).value.entries
@@ -256,7 +256,7 @@ def _check_rho_composition(rng, n, tol):
     T = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
     lhs = spectral_short_closed(A, projection_meet(S, T, tol), tol).value.entries
     rhs = spectral_short_closed(spectral_short_closed(A, S, tol).value, T, tol).value.entries
-    return _max_abs(lhs - rhs) / (1e-7 * A.spectral_norm(tol))
+    return _max_abs(lhs - rhs) / (1e-7 * A.spectral_norm())
 
 
 def _check_spectrum_inclusion(rng, n, tol):
@@ -346,7 +346,7 @@ def _check_vector_power_limit(rng, n, tol):
     power = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
     if not power.trace.converged:
         return 2.0
-    parts = [abs(power.value - closed) / (1e-6 * max(1.0, A.spectral_norm(tol)))]
+    parts = [abs(power.value - closed) / (1e-6 * max(1.0, A.spectral_norm()))]
     B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
     dB = eig_sym(B, tol)
     null = dB.vectors[:, dB.blocks[0][1]]
@@ -418,7 +418,7 @@ def _check_complexity_power(rng, n, tol):
     result = kolmogorov_power(A, xi, n_max=200, tol=tol)
     if not result.trace.converged:
         return 2.0
-    nrm = A.spectral_norm(tol)
+    nrm = A.spectral_norm()
     parts = [abs(result.value - closed) / (1e-6 * max(1.0, nrm))]
     drop = 0.0
     for step in result.trace.iterates:
@@ -432,7 +432,7 @@ def _check_complexity_power(rng, n, tol):
     if positives and closed > 0.0:
         q = spectral_projection(d, positives[0][0], tol)
         truncated = q.projection() @ xi
-        if np.linalg.norm(truncated) > tol.orth_tol:
+        if np.linalg.norm(truncated) > 1e-10:
             parts.append(
                 0.0 if kolmogorov_closed(A, truncated, tol).value == closed else 2.0
             )
@@ -464,7 +464,7 @@ def _check_duality(rng, n, tol):
     kernel = d.blocks[0][1]
     if k_value == 0.0 and dual == 0.0:
         proj = float(np.linalg.norm(d.vectors[:, kernel.stop :].T @ xi))
-        parts.append(0.0 if proj <= tol.orth_tol else 2.0)
+        parts.append(0.0 if proj <= 1e-10 else 2.0)
     else:
         parts.append(abs(k_value - dual) / (1e-8 * max(abs(k_value), 1e-300)))
     if singular:

@@ -60,7 +60,7 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol).basis) / root[:, None])
     f = u @ (root[:, None] * m)
     # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit;
-    # a plain product would be off by about eps ||Sigma||, inside sym_tol.
+    # a plain product would be off by about eps ||Sigma||, inside _SYM_TOL.
     return ShortedResult(SymMatrix(f @ f.T), S)
 
 
@@ -92,7 +92,7 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
         h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
         inner = a11 - h @ h.T
     # Symmetrized before the constructor's check: the Schur blocks carry a
-    # rounding asymmetry of order eps ||A||, which can exceed sym_tol
+    # rounding asymmetry of order eps ||A||, which can exceed _SYM_TOL
     # relative to a result much smaller than A.
     raw = bs @ inner @ bs.T
     sym = raw + raw.T

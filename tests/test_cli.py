@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import json
@@ -6,13 +7,14 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import specshort
-from specshort.cli import main, matrix_payload
-from specshort.core import SymMatrix
+from specshort.cli import build_parser, main, matrix_payload
+from specshort.core import SymMatrix, Tolerances
 
 
 def write_json(path, obj):
@@ -328,8 +330,11 @@ def test_loaders_require_an_integer_n(tmp_path, capsys):
 def test_unreadable_files_name_the_file(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")  # a UTF-16 byte order mark: not UTF-8
     missing = str(tmp_path / "nope.json")
-    for path, message in ((str(bad), "is not valid JSON"), (missing, "cannot read")):
+    cases = ((str(bad), "is not valid JSON"), (str(utf16), "is not valid JSON"), (missing, "cannot read"))
+    for path, message in cases:
         code, _, err = run_cli(["order", path, files["diag12"]], capsys)
         assert code == 2 and path in err and message in err
 
@@ -379,14 +384,32 @@ def test_verify_rejects_bad_dims(capsys):
     capsys.readouterr()
 
 
-def test_tolerance_profile_env(files, capsys, monkeypatch):
-    monkeypatch.setenv("SPECSHORT_TOL_PROFILE", "strict")
-    code, out, _ = run_cli(["kolmogorov", files["diag12"], files["xi"]], capsys)
-    assert code == 0
-    monkeypatch.setenv("SPECSHORT_TOL_PROFILE", "bogus")
-    code, _, err = run_cli(["kolmogorov", files["diag12"], files["xi"]], capsys)
-    assert code == 2
-    assert "SPECSHORT_TOL_PROFILE" in err
+def test_unwritable_out_is_malformed_input(files, capsys, tmp_path):
+    # exit 1 would read as "relation fails" or "verification failures"
+    missing = str(tmp_path / "missing" / "r.json")
+    for argv, path in (
+        (["order", files["diag12"], files["diag12"], "--out", str(tmp_path)], str(tmp_path)),
+        (["verify", "--dims", "2", "--trials", "1", "--out", missing], missing),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and f"cannot write {path}" in err
+
+
+def test_tolerance_profile_env_is_not_read(files, capsys, monkeypatch):
+    argv = ["kolmogorov", files["diag12"], files["xi"]]
+    _, want, _ = run_cli(argv, capsys)
+    for profile in ("strict", "bogus"):
+        monkeypatch.setenv("SPECSHORT_TOL_PROFILE", profile)
+        assert run_cli(argv, capsys) == (0, want, "")
+
+
+def test_tolerance_flags_are_the_tolerance_fields():
+    names = [f.name for f in fields(Tolerances)]
+    assert names == ["cluster_tol", "rank_tol", "meet_tol", "conv_tol"]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        dests = [a.dest for a in parser._actions if any(o.startswith("--tol-") for o in a.option_strings)]
+        assert dests == names, command
 
 
 def test_tolerance_flags(files, capsys):

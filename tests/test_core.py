@@ -12,7 +12,6 @@ from specshort import (
     DomainError,
     SpectrumSpec,
     Subspace,
-    STRICT_TOL,
     SymMatrix,
     Tolerances,
     eig_sym,
@@ -27,7 +26,7 @@ from specshort import (
     spectral_short_closed,
 )
 
-from specshort.core import _range_meet
+from specshort.core import _SYM_TOL, _range_meet
 
 from conftest import containment_residual, linalg_calls, max_abs, same_subspace
 
@@ -65,9 +64,9 @@ def test_constructor_contract():
                 [[1.0, -np.inf], [-np.inf, 1.0]], [[1.0, 3.0], [-np.inf, np.nan]]):
         with pytest.raises(DomainError, match="must be finite"):
             SymMatrix(bad)
-    # the bound is sym_tol * max(1, max|a|), and an asymmetry at it passes
+    # the bound is _SYM_TOL * max(1, max|a|), and an asymmetry at it passes
     for top in (4.0, 0.5):
-        bound = DEFAULT_TOL.sym_tol * max(1.0, top)
+        bound = _SYM_TOL * max(1.0, top)
         for asym in (np.nextafter(bound, 0.0), bound):
             SymMatrix([[top, asym], [0.0, 0.25]])
         with pytest.raises(DomainError, match="not symmetric"):
@@ -139,7 +138,9 @@ def test_assert_psd_names_eigenvalue():
 
 
 def test_assert_psd_returns_the_decomposition_it_checked():
-    for tol in (DEFAULT_TOL, STRICT_TOL):
+    # a second set of tolerances, so a second decomposition cache key
+    tighter = Tolerances(cluster_tol=1e-10, rank_tol=1e-12, meet_tol=1e-10, conv_tol=1e-11)
+    for tol in (DEFAULT_TOL, tighter):
         for seed, kind in enumerate(("well_separated", "with_zeros", "projection")):
             A = gen_psd(SpectrumSpec(kind, 6), seed)
             assert A.assert_psd(tol) is eig_sym(A, tol)

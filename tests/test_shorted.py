@@ -40,7 +40,7 @@ def test_short_of_projection_is_meet_projection():
 
 def test_schur_on_large_norm_with_small_levels():
     # Sigma(S, A) is O(1) while ||A|| = 1e9: the rounding asymmetry of the
-    # Schur blocks, about n eps ||A||, exceeds sym_tol relative to the
+    # Schur blocks, about n eps ||A||, exceeds _SYM_TOL relative to the
     # result, so the result must be symmetrized before it is stored.
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -56,7 +56,7 @@ def _schur_by_eigh(A, S, tol=DEFAULT_TOL):
     rank cut, for an A with no kernel (so S ^ R(A) is S)."""
     bs, bc = S.basis, S.complement().basis
     w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
-    keep = w > tol.rank_tol * A.spectral_norm(tol)
+    keep = w > tol.rank_tol * A.spectral_norm()
     h = (bs.T @ A.entries @ bc @ v[:, keep]) / np.sqrt(w[keep])
     return bs @ (bs.T @ A.entries @ bs - h @ h.T) @ bs.T
 
