@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -134,6 +135,22 @@ def _emit(payload: dict, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise CliInputError(f"cannot write {out}: {exc}") from exc
+
+
+def _check_out(out: str | None) -> None:
+    """Raise CliInputError unless the report can be written to out, before
+    any work: the file is opened for appending, which leaves an existing
+    one as it was, and a file the check created is removed again."""
+    if out is None or out == "-":
+        return
+    existed = os.path.exists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise CliInputError(f"cannot write {out}: {exc}") from exc
+    if not existed:
+        os.remove(os.path.realpath(out))  # the file, also behind a symlink
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
@@ -359,6 +376,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (CliInputError, DimensionMismatchError) as exc:
         print(f"specshort: {exc}", file=sys.stderr)

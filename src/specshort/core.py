@@ -21,7 +21,12 @@ safe to share across threads.
 Each check reads an n x n array in one pass: SymMatrix's finiteness and
 asymmetry, and its stored symmetrization, built in the array that held the
 difference; and the orthonormality residual, which takes the identity off
-B^T B in place.
+B^T B in place.  Outside input is checked, and what is built here from a
+checked factorization is not checked again: Subspace._of takes every basis
+built from an orthogonal factor with no copy and no B^T B,
+SymMatrix._attach a matrix from its eigenpairs without from_eigens' check,
+and SymMatrix._symmetric a value built symmetric to the bit with its
+finiteness check only.
 """
 
 from __future__ import annotations
@@ -125,6 +130,15 @@ def _check_orthonormal(b: np.ndarray, what: str, hint: str = "") -> None:
         raise DomainError(f"{what} are not orthonormal (residual {resid:.3e}){hint}")
 
 
+def _finite_scale(arr: np.ndarray) -> float:
+    """The largest magnitude of arr; DomainError unless it is finite (NaN
+    and +-inf propagate through it)."""
+    scale = float(np.abs(arr).max())
+    if not math.isfinite(scale):
+        raise DomainError("matrix entries must be finite")
+    return scale
+
+
 def _smallest_sv_above(t: np.ndarray, floor: float, relative: bool = False) -> bool:
     """Whether t's smallest singular value exceeds floor (floor times the
     largest when relative), for a finite t with at least one entry.
@@ -180,10 +194,7 @@ class SymMatrix:
             raise DomainError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise DomainError("expected a matrix of size at least 1 x 1, got 0 x 0")
-        # NaN and +-inf propagate through the largest magnitude.
-        scale = float(np.abs(arr).max())
-        if not math.isfinite(scale):
-            raise DomainError("matrix entries must be finite")
+        scale = _finite_scale(arr)
         # a - a^T is antisymmetric to the bit, so its largest entry is its
         # largest magnitude; the array then holds (a + a^T) / 2, and x * 0.5
         # is x / 2 exactly.  Where a - a^T or a + a^T would overflow, each
@@ -203,6 +214,23 @@ class SymMatrix:
         self.entries = out
         self._eigens: tuple[np.ndarray, np.ndarray] | None = None
         self._decomps: dict[tuple[float, float], "SpectralDecomposition"] = {}
+
+    @classmethod
+    def _symmetric(cls, arr: np.ndarray) -> "SymMatrix":
+        """SymMatrix(arr) for an array built here symmetric to the bit,
+        taken without a copy.  Finiteness is checked; the asymmetry pass
+        and the symmetrization, which cannot change a bit of such an
+        array, are skipped.  Past _HALF_MAX the constructor halves each
+        entry first, which can round a subnormal one, so such an array
+        takes the constructor."""
+        if _finite_scale(arr) > _HALF_MAX:
+            return cls(arr)
+        arr.setflags(write=False)
+        out = cls.__new__(cls)
+        out.entries = arr
+        out._eigens = None
+        out._decomps = {}
+        return out
 
     @property
     def n(self) -> int:
@@ -358,8 +386,11 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
 class Subspace:
     """Closed subspace of R^n carried as an orthonormal n x k basis.
 
-    k may be zero (the zero subspace).  Construction validates orthonormality;
-    use Subspace.span to orthonormalize an arbitrary spanning set.
+    k may be zero (the zero subspace).  Subspace(basis) copies the caller's
+    basis and checks its orthonormality; use Subspace.span to orthonormalize
+    an arbitrary spanning set.  Every basis the library builds from an
+    orthogonal factor (span, complement, the meets, spectral_projection,
+    zero and full) is taken by Subspace._of, with no copy and no check.
     """
 
     __slots__ = ("basis", "_complement")
@@ -377,6 +408,18 @@ class Subspace:
         self.basis = b
         self._complement: Subspace | None = None
 
+    @classmethod
+    def _of(cls, basis: np.ndarray) -> "Subspace":
+        """Subspace(basis) without its copy and its check, for a basis
+        built here from an orthogonal factor: a QR's Q, an SVD's singular
+        vectors or eigh's eigenvectors, or a product of two of them, whose
+        columns are orthonormal to rounding."""
+        basis.setflags(write=False)
+        out = cls.__new__(cls)
+        out.basis = basis
+        out._complement = None
+        return out
+
     @property
     def n(self) -> int:
         return self.basis.shape[0]
@@ -387,11 +430,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(np.zeros((n, 0)))
+        return cls._of(np.zeros((n, 0)))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n))
+        return cls._of(np.eye(n))
 
     @classmethod
     def span(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
@@ -424,11 +467,11 @@ class Subspace:
         p = min(n, c)
         q, r = np.linalg.qr(m, mode="complete")
         if c <= n and _smallest_sv_above(r[:p], tol.rank_tol, relative=True):
-            out = cls(q[:, :c])
-            out._complement = cls(q[:, c:])
+            out = cls._of(q[:, :c])
+            out._complement = cls._of(q[:, c:])
             return out
         u, s, _ = np.linalg.svd(r[:p], full_matrices=False)
-        return cls(q[:, :p] @ u[:, s > tol.rank_tol * s[0]])
+        return cls._of(q[:, :p] @ u[:, s > tol.rank_tol * s[0]])
 
     def projection(self) -> np.ndarray:
         return self.basis @ self.basis.T
@@ -446,7 +489,7 @@ class Subspace:
                 self._complement = Subspace.zero(n)
             else:
                 q, _ = np.linalg.qr(self.basis, mode="complete")
-                self._complement = Subspace(q[:, k:])
+                self._complement = Subspace._of(q[:, k:])
         return self._complement
 
     def __repr__(self) -> str:
@@ -602,7 +645,7 @@ def spectral_projection(
     Whole blocks are kept or dropped together, the kernel block (value 0)
     included, so the result is monotone in lam exactly (as index sets).
     """
-    return Subspace(D.vectors[:, _half_line_start(D, lam, tol) :])
+    return Subspace._of(D.vectors[:, _half_line_start(D, lam, tol) :])
 
 
 def matrix_function(
@@ -659,7 +702,7 @@ def _range_meet(D: SpectralDecomposition, S: Subspace, tol: Tolerances) -> Subsp
     if not kernel.shape[1]:
         return S
     count, _, vt = _split(kernel.T @ S.basis, tol)
-    return Subspace(S.basis @ vt[count:].T)
+    return Subspace._of(S.basis @ vt[count:].T)
 
 
 def projection_meet(
@@ -677,5 +720,5 @@ def projection_meet(
     if P.dim == 0 or Q.dim == 0:
         return Subspace.zero(P.n)
     count, _, vt = _split(P.basis - Q.basis @ (Q.basis.T @ P.basis), tol)
-    return Subspace(P.basis @ vt[count:].T)
+    return Subspace._of(P.basis @ vt[count:].T)
 

@@ -27,9 +27,10 @@ action on the subspace itself, and ShortedResult.scalar for the shorted
 value on a line, short_at(A, Subspace.span(xi)).scalar().  A result
 (core.ShortedResult, which rho shares) stores only its value and
 subspace: range_residual, which no route reads, is computed from them when
-read.  short_at's F F^T goes to SymMatrix as it is; only short_schur's
-blocks, whose rounding asymmetry is of order eps ||A||, are symmetrized
-before SymMatrix checks them.
+read.  Both values are symmetric to the bit, short_at's F F^T as numpy
+forms it and short_schur's as (raw + raw^T) / 2, whose Schur blocks carry
+a rounding asymmetry of order eps ||A||; so each enters SymMatrix by
+SymMatrix._symmetric, which checks finiteness only.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ def short_at(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Shorte
     root = np.sqrt(d.values[k:])
     m, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol).basis) / root[:, None])
     f = u @ (root[:, None] * m)
-    # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit;
-    # a plain product would be off by about eps ||Sigma||, inside _SYM_TOL.
-    return ShortedResult(SymMatrix(f @ f.T), S)
+    # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit
+    return ShortedResult(SymMatrix._symmetric(f @ f.T), S)
 
 
 def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
@@ -91,10 +91,10 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
         keep = w > tol.rank_tol * d.norm2
         h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
         inner = a11 - h @ h.T
-    # Symmetrized before the constructor's check: the Schur blocks carry a
-    # rounding asymmetry of order eps ||A||, which can exceed _SYM_TOL
-    # relative to a result much smaller than A.
+    # Symmetrized here, to the bit: the Schur blocks carry a rounding
+    # asymmetry of order eps ||A||, which can exceed _SYM_TOL relative to a
+    # result much smaller than A.
     raw = bs @ inner @ bs.T
     sym = raw + raw.T
     sym *= 0.5
-    return ShortedResult(SymMatrix(sym), S)
+    return ShortedResult(SymMatrix._symmetric(sym), S)

@@ -395,6 +395,54 @@ def test_unwritable_out_is_malformed_input(files, capsys, tmp_path):
         assert code == 2 and out == "" and f"cannot write {path}" in err
 
 
+def _spy(monkeypatch, module, name, calls):
+    def spy(*args, **kwargs):
+        calls.append(name)
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(importlib.import_module(f"specshort.{module}"), name, spy)
+
+
+def test_unwritable_out_fails_before_any_work(files, capsys, tmp_path, monkeypatch):
+    calls = []
+    for module, name in (
+        ("harness", "run_suite"),
+        ("order", "spectral_leq"),
+        ("shorted", "short_at"),
+        ("shorted", "short_schur"),
+        ("spectral_shorted", "spectral_short_closed"),
+        ("spectral_shorted", "spectral_short_iterative"),
+        ("kolmogorov", "kolmogorov_closed"),
+    ):
+        _spy(monkeypatch, module, name, calls)
+    missing = str(tmp_path / "missing" / "r.json")
+    for argv in (
+        ["verify", "--out", missing],
+        ["order", files["low"], files["high"], "--out", missing],
+        ["short", files["diag12"], files["line"], "--out", str(tmp_path)],
+        ["spectral-short", files["diag12"], files["line"], "--out", missing],
+        ["kolmogorov", files["diag12"], files["xi"], "--out", missing],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and f"cannot write {argv[-1]}" in err
+    assert calls == [] and not os.path.exists(tmp_path / "missing")
+
+
+def test_failing_command_leaves_out_as_it_was(files, capsys, tmp_path):
+    # the --out check before the work creates no file and changes none
+    indefinite = write_json(tmp_path / "indef.json", {"n": 2, "data": [1.0, 0.0, 0.0, -1.0]})
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n", encoding="utf-8")
+    fresh = tmp_path / "fresh.json"
+    for out in (kept, fresh):
+        code, _, err = run_cli(["short", indefinite, files["line"], "--out", str(out)], capsys)
+        assert code == 3 and "positive semidefinite" in err
+    assert kept.read_text(encoding="utf-8") == "earlier report\n"
+    assert not fresh.exists()
+    assert run_cli(["short", files["diag12"], files["line"], "--out", str(kept)], capsys)[0] == 0
+    assert json.loads(kept.read_text(encoding="utf-8"))["method"] == "both"
+
+
 def test_tolerance_profile_env_is_not_read(files, capsys, monkeypatch):
     argv = ["kolmogorov", files["diag12"], files["xi"]]
     _, want, _ = run_cli(argv, capsys)

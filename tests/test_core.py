@@ -22,11 +22,13 @@ from specshort import (
     projection_meet,
     pseudo_inverse,
     short_at,
+    short_schur,
     spectral_projection,
     spectral_short_closed,
 )
 
-from specshort.core import _SYM_TOL, _range_meet
+from specshort.core import _ORTH_TOL, _SYM_TOL, _range_meet
+from specshort.harness import _KINDS
 
 from conftest import containment_residual, linalg_calls, max_abs, same_subspace
 
@@ -93,6 +95,23 @@ def test_rejects_non_square_and_non_finite():
         SymMatrix(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_symmetric_takes_a_bit_symmetric_array_as_it_is():
+    # for arrays the library builds symmetric to the bit: no copy and no
+    # symmetrization, but a non-finite entry still raises, and past
+    # _HALF_MAX, where the constructor's halving rounds a subnormal entry,
+    # the constructor decides
+    a = np.array([[2.0, 5e-324], [5e-324, 1.0]])
+    A = SymMatrix._symmetric(a)
+    assert A.entries is a and not a.flags.writeable
+    assert A.entries.tobytes() == SymMatrix(a).entries.tobytes()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="must be finite"):
+            SymMatrix._symmetric(np.array([[bad, 0.0], [0.0, 1.0]]))
+    huge = np.array([[1.5e308, 5e-324], [5e-324, 1.0]])
+    assert SymMatrix(huge).entries[0, 1] == 0.0
+    assert SymMatrix._symmetric(huge.copy()).entries.tobytes() == SymMatrix(huge).entries.tobytes()
 
 
 def test_symmetrizes_near_the_largest_float_without_overflow():
@@ -579,6 +598,56 @@ def test_span_certifies_full_rank_or_takes_the_svd(monkeypatch):
     ref = _svd_span(m, tol)
     assert S.dim == ref.shape[1] == 5
     assert max_abs(S.projection() - ref @ ref.T) <= 1e-14
+
+
+def _kind_draws(n):
+    """(A, spanning set) over every gen_psd kind at dimension n, each A with
+    a full-rank set, a rank-deficient one and one of n + 2 vectors."""
+    rng = np.random.default_rng(n)
+    k = 1 + n // 3
+    for kind in _KINDS:
+        drawn = gen_psd(SpectrumSpec(kind, n), n)
+        for A in drawn if kind == "commuting_pair" else (drawn,):
+            full = rng.standard_normal((n, k))
+            for m in (full, full[:, [0, *range(k)]], rng.standard_normal((n, n + 2))):
+                yield A, m
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 200])
+def test_library_built_values_pass_the_skipped_checks(monkeypatch, n):
+    # Subspace._of takes the library's bases, and SymMatrix._symmetric the
+    # shorted values, without the constructors' checks: each basis is
+    # orthonormal within _ORTH_TOL and read-only, and each value is
+    # symmetric to the bit, so the constructor would store it unchanged
+    built = []
+    of = Subspace._of.__func__
+
+    def recording(cls, basis):
+        built.append(basis)
+        return of(cls, basis)
+
+    monkeypatch.setattr(Subspace, "_of", classmethod(recording))
+    spans = 0
+    for A, m in _kind_draws(n):
+        d = eig_sym(A)
+        S = Subspace.span(m)
+        spans += S._complement is None  # the rank-deficient and wide sets
+        levels = d.level_values
+        for lam in (0.0, *levels[:: max(1, len(levels) // 4)], 2 * d.norm2 + 1.0):
+            P = spectral_projection(d, lam)
+            projection_meet(S, P)
+            projection_meet(P, S.complement())
+        _range_meet(d, S, DEFAULT_TOL)
+        spectral_short_closed(A, S)
+        for route in (short_at, short_schur):
+            value = route(A, S).value.entries
+            bits = value.view(np.int64)
+            assert np.array_equal(bits, bits.T)
+            assert SymMatrix(value).entries.tobytes() == value.tobytes()
+    assert spans == 2 * (len(_KINDS) + 1)
+    for b in built:
+        assert not b.flags.writeable
+        assert max_abs(b.T @ b - np.eye(b.shape[1])) <= _ORTH_TOL
 
 
 def test_subspace_complement_roundtrip():

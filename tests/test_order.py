@@ -7,6 +7,7 @@ from specshort import (
     SpectrumSpec,
     Subspace,
     SymMatrix,
+    Tolerances,
     eig_sym,
     gen_psd,
     gen_subspace,
@@ -71,7 +72,7 @@ def test_witness_is_smallest_failing_threshold():
             assert cert.witness_lambda == (failing[0] if failing else None)
 
 
-def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False):
+def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False, stop=False):
     # reference: one residual per threshold of the grid, as the order was
     # decided before repeated pairs of half-line starts were skipped.  A
     # block whose Frobenius norm is within meet_tol is certified by it;
@@ -79,7 +80,9 @@ def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False):
     # with frobenius=False).  The blocks are read from the rows of
     # W = V_B^T V_A below the last tested B-start and its columns from the
     # first tested A-start, formed alone as spectral_leq forms them, or
-    # from all of W with full=True.  Also returns the residual of each
+    # from all of W with full=True.  With stop=True the loop ends once the
+    # worst residual is 1, as spectral_leq's does; that changes the triple
+    # only when meet_tol exceeds 1.  Also returns the residual of each
     # distinct block in the order first tested.
     da, db = eig_sym(A, tol), eig_sym(B, tol)
 
@@ -104,6 +107,8 @@ def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False):
         worst = max(worst, residual)
         if witness is None and residual > tol.meet_tol:
             witness = lam
+        if stop and worst == 1.0:
+            break
     return (witness is None, witness, worst), list(blocks.values())
 
 
@@ -113,6 +118,15 @@ def _many_levels_pair(n):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = SymMatrix.from_eigens(np.linspace(1.0, 2.0, n), q)
     return A, spectral_short_closed(A, Subspace.span(rng.standard_normal((n, n // 2)))).value
+
+
+def _unrelated_pair(n):
+    # A and C with the same L = n levels in independent eigenbases, so the
+    # order fails either way and nearly every block takes an SVD
+    rng = np.random.default_rng(n + 1)
+    values = np.linspace(1.0, 2.0, n)
+    A, C = (SymMatrix.from_eigens(values, np.linalg.qr(rng.standard_normal((n, n)))[0]) for _ in "AC")
+    return A, C
 
 
 def _order_pairs():
@@ -127,7 +141,8 @@ def _order_pairs():
         pairs += [(A, B), (B, A)]
         pairs.append(_loewner_not_spectral(np.random.default_rng(seed), n, DEFAULT_TOL))
     A, rho = _many_levels_pair(200)
-    return pairs + [(rho, A), (A, rho)]
+    A48, C48 = _unrelated_pair(48)
+    return pairs + [(rho, A), (A, rho), (A48, C48), (C48, A48)]
 
 
 def test_distinct_pairs_match_threshold_loop():
@@ -140,6 +155,28 @@ def test_distinct_pairs_match_threshold_loop():
     assert outcomes == {True, False}
     A, rho = _many_levels_pair(200)
     assert spectral_leq(rho, A).holds and not spectral_leq(A, rho).holds
+
+
+@pytest.mark.parametrize("meet_tol", [0.0, 1e-12, 1e-3, 0.5, 1.0])
+def test_distinct_pairs_match_threshold_loop_at_other_meet_tols(meet_tol):
+    # the table's band about meet_tol, and about 1 where meet_tol is 1
+    tol = Tolerances(meet_tol=meet_tol)
+    for low, high in _order_pairs():
+        if low.n <= 48:
+            cert = spectral_leq(low, high, tol)
+            got = (cert.holds, cert.witness_lambda, cert.worst_residual)
+            assert got == _threshold_loop(low, high, tol)[0]
+
+
+@pytest.mark.parametrize("meet_tol", [1.5, 4.0])
+def test_meet_tol_above_one_keeps_the_stop_at_one(meet_tol):
+    # a certified block's Frobenius norm can then exceed 1, and after it a
+    # sine of 1 no longer stops the test
+    tol = Tolerances(meet_tol=meet_tol)
+    for low, high in _order_pairs():
+        cert = spectral_leq(low, high, tol)
+        got = (cert.holds, cert.witness_lambda, cert.worst_residual)
+        assert got == _threshold_loop(low, high, tol, stop=True)[0]
 
 
 def test_tested_blocks_of_w_match_the_full_product():
@@ -213,6 +250,47 @@ def test_frobenius_norm_above_meet_tol_takes_the_svd(monkeypatch):
     assert svds == 1
     assert cert.holds and cert.witness_lambda is None
     assert cert.worst_residual == pytest.approx(s, rel=1e-6)
+
+
+def test_holding_order_reads_its_norms_from_the_table(monkeypatch):
+    # one table of W's squared entries bounds every block's Frobenius norm;
+    # np.linalg.norm is taken only on the blocks that may be the largest
+    A, rho = _many_levels_pair(200)
+    with linalg_calls(monkeypatch, "norm", "svd") as calls:
+        cert = spectral_leq(rho, A)
+    names = [call.name for call in calls]
+    assert cert.holds and names.count("svd") == 0 and names.count("norm") <= 2
+    assert (cert.holds, cert.witness_lambda, cert.worst_residual) == _threshold_loop(rho, A)[0]
+
+
+def _rotated_pair(sines):
+    # eigenvectors I for A and, for B, I with plane i, i + 4 rotated by the
+    # i-th sine, at levels 1 and 2: the one tested block of W holds the sines
+    rot = np.eye(8)
+    for i, s in enumerate(sines):
+        c = np.sqrt(1.0 - s * s)
+        rot[[i, i + 4], [i, i + 4]] = c
+        rot[i + 4, i], rot[i, i + 4] = s, -s
+    values = [1.0] * 4 + [2.0] * 4
+    return SymMatrix.from_eigens(values, np.eye(8)), SymMatrix.from_eigens(values, rot)
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.6, 0.8), (0.5, 0.5, 0.5, 0.5)])
+def test_frobenius_norm_at_meet_tol_keeps_the_reference_bits(weights):
+    # the one block's Frobenius norm a few ulps either side of meet_tol,
+    # inside the table's band: the norm decides, as the reference does
+    tol = DEFAULT_TOL.meet_tol
+    sides = set()
+    for ulps in range(-4, 5):
+        scale = tol + ulps * np.spacing(tol)
+        A, B = _rotated_pair([w * scale for w in weights])
+        w = eig_sym(B).vectors.T @ eig_sym(A).vectors
+        norm = np.linalg.norm(w[:4, 4:])
+        assert abs(norm - tol) <= 8 * np.spacing(tol)
+        sides.add(bool(norm > tol))
+        cert = spectral_leq(A, B)
+        assert (cert.holds, cert.witness_lambda, cert.worst_residual) == _threshold_loop(A, B)[0]
+    assert sides == {True, False}
 
 
 def test_failing_order_stops_at_the_first_full_sine(monkeypatch):
