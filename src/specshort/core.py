@@ -84,14 +84,13 @@ class Tolerances:
     subspace inside another, and a vector or subspace inside a half-line
     (the range of A included, so kolmogorov_power's "no positive support"
     too), when the sine of its angle to the other subspace is at most
-    meet_tol.  conv_tol is applied as conv_tol * max(1, scale): relative
-    above scale 1 and absolute below it.  The scale is ||A||_2 for
-    spectral_short_iterative's stopping band and the current quotient for
-    kolmogorov_power's (so for spectral_short_vector_power's too).  So
-    below scale 1 the limit routes stop on an absolute band, which does
-    not scale with A (CHANGES.md, FOUND line on the limit routes' scale).
-    The input checks' bounds are not settable: _SYM_TOL, _PSD_TOL and
-    _ORTH_TOL below.  Every field must be finite and nonnegative.
+    meet_tol.  conv_tol is relative too: spectral_short_iterative stops on
+    a step of at most conv_tol * ||A||_2, kolmogorov_power (so
+    spectral_short_vector_power too) on one of at most conv_tol times the
+    current quotient.  So every threshold scales with its own input, and
+    at scale 0 only exact values pass.  The input checks' bounds are not
+    settable: _SYM_TOL, _PSD_TOL and _ORTH_TOL below.  Every field must be
+    finite and nonnegative.
     """
 
     cluster_tol: float = 1e-8
@@ -109,10 +108,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 # The input checks' bounds, one value each.  SymMatrix rejects an asymmetry
-# above _SYM_TOL * max(1, max |a_ij|), assert_psd an eigenvalue below
-# -_PSD_TOL * max(1, ||A||_2): relative above scale 1 and absolute below
-# it.  _ORTH_TOL is absolute and bounds orthonormality residuals only,
-# since a vector xi is read as its line at any length.
+# above _SYM_TOL * max |a_ij|, assert_psd an eigenvalue below
+# -_PSD_TOL * ||A||_2: both relative at every scale, so a matrix that is
+# zero up to rounding must arrive as exact zeros.  _ORTH_TOL is absolute and
+# bounds orthonormality residuals only, since a vector xi is read as its
+# line at any length.
 _SYM_TOL = 1e-8
 _PSD_TOL = 1e-8
 _ORTH_TOL = 1e-10
@@ -128,6 +128,14 @@ def _check_orthonormal(b: np.ndarray, what: str, hint: str = "") -> None:
     resid = float(np.abs(gram, out=gram).max())
     if not resid <= _ORTH_TOL:  # a NaN residual fails too
         raise DomainError(f"{what} are not orthonormal (residual {resid:.3e}){hint}")
+
+
+def _pow2_scaled(a: np.ndarray, top: float | None = None) -> tuple[np.ndarray, int]:
+    """(a * 2^-e, e), e the exponent of top = max |a| (the default), so the
+    largest magnitude lies in [1/2, 1): exact, and 2^k a gives the same
+    array with e + k, so a step that reads it scales with a to the bit."""
+    e = math.frexp(np.abs(a).max() if top is None else top)[1]
+    return np.ldexp(a, -e), e
 
 
 def _finite_scale(arr: np.ndarray) -> float:
@@ -179,14 +187,15 @@ class SymMatrix:
 
     The entry array is made read-only on construction.  Construction rejects
     an empty (0 x 0) input and inputs whose asymmetry exceeds
-    _SYM_TOL * max(1, max |a_ij|).
+    _SYM_TOL * max |a_ij|, and keeps that largest magnitude (_top) for
+    eig_sym's exact scaling.
     Matrices built from a known eigendecomposition (matrix_function,
     matrix_power, pseudo_inverse) keep the exact eigenvalue list attached so
     downstream spectral logic never re-diagonalizes a powered matrix; this is
     what keeps extreme powers accurate per eigenvalue.
     """
 
-    __slots__ = ("entries", "_eigens", "_decomps")
+    __slots__ = ("entries", "_top", "_eigens", "_decomps")
 
     def __init__(self, entries):
         arr = np.asarray(entries, dtype=float)
@@ -203,7 +212,7 @@ class SymMatrix:
         huge = scale > _HALF_MAX
         out = arr * 0.5 if huge else arr - arr.T
         asym = 2.0 * float((out - out.T).max()) if huge else float(out.max())
-        if asym > _SYM_TOL * max(1.0, scale):
+        if asym > _SYM_TOL * scale:
             raise DomainError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
         if huge:
             out += out.T
@@ -212,6 +221,7 @@ class SymMatrix:
             out *= 0.5
         out.setflags(write=False)
         self.entries = out
+        self._top = scale
         self._eigens: tuple[np.ndarray, np.ndarray] | None = None
         self._decomps: dict[tuple[float, float], "SpectralDecomposition"] = {}
 
@@ -223,11 +233,13 @@ class SymMatrix:
         array, are skipped.  Past _HALF_MAX the constructor halves each
         entry first, which can round a subnormal one, so such an array
         takes the constructor."""
-        if _finite_scale(arr) > _HALF_MAX:
+        top = _finite_scale(arr)
+        if top > _HALF_MAX:
             return cls(arr)
         arr.setflags(write=False)
         out = cls.__new__(cls)
         out.entries = arr
+        out._top = top
         out._eigens = None
         out._decomps = {}
         return out
@@ -277,11 +289,12 @@ class SymMatrix:
 
     def assert_psd(self, tol: Tolerances = DEFAULT_TOL) -> "SpectralDecomposition":
         """Raise DomainError unless the matrix is positive semidefinite, and
-        return the decomposition that decided it, eig_sym(self, tol)."""
-        # Scaled by max(1, norm) so matrices that are zero up to rounding
-        # (e.g. shorted operators of disjoint ranges) count as positive.
+        return the decomposition that decided it, eig_sym(self, tol).
+
+        An eigenvalue below -_PSD_TOL * ||A||_2 rejects, relative at every
+        scale, so only the zero matrix passes at scale 0."""
         d = eig_sym(self, tol)
-        if d.lambda_min < -_PSD_TOL * max(1.0, d.norm2):
+        if d.lambda_min < -_PSD_TOL * d.norm2:
             raise DomainError(
                 f"matrix is not positive semidefinite: eigenvalue {d.lambda_min:.6e}"
             )
@@ -341,6 +354,9 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
 
     The eigenvectors carry eigh's signs, which no output reads; a matrix
     built from its eigenpairs (SymMatrix._attach) keeps the ones it was given.
+    eigh is handed A * 2^-e (_pow2_scaled) and its eigenvalues are scaled
+    back: LAPACK's own rescaling of a matrix outside about [2^-406, 2^485]
+    is not by a power of two, and this one keeps eig_sym(2^k A) exact.
 
     The partition is decided here, once: the eigenvalues are clustered at
     cluster_tol * ||A||_2, and every level at or below rank_tol * ||A||_2 is
@@ -353,7 +369,9 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     if cached is not None:
         return cached
     if A._eigens is None:
-        w, v = np.linalg.eigh(A.entries)
+        scaled, e = _pow2_scaled(A.entries, A._top)
+        w, v = np.linalg.eigh(scaled)
+        w = np.ldexp(w, e)
         w.setflags(write=False)
         v.setflags(write=False)
         A._eigens = (w, v)
@@ -517,10 +535,7 @@ def _check_line(A: SymMatrix, xi, tol: Tolerances) -> tuple[SpectralDecompositio
         raise DomainError("xi must be finite")
     if v.size != A.n:
         raise DimensionMismatchError(f"xi has {v.size} entries in dimension {A.n}")
-    # Scaled by a power of two, which is exact, so that the largest entry
-    # lies in [1/2, 1): the squares in the norm then neither overflow nor
-    # vanish at any length of xi, and 2^k xi gives the same v / nrm.
-    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    v, _ = _pow2_scaled(v)  # so 2^k xi gives the same v / nrm at any k
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise DomainError("xi must be a nonzero vector")

@@ -182,6 +182,12 @@ def _min_eig(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(a).min()) if a.size else 0.0
 
 
+def _frac(err: float, bound: float) -> float:
+    """err as a fraction of its bound, which scales with the input, so a
+    zero error reads 0 at bound 0 too."""
+    return err / bound if err else 0.0
+
+
 def _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered", "projection")):
     kind = kinds[int(rng.integers(0, len(kinds)))]
     return _psd_from_rng(rng, SpectrumSpec(kind, n))
@@ -223,13 +229,12 @@ def _check_closed_vs_iterative(rng, n, tol):
     closed = spectral_short_closed(A, S, tol)
     it = spectral_short_iterative(A, S, k_max=20, tol=tol)
     nrm = A.spectral_norm()
-    scale = max(1.0, nrm)
     parts = [0.0]
     values = [np.asarray(step.value) for step in it.trace.iterates]
     for prev, nxt in zip(values, values[1:]):
-        parts.append(max(0.0, -_min_eig(prev - nxt)) / (1e-9 * scale))
+        parts.append(_frac(max(0.0, -_min_eig(prev - nxt)), 1e-9 * nrm))
     for val in values:
-        parts.append(max(0.0, -_min_eig(val - closed.value.entries)) / (1e-9 * scale))
+        parts.append(_frac(max(0.0, -_min_eig(val - closed.value.entries)), 1e-9 * nrm))
     if family in (0, 1) and not it.trace.converged:
         return 2.0
     if it.trace.converged:
@@ -246,7 +251,7 @@ def _check_power_identity(rng, n, tol):
     for t in (0.5, 2.0, 3.0):
         lhs = spectral_short_closed(matrix_power(A, t, tol), S, tol).value.entries
         rhs = matrix_power(rho.value, t, tol).entries
-        worst = max(worst, _max_abs(lhs - rhs) / (1e-7 * max(1.0, nrm**t)))
+        worst = max(worst, _frac(_max_abs(lhs - rhs), 1e-7 * nrm**t))
     return worst
 
 
@@ -270,7 +275,7 @@ def _check_spectrum_inclusion(rng, n, tol):
     worst = 0.0
     for e in eigs:
         worst = max(worst, min(abs(float(e) - t) for t in targets))
-    return worst / (1e-7 * max(1.0, d.norm2))
+    return _frac(worst, 1e-7 * d.norm2)
 
 
 def _check_min_spectrum(rng, n, tol):
@@ -280,10 +285,9 @@ def _check_min_spectrum(rng, n, tol):
     rho = spectral_short_closed(A, S, tol)
     comp_min = _min_eig(rho.compressed())
     d = eig_sym(A, tol)
-    scale = max(1.0, d.norm2)
-    parts = [abs(grid_value - comp_min) / (1e-7 * scale)]
+    parts = [_frac(abs(grid_value - comp_min), 1e-7 * d.norm2)]
     floor = d.lambda_min * S.projection()
-    parts.append(max(0.0, -_min_eig(rho.value.entries - floor)) / (1e-9 * scale))
+    parts.append(_frac(max(0.0, -_min_eig(rho.value.entries - floor)), 1e-9 * d.norm2))
     return max(parts)
 
 
@@ -307,7 +311,7 @@ def _check_monotone_calculus(rng, n, tol):
     for f, f_top in cases:
         lhs = matrix_function(rho, lambda x: max(f(x), 0.0), tol)
         rhs = spectral_short_closed(matrix_function(A, f, tol), S, tol).value
-        worst = max(worst, _max_abs(lhs.entries - rhs.entries) / (1e-8 * max(1.0, f_top)))
+        worst = max(worst, _frac(_max_abs(lhs.entries - rhs.entries), 1e-8 * f_top))
     return worst
 
 
@@ -346,7 +350,7 @@ def _check_vector_power_limit(rng, n, tol):
     power = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
     if not power.trace.converged:
         return 2.0
-    parts = [abs(power.value - closed) / (1e-6 * max(1.0, A.spectral_norm()))]
+    parts = [_frac(abs(power.value - closed), 1e-6 * A.spectral_norm())]
     B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
     dB = eig_sym(B, tol)
     null = dB.vectors[:, dB.blocks[0][1]]
@@ -419,7 +423,7 @@ def _check_complexity_power(rng, n, tol):
     if not result.trace.converged:
         return 2.0
     nrm = A.spectral_norm()
-    parts = [abs(result.value - closed) / (1e-6 * max(1.0, nrm))]
+    parts = [_frac(abs(result.value - closed), 1e-6 * nrm)]
     drop = 0.0
     for step in result.trace.iterates:
         if step.delta is not None and step.delta < -drop:
@@ -442,14 +446,13 @@ def _check_complexity_power(rng, n, tol):
 def _check_levels_attained(rng, n, tol):
     A = _mixed_psd(rng, n, kinds=("well_separated", "clustered", "with_zeros"))
     d = eig_sym(A, tol)
-    scale = max(1.0, d.norm2)
     worst = 0.0
     for expected, idx in d.blocks:
         if idx.stop > idx.start:
             v = d.vectors[:, idx.start]
             worst = max(worst, abs(spectral_short_vector(A, v, tol) - expected))
             worst = max(worst, abs(kolmogorov_closed(A, v, tol).value - expected))
-    return worst / (1e-9 * scale)
+    return _frac(worst, 1e-9 * d.norm2)
 
 
 def _check_duality(rng, n, tol):

@@ -25,9 +25,10 @@ Two routes:
   meet_tol means rounding has carried the iterate off every level xi is
   supported on, so the loop stops there ("power_limit", not converged)
   with its last quotient estimate, as the iterative route stops at its wall.
-  An iterate whose norm comes out 0 stops there too, before dividing by it:
-  it vanished (its pairing is 0), or its squares underflowed (a scale
-  fault: CHANGES.md, FOUND line on the limit routes' scale).
+  Each iterate's norm is taken after an exact power-of-two scaling
+  (core._pow2_scaled), so its squares neither overflow nor vanish and
+  2^k A gives 2^k times the quotients at any k; an iterate that vanishes
+  (its pairing is 0) stops there too, before dividing by its norm.
 
 kolmogorov_power is the package's one power loop, and the scalar spectral
 shorted value runs it too: rho(A, xi) = 1 / k(pinv(A), xi), so
@@ -65,6 +66,7 @@ from .core import (
     TraceStep,
     _check_line,
     _half_line_level,
+    _pow2_scaled,
     pseudo_inverse,
 )
 
@@ -126,12 +128,13 @@ def kolmogorov_power(
     value = 0.0
     reason = "max_iterations"
     for n in range(1, n_max + 1):
-        w = m @ u
-        growth = float(np.linalg.norm(w))
-        if growth == 0.0:  # see the module docstring
+        w, e = _pow2_scaled(m @ u)
+        nrm = float(np.linalg.norm(w))
+        if nrm == 0.0:  # see the module docstring
             reason = "power_limit"
             break
-        u = w / growth
+        u = w / nrm
+        growth = math.ldexp(nrm, e)
         log_norm += math.log(growth)
         inner = float(u @ v)
         if inner <= tol.meet_tol:  # the pairing is rounding: see the module docstring
@@ -141,7 +144,7 @@ def kolmogorov_power(
         r_n = growth * inner / prev_inner
         delta = None if prev_s is None else s_n - prev_s
         steps.append(TraceStep(n, s_n, delta))
-        band = tol.conv_tol * max(1.0, r_n)
+        band = tol.conv_tol * r_n
         if plateau is not None and abs(r_n - plateau) > band:
             plateau = None  # plateau escaped; keep iterating
         # The root sequence bounds the limit from below.

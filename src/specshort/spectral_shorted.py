@@ -218,7 +218,7 @@ def spectral_short_iterative(
         b = f @ f.T
         delta = None if prev is None else float(np.abs(b - prev).max())
         steps.append(TraceStep(m, b, delta))
-        if delta is not None and delta <= tol.conv_tol * max(1.0, d.norm2):
+        if delta is not None and delta <= tol.conv_tol * d.norm2:
             reason = "converged"
             break
         prev = b

@@ -3,8 +3,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from specshort import DEFAULT_TOL
+
+# One hypothesis profile for every property: the same examples on every
+# run, a fixed budget, and no per-example deadline.
+settings.register_profile("specshort", derandomize=True, deadline=None, max_examples=100)
+settings.load_profile("specshort")
 
 
 @pytest.fixture

@@ -356,6 +356,29 @@ def test_exit_code_3_on_bad_matrices(files, capsys, tmp_path):
         assert "eigenvalue" in err and "-5" in err, argv
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (2.0**-30 * np.diag([1.0, -0.5, 2.0]), "not positive semidefinite"),
+        (4.9e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]]), "not symmetric"),
+        (2.0**-30 * np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+    ],
+    ids=["indefinite", "antisymmetric", "asymmetric"],
+)
+def test_exit_code_3_on_bad_matrices_at_small_scale(entries, message, tmp_path, capsys):
+    # the symmetry and positivity bounds are relative at every scale, so a
+    # tiny bad matrix fails as loudly as a unit one
+    n = len(entries)
+    bad = write_json(tmp_path / "bad.json", {"n": n, "data": entries.reshape(-1).tolist()})
+    eye = write_json(tmp_path / "eye.json", {"n": n, "data": np.eye(n).reshape(-1).tolist()})
+    line = write_json(tmp_path / "line.json", {"n": n, "basis": [[1.0] * n]})
+    xi = write_json(tmp_path / "xi.json", {"n": n, "xi": [1.0] * n})
+    for argv in (["short", bad, line], ["spectral-short", bad, line], ["kolmogorov", bad, xi], ["order", bad, eye]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert message in err, argv
+
+
 def test_verify_deterministic_and_exit(tmp_path, capsys):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1 = main(["verify", "--dims", "2,3", "--trials", "2", "--seed", "42", "--out", str(out1)])

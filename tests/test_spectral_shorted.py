@@ -119,31 +119,23 @@ def _limit_route(route, A, xi):
     return result.value, result.trace.stop_reason
 
 
-def _scale_fault(route, exponent, cause, raises=AssertionError):
-    reason = f"FOUND in CHANGES.md, the limit routes' scale faults: {cause}"
-    mark = pytest.mark.xfail(strict=True, raises=raises, reason=reason)
-    return pytest.param(route, exponent, marks=mark)
-
-
-_BAND = "the stopping band conv_tol * max(1, scale) is absolute below scale 1"
-_NORM = "the norm of the power iterate overflows or underflows beyond about 2^+-510"
-
-
 @pytest.mark.parametrize(
     "route, exponent",
     [
-        _scale_fault("iterative", -30, _BAND),  # converged after 2 iterates at 0.632c
-        _scale_fault("kolmogorov_power", -30, _BAND),  # converged at 1.667c
-        _scale_fault("vector_power", 30, _BAND),  # converged at 1.2c; its band reads pinv(cA)
-        _scale_fault("kolmogorov_power", 520, _NORM, RuntimeWarning),  # overflow in dot
-        _scale_fault("kolmogorov_power", -600, _NORM),  # 0.0 at the power limit
-        _scale_fault("vector_power", -520, _NORM, RuntimeWarning),  # overflow in dot
-        _scale_fault("vector_power", 600, _NORM),  # 0.0 at the power limit
+        ("iterative", -30),
+        ("kolmogorov_power", -30),
+        ("vector_power", 30),  # its band reads pinv(cA)
+        ("kolmogorov_power", 520),
+        ("kolmogorov_power", -600),
+        ("vector_power", -520),
+        ("vector_power", 600),
     ],
 )
 def test_limit_routes_scale_with_the_matrix(route, exponent):
     # c a power of two scales every float of cA exactly, so a route that
-    # scales with A stops where it does at c = 1, on c times the value
+    # scales with A stops where it does at c = 1, on c times the value: its
+    # stopping band is relative, and each iterate's norm is taken after an
+    # exact power-of-two scaling, so its squares neither overflow nor vanish
     xi = np.array([1.0, 1.0, 0.0])
     A = np.diag([1.0, 2.0, 0.0])
     c = 2.0**exponent
@@ -171,7 +163,11 @@ _KERNEL_LINE_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize(
+    "w, rotated",
+    [([0.0, 1e-8, 1.0, 2.0], False), ([0.0, 1e-8, 1.0, 2.0], True), ([0.0, 1.0, 1e-8], False)],
+    ids=["diagonal", "rotated", "3x3"],
+)
 @pytest.mark.parametrize(
     "route",
     [
@@ -182,11 +178,12 @@ _KERNEL_LINE_ROUTES = {
         "short_schur",
     ],
 )
-def test_kernel_line_beside_a_tiny_level_gives_zero(route, rotated):
-    # A = diag(0, 1e-8, 1, 2): rho <= P_S A P_S = 0 and <A e0, e0> = 0 on
-    # the kernel line e0, yet eig_sym puts 0 and 1e-8 in one level 5e-9
-    w = np.array([0.0, 1e-8, 1.0, 2.0])
-    q = np.eye(4)
+def test_kernel_line_beside_a_tiny_level_gives_zero(route, w, rotated):
+    # A = diag(0, 1e-8, 1, 2), and its 3 x 3 form diag(0, 1, 1e-8): rho <=
+    # P_S A P_S = 0 and <A e0, e0> = 0 on the kernel line e0, yet eig_sym
+    # puts 0 and 1e-8 in one level 5e-9
+    w = np.array(w)
+    q = np.eye(len(w))
     if rotated:
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
     A = SymMatrix((q * w) @ q.T)
@@ -582,12 +579,11 @@ def test_iterative_zero_matrix_and_zero_subspace():
 
 
 def test_iterative_without_positive_level():
-    # every level of diag(-1e-9, 0) is at or below the rank cut, so A is
-    # all kernel and rho is 0, though A is not the zero matrix
-    A = SymMatrix(np.diag([-1e-9, 0.0]))
-    r = spectral_short_iterative(A, Subspace.full(2))
-    assert r.trace.stop_reason == "exact"
-    assert max_abs(r.value.entries) == 0.0
+    # the positivity bound and the rank cut are both relative, so the only
+    # matrix with no positive level that passes is the zero matrix (the test
+    # above): diag(-1e-9, 0) is indefinite at its own scale, and rejected
+    with pytest.raises(DomainError, match="not positive semidefinite"):
+        spectral_short_iterative(SymMatrix(np.diag([-1e-9, 0.0])), Subspace.full(2))
 
 
 def test_power_routes_reject_empty_iterations():
