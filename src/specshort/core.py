@@ -12,7 +12,8 @@ Every value is immutable in what it means, and every operation is a pure
 function of its inputs.  A few caches are filled once and never change
 after: a SymMatrix's eigenpairs (_eigens: attached by from_eigens, else
 filled by the first eig_sym) and its decompositions per (cluster_tol,
-rank_tol) (_decomps), and a Subspace's orthogonal complement (_complement:
+rank_tol) (_decomps; matrix_function stores f(A)'s under the key that
+built it), and a Subspace's orthogonal complement (_complement:
 stored by Subspace.span from the QR that gives the basis when the spanning
 set has full column rank, else filled on first use).
 Two threads that fill one at once store equal values, so everything here is
@@ -75,16 +76,17 @@ class Tolerances:
 
     cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
     every result scales with A.  eig_sym reads both and decides A's one
-    level partition: it clusters the eigenvalues at cluster_tol * ||A||_2
-    and folds every level at or below rank_tol * ||A||_2 into the kernel,
-    one block of value 0 (SpectralDecomposition.blocks), which every route
-    reads.  Past eig_sym, rank_tol is read only by short_schur's trailing
-    block and by Subspace.span.  meet_tol bounds a principal-angle sine and
-    decides every membership question: a direction lies in a meet, one
-    subspace inside another, and a vector or subspace inside a half-line
-    (the range of A included, so kolmogorov_power's "no positive support"
-    too), when the sine of its angle to the other subspace is at most
-    meet_tol.  conv_tol is relative too: spectral_short_iterative stops on
+    level partition: it clusters the eigenvalues at cluster_tol * ||A||_2,
+    and a cluster whose first (smallest) member is at or below
+    rank_tol * ||A||_2 is the kernel, one block of value 0
+    (SpectralDecomposition.blocks), which every route reads.  A function of
+    A keeps A's partition (matrix_function).  Past eig_sym, rank_tol is
+    read only by short_schur's trailing block and by Subspace.span.
+    meet_tol bounds a principal-angle sine and decides every membership
+    question: a direction lies in a meet, one subspace inside another, and
+    a vector or subspace inside a half-line (the range of A included, so
+    kolmogorov_power's "no positive support" too), when the sine of its
+    angle to the other subspace is at most meet_tol.  conv_tol is relative too: spectral_short_iterative stops on
     a step of at most conv_tol * ||A||_2, kolmogorov_power (so
     spectral_short_vector_power too) on one of at most conv_tol times the
     current quotient.  So every threshold scales with its own input, and
@@ -106,6 +108,9 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+# The partition matrix_function gives f(A): f's images of A's blocks,
+# grouped by exact equality, with cut 0.
+_EXACT = Tolerances(cluster_tol=0.0, rank_tol=0.0)
 
 # The input checks' bounds, one value each.  SymMatrix rejects an asymmetry
 # above _SYM_TOL * max |a_ij|, assert_psd an eigenvalue below
@@ -192,7 +197,8 @@ class SymMatrix:
     Matrices built from a known eigendecomposition (matrix_function,
     matrix_power, pseudo_inverse) keep the exact eigenvalue list attached so
     downstream spectral logic never re-diagonalizes a powered matrix; this is
-    what keeps extreme powers accurate per eigenvalue.
+    what keeps extreme powers accurate per eigenvalue.  A function of A
+    also keeps A's partition, under the tolerances that built it.
     """
 
     __slots__ = ("entries", "_top", "_eigens", "_decomps")
@@ -310,10 +316,11 @@ class SpectralDecomposition:
     partition of the eigen indices into level blocks.
 
     blocks lists (value, slice of eigen indices), ascending, and partitions
-    the eigen indices in order.  The first block is the kernel: every level
-    at or below the rank cut, folded into one block of value 0 (an empty
-    slice when no level is that small).  Each further block is one positive
-    level, valued at the mean of its members.  values holds each eigen
+    the eigen indices in order.  The first block is the kernel: every
+    cluster whose first member is at or below the rank cut, folded into one
+    block of value 0 (an empty slice when no cluster starts that low).
+    Each further block is one positive level, valued at the mean of its
+    members, all of them above the rank cut.  values holds each eigen
     index's block value, the spectrum every route takes A to have.  levels
     and level_values view the nonempty blocks.
     """
@@ -359,10 +366,14 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     is not by a power of two, and this one keeps eig_sym(2^k A) exact.
 
     The partition is decided here, once: the eigenvalues are clustered at
-    cluster_tol * ||A||_2, and every level at or below rank_tol * ||A||_2 is
-    folded into the kernel block.  Every downstream notion of a level or of
-    the kernel reads it.  Eigenpairs are cached per matrix, decompositions
-    per matrix and (cluster_tol, rank_tol).
+    cluster_tol * ||A||_2, each cluster anchored at its first (smallest)
+    member, and a cluster whose first member is at or below
+    rank_tol * ||A||_2 is folded into the kernel block.  So one number
+    decides both a cluster's extent and whether it is the kernel, and no
+    positive level holds an exact zero or a rounding-negative member.
+    Every downstream notion of a level or of the kernel reads it.
+    Eigenpairs are cached per matrix, decompositions per matrix and
+    (cluster_tol, rank_tol); matrix_function stores f(A)'s own.
     """
     key = (tol.cluster_tol, tol.rank_tol)
     cached = A._decomps.get(key)
@@ -381,12 +392,12 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     blocks = [(0.0, slice(0, 0))]
     listed = w.tolist()  # Python floats index faster than numpy scalars
     for idx in _cluster(listed, tol.cluster_tol * norm):
-        # A one-member level is its own mean, without np.mean's per-call cost.
-        mu = listed[idx.start] if idx.stop - idx.start == 1 else float(np.mean(w[idx]))
-        if mu > cut:
-            blocks.append((mu, idx))
-        else:
+        first = listed[idx.start]
+        if first <= cut:
             blocks[0] = (0.0, slice(0, idx.stop))
+        else:
+            # A one-member level is its own mean, without np.mean's per-call cost.
+            blocks.append((first if idx.stop - idx.start == 1 else float(np.mean(w[idx])), idx))
     values = np.repeat([mu for mu, _ in blocks], [idx.stop - idx.start for _, idx in blocks])
     values.setflags(write=False)
     decomp = SpectralDecomposition(
@@ -670,8 +681,14 @@ def matrix_function(
     level blocks of a positive semidefinite A.
 
     f is evaluated once per nonempty block, on its value, so all members of
-    a level receive the same image and the kernel (every level at or below
-    the rank cutoff) maps to f(0).
+    a level receive the same image and the kernel maps to f(0).
+
+    f(A) keeps A's partition: its decomposition under tol, the tolerances
+    that built it, is f's images of A's blocks, grouped by exact equality,
+    with cut 0 (eig_sym at cluster_tol = rank_tol = 0, stored under tol's
+    key).  So A's levels are never merged or cut again at f(A)'s own scale.
+    Read under other tolerances, f(A) is clustered from its attached
+    eigenpairs like any matrix.
     """
     d = A.assert_psd(tol)
     values = np.empty(d.n)
@@ -685,7 +702,9 @@ def matrix_function(
         if not np.isfinite(y):
             raise DomainError(f"function not finite at eigenvalue {mu!r}")
         values[idx] = y
-    return SymMatrix._attach(values, d.vectors)
+    out = SymMatrix._attach(values, d.vectors)
+    out._decomps[(tol.cluster_tol, tol.rank_tol)] = eig_sym(out, _EXACT)
+    return out
 
 
 def matrix_power(

@@ -465,8 +465,9 @@ def _check_duality(rng, n, tol):
     parts = []
     d = eig_sym(A, tol)
     kernel = d.blocks[0][1]
+    positive = d.vectors[:, kernel.stop :]
     if k_value == 0.0 and dual == 0.0:
-        proj = float(np.linalg.norm(d.vectors[:, kernel.stop :].T @ xi))
+        proj = float(np.linalg.norm(positive.T @ xi))
         parts.append(0.0 if proj <= 1e-10 else 2.0)
     else:
         parts.append(abs(k_value - dual) / (1e-8 * max(abs(k_value), 1e-300)))
@@ -475,7 +476,7 @@ def _check_duality(rng, n, tol):
             z_k, z_dual = kolmogorov_duality(A, d.vectors[:, 0], tol)
             parts.append(0.0 if (z_k == 0.0 and z_dual == 0.0) else 2.0)
     else:
-        inv_rho = spectral_short_vector(pseudo_inverse(A, tol), xi, tol)
+        inv_rho = spectral_short_vector(pseudo_inverse(A, tol), positive @ (positive.T @ xi), tol)
         parts.append(abs(k_value * inv_rho - 1.0) / 1e-8)
     return max(parts)
 

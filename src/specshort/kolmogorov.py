@@ -27,8 +27,10 @@ Two routes:
   with its last quotient estimate, as the iterative route stops at its wall.
   Each iterate's norm is taken after an exact power-of-two scaling
   (core._pow2_scaled), so its squares neither overflow nor vanish and
-  2^k A gives 2^k times the quotients at any k; an iterate that vanishes
-  (its pairing is 0) stops there too, before dividing by its norm.
+  2^k A gives 2^k times the quotients at any k.  An iterate that vanishes
+  stops there too, before dividing by its norm; since a cluster that
+  reaches the rank cut is the kernel, no input found so far reaches it,
+  and it stays as a division guard.
 
 kolmogorov_power is the package's one power loop, and the scalar spectral
 shorted value runs it too: rho(A, xi) = 1 / k(pinv(A), xi), so

@@ -154,8 +154,8 @@ def test_kolmogorov_power_reports_the_wall_as_not_converged(files, capsys):
 
 
 def test_kolmogorov_power_stops_when_the_iterate_vanishes(files, capsys):
-    # e0 passes the support check (clustered into the level 5e-9) but
-    # A e0 = 0: the report is 0 at the power limit, with exit 0
+    # 0 and 1e-8 form one cluster that starts at the rank cut, so e0 lies
+    # in the kernel: the report is the exact 0, with no iterate and exit 0
     entries = np.diag([0.0, 1e-8, 1.0, 2.0])
     a = write_json(files["tmp"] / "tiny_level.json", {"n": 4, "data": entries.reshape(-1).tolist()})
     v = write_json(files["tmp"] / "e0.json", {"n": 4, "xi": [1.0, 0.0, 0.0, 0.0]})
@@ -163,7 +163,8 @@ def test_kolmogorov_power_stops_when_the_iterate_vanishes(files, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["value"] == 0.0 and rep["K"] == "-inf"
-    assert rep["trace"]["converged"] is False and rep["trace"]["stop_reason"] == "power_limit"
+    assert rep["trace"]["converged"] is True and rep["trace"]["stop_reason"] == "exact"
+    assert rep["trace"]["steps"] == []
 
 
 def test_kolmogorov_minus_inf_marker(files, capsys):

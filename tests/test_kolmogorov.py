@@ -137,13 +137,13 @@ def test_power_stops_at_the_wall_once_the_pairing_is_rounding():
 
 @pytest.mark.filterwarnings("error")
 def test_power_stops_when_the_iterate_vanishes():
-    # the clustering puts e0 of A's exact zero in the positive level 5e-9,
-    # so xi passes the support check, yet A xi = 0: the pairing is 0 and
-    # the loop stops at the power limit without dividing by the zero norm
+    # 0 and 1e-8 form one cluster that starts at the rank cut, so e0 lies
+    # in the kernel: A e0 = 0, and the route gives the exact 0 without
+    # powering
     A = SymMatrix(np.diag([0.0, 1e-8, 1.0, 2.0]))
     r = kolmogorov_power(A, [1.0, 0.0, 0.0, 0.0])
     assert r.value == 0.0
-    assert r.trace == ConvergenceTrace((), "power_limit")
+    assert r.trace == ConvergenceTrace((), "exact")
 
 
 def test_power_wall_on_a_large_kernel():
@@ -269,17 +269,11 @@ def test_duality_invertible_reciprocal():
         assert abs(k * rho_inv - 1.0) <= 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="FOUND in CHANGES.md, harness T15 fails at n >= 60: pseudo_inverse re-clusters "
-    "pinv(A) at cluster_tol * ||pinv(A)||",
-)
 @pytest.mark.parametrize("j", [0, 1])
 def test_duality_beside_a_tiny_level(j):
-    # A = diag(1, 2, 1e-8) is well separated in its own partition, but
-    # pinv(A)'s levels 1 and 0.5 lie within its cluster width
-    # 1e-8 * ||pinv(A)|| = 1 and merge into 0.75, so dual reads 1.333...
+    # A = diag(1, 2, 1e-8) is well separated in its own partition.  pinv(A)'s
+    # levels 1 and 0.5 lie within its own cluster width 1e-8 * ||pinv(A)|| =
+    # 1, so only A's partition, which pinv(A) keeps, holds them apart
     A = SymMatrix(np.diag([1.0, 2.0, 1e-8]))
     k, dual = kolmogorov_duality(A, np.eye(3)[j])
     assert k == j + 1.0

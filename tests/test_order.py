@@ -40,22 +40,15 @@ _HOUSEHOLDER = np.eye(3) - 2.0 * np.ones((3, 3)) / 3.0  # I - 2 u u^T / 3, u = (
     "q",
     [
         pytest.param(np.eye(3), id="diagonal"),
-        pytest.param(
-            _HOUSEHOLDER,
-            id="householder",
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="FOUND in CHANGES.md, harness T11 fails at large n: the partitions of A "
-                "and B are made independently (residual 1.0, witness 1.00000003e-8)",
-            ),
-        ),
+        pytest.param(_HOUSEHOLDER, id="householder"),
     ],
 )
 def test_commuting_pair_with_a_gap_at_the_cluster_width_holds(q):
     # A = Q diag(0, 1, 1e-8) Q^T and B = (1 + 1e-9) A commute and are
     # ordered; the gap 1e-8 equals the cluster width, so rounding in Q
-    # decides A's partition, and B's is decided on its own
+    # decides A's partition, and B's is decided on its own.  Where 1e-8
+    # joins the cluster of 0, that cluster starts at the rank cut and is
+    # the kernel, which no half-line above 0 reads
     a = (q * [0.0, 1.0, 1e-8]) @ q.T
     assert spectral_leq(SymMatrix(a), SymMatrix((1.0 + 1e-9) * a)).holds
 

@@ -119,11 +119,12 @@ def test_short_hand_value_four_thirds():
         assert abs(r.scalar() - 4.0 / 3.0) < 1e-12
         assert max_abs(r.value.entries - (4.0 / 3.0) * S.projection()) < 1e-12
         assert abs(routine(SymMatrix(np.eye(3)), Subspace.span(np.ones(3))).scalar() - 1.0) < 1e-12
-    # short_at reads A's level values: -1e-12 and 5e-9 form one level of
-    # value 2.4995e-9, which the line meets (short_schur reads the entries)
+    # -1e-12 and 5e-9 form one cluster whose first member is at or below
+    # the rank cut, so it is the kernel, and the line lies in it
     B = SymMatrix(np.diag([-1e-12, 5e-9, 1.0]))
     line = Subspace.span([1.0, 1.0, 0.0])
-    assert short_at(B, line).scalar() == pytest.approx(2.4995e-9, rel=1e-12, abs=0.0)
+    for routine in (short_at, short_schur):
+        assert routine(B, line).scalar() == 0.0
 
 
 def test_result_invariants():

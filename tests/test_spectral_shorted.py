@@ -145,15 +145,6 @@ def test_limit_routes_scale_with_the_matrix(route, exponent):
     assert np.array_equal(np.asarray(value) / c, want)
 
 
-def _kernel_line_fault(route):
-    reason = (
-        "FOUND in CHANGES.md, eig_sym's clustering chains from an exact zero into "
-        "small positive levels: the kernel line lies in the level 5e-9"
-    )
-    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
-    return pytest.param(route, marks=mark)
-
-
 _KERNEL_LINE_ROUTES = {
     "closed": lambda A, xi: spectral_short_closed(A, Subspace.span(xi)).scalar(),
     "vector": spectral_short_vector,
@@ -168,20 +159,12 @@ _KERNEL_LINE_ROUTES = {
     [([0.0, 1e-8, 1.0, 2.0], False), ([0.0, 1e-8, 1.0, 2.0], True), ([0.0, 1.0, 1e-8], False)],
     ids=["diagonal", "rotated", "3x3"],
 )
-@pytest.mark.parametrize(
-    "route",
-    [
-        _kernel_line_fault("closed"),
-        _kernel_line_fault("vector"),
-        _kernel_line_fault("kolmogorov_closed"),
-        _kernel_line_fault("short_at"),
-        "short_schur",
-    ],
-)
+@pytest.mark.parametrize("route", list(_KERNEL_LINE_ROUTES))
 def test_kernel_line_beside_a_tiny_level_gives_zero(route, w, rotated):
     # A = diag(0, 1e-8, 1, 2), and its 3 x 3 form diag(0, 1, 1e-8): rho <=
-    # P_S A P_S = 0 and <A e0, e0> = 0 on the kernel line e0, yet eig_sym
-    # puts 0 and 1e-8 in one level 5e-9
+    # P_S A P_S = 0 and <A e0, e0> = 0 on the kernel line e0.  0 and 1e-8
+    # form one cluster whose first member is at the rank cut, so the whole
+    # cluster is the kernel
     w = np.array(w)
     q = np.eye(len(w))
     if rotated:
@@ -657,16 +640,16 @@ def test_iterative_factors_have_one_column_per_meet_direction(monkeypatch):
 
 
 def test_iterative_powers_level_values_not_members():
-    # -1e-12 and 5e-9 cluster into one positive level of value 2.4995e-9:
-    # the iterates power that value, never the rounding-negative member.
-    # Both subspaces meet that level in one direction and e3 in one, so the
-    # first iterate already is the limit.
-    A = SymMatrix(np.diag([-1e-12, 5e-9, 1.0]))
+    # 1e-9 and 6e-9 cluster into one positive level of value 3.5e-9: the
+    # iterates power that value, never a member.  Both subspaces meet that
+    # level in one direction and e3 in one, so the first iterate already is
+    # the limit.
+    A = SymMatrix(np.diag([1e-9, 6e-9, 1.0]))
     for S in (Subspace(np.eye(3)[:, [0, 2]]), Subspace.span([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
         r = spectral_short_iterative(A, S)
         closed = spectral_short_closed(A, S)
         assert all(np.isfinite(st.value).all() for st in r.trace.iterates)
-        assert closed.levels[-1] == (pytest.approx(2.4995e-9, rel=1e-12, abs=0.0), 1)
+        assert closed.levels[-1] == (pytest.approx(3.5e-9, rel=1e-12, abs=0.0), 1)
         assert max_abs(r.value.entries - closed.value.entries) <= 1e-9 * closed.levels[-1][0]
 
 
