@@ -81,7 +81,9 @@ class Tolerances:
     rank_tol * ||A||_2 is the kernel, one block of value 0
     (SpectralDecomposition.blocks), which every route reads.  A function of
     A keeps A's partition (matrix_function).  Past eig_sym, rank_tol is
-    read only by short_schur's trailing block and by Subspace.span.
+    read only by short_schur's trailing block, by Subspace.span and by
+    spectral_leq, which partitions a pair's joint spectrum the same way,
+    with both tolerances relative to the pair's larger norm.
     meet_tol bounds a principal-angle sine and decides every membership
     question: a direction lies in a meet, one subspace inside another, and
     a vector or subspace inside a half-line (the range of A included, so
@@ -320,9 +322,10 @@ class SpectralDecomposition:
     cluster whose first member is at or below the rank cut, folded into one
     block of value 0 (an empty slice when no cluster starts that low).
     Each further block is one positive level, valued at the mean of its
-    members, all of them above the rank cut.  values holds each eigen
-    index's block value, the spectrum every route takes A to have.  levels
-    and level_values view the nonempty blocks.
+    members (at the first, exactly, when all are equal), all of them above
+    the rank cut.  values holds each eigen index's block value, the
+    spectrum every route takes A to have.  levels and level_values view the
+    nonempty blocks.
     """
 
     eigenvalues: np.ndarray
@@ -396,8 +399,9 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         if first <= cut:
             blocks[0] = (0.0, slice(0, idx.stop))
         else:
-            # A one-member level is its own mean, without np.mean's per-call cost.
-            blocks.append((first if idx.stop - idx.start == 1 else float(np.mean(w[idx])), idx))
+            # A level of equal members is valued at its first, exactly (np.mean
+            # can miss it by an ulp), without np.mean's per-call cost.
+            blocks.append((first if listed[idx.stop - 1] == first else float(np.mean(w[idx])), idx))
     values = np.repeat([mu for mu, _ in blocks], [idx.stop - idx.start for _, idx in blocks])
     values.setflags(write=False)
     decomp = SpectralDecomposition(
@@ -634,13 +638,6 @@ class ShortedResult:
         return float(np.abs(outside, out=outside).max())
 
 
-def _half_line_start(D: SpectralDecomposition, lam, tol: Tolerances):
-    """First eigen index of the half-line E[lam, inf): whole blocks from the
-    first whose value reaches lam, up to the clustering tolerance.  Given an
-    array of thresholds, an array of the same shape."""
-    return np.searchsorted(D.values, np.asarray(lam) - tol.cluster_tol * D.norm2, side="left")
-
-
 def _half_line_level(
     D: SpectralDecomposition, x: np.ndarray, tol: Tolerances, top_down: bool = False
 ) -> float:
@@ -671,7 +668,8 @@ def spectral_projection(
     Whole blocks are kept or dropped together, the kernel block (value 0)
     included, so the result is monotone in lam exactly (as index sets).
     """
-    return Subspace._of(D.vectors[:, _half_line_start(D, lam, tol) :])
+    start = np.searchsorted(D.values, lam - tol.cluster_tol * D.norm2, side="left")
+    return Subspace._of(D.vectors[:, start:])
 
 
 def matrix_function(

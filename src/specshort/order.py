@@ -3,26 +3,34 @@ matrices: A precedes B when every power of A sits below the same power of B,
 equivalently when the half-line spectral projections of A are contained in
 those of B at every threshold.
 
-The projections are piecewise constant in the threshold, so checking at the
-merged distinct levels of both matrices plus the midpoints between
-consecutive levels decides the order exactly (up to clustering tolerance).
-Range inclusion is measured by the operator norm of the excluded component,
-the largest principal-angle sine, which stays robust near degenerate
-eigenvalues.  With W = V_B^T V_A, that component at a threshold is the
-block of W pairing B's eigenvectors below it with A's at or above it.
-Each distinct pair of half-line starts (the first eigen index of each
-matrix's half-line) is tested once: thresholds that share the pair share
-the block, hence the residual.  A pair whose half-line of A is empty or
-of B is everything is included trivially and not tested.  Only the rows
-of W below the last tested start of B and its columns from the first
-tested start of A are formed, in one product: they hold every tested
-block.  A block's Frobenius norm bounds its largest singular value (Golub
-& Van Loan, Matrix Computations, 2.3), so a block whose Frobenius norm is
+Both half-lines are read off one partition of the pair: the joint spectrum
+(the eigenvalues of A and of B together, sorted) is clustered as eig_sym
+clusters one matrix, at cluster_tol * s with s = max(||A||_2, ||B||_2),
+each run anchored at its first member, and every eigenvalue of either
+matrix reads its run's first member.  A run whose first member is at or
+below rank_tol * s is the pair's kernel.  The projections are then
+piecewise constant in the threshold, with steps only at the first members
+above the rank cut, so checking there decides the order exactly (up to
+clustering tolerance); the half-line at a threshold holds every eigen
+index whose run's first member reaches it.  Range inclusion is measured by
+the operator norm of the excluded component, the largest principal-angle
+sine, which stays robust near degenerate eigenvalues.  With
+W = V_B^T V_A, that component at a threshold is the block of W pairing
+B's eigenvectors below it with A's at or above it, selected by the pair
+of half-line starts (the first eigen index of each matrix's half-line).
+Every run moves at least one start, so each threshold selects its own
+block.  A threshold whose half-line of A is empty or of B is everything
+is included trivially and not tested.
+
+Only the rows of W below the last tested start of B and its columns from the
+first tested start of A are formed, in one product: they hold every tested
+block.  A block's Frobenius norm bounds its largest singular value (Golub &
+Van Loan, Matrix Computations, 2.3), so a block whose Frobenius norm is
 within meet_tol is certified by it, without an SVD, and that bound is its
-residual.  Any other block's residual is its largest sine, from one SVD;
-a sine of a block of the orthogonal W is at most 1, so it is clamped to 1,
-and the test stops at the first block whose residual reaches 1: the
-witness is set by then and no later block can raise the worst residual.
+residual.  Any other block's residual is its largest sine, from one SVD; a
+sine of a block of the orthogonal W is at most 1, so it is clamped to 1, and
+the test stops at the first block whose residual reaches 1: the witness is
+set by then and no later block can raise the worst residual.
 
 Every block's Frobenius norm is read from one table, the row-prefix sums
 of the column-suffix sums of W∘W, formed once over the product.  The
@@ -56,7 +64,7 @@ from .core import (
     DimensionMismatchError,
     SymMatrix,
     Tolerances,
-    _half_line_start,
+    _cluster,
 )
 
 __all__ = ["OrderCertificate", "spectral_leq"]
@@ -72,21 +80,13 @@ class OrderCertificate:
     angle sine; when it holds it is the largest per-block Frobenius bound
     on that sine, within meet_tol.
     witness_lambda is the smallest tested threshold where inclusion fails
-    (its defect exceeds meet_tol), if any.
+    (its defect exceeds meet_tol), if any: the first member of a run of the
+    pair's joint partition, so an eigenvalue of A or of B.
     """
 
     holds: bool
     witness_lambda: float | None
     worst_residual: float
-
-
-def _distinct(values) -> np.ndarray:
-    """The distinct values, ascending: np.unique's result, without the
-    numpy.ma import np.unique costs a CLI process."""
-    out = np.sort(np.asarray(values, dtype=float))
-    keep = np.ones(len(out), dtype=bool)
-    keep[1:] = out[1:] != out[:-1]
-    return out[keep]
 
 
 def spectral_leq(
@@ -97,19 +97,22 @@ def spectral_leq(
         raise DimensionMismatchError(f"dimensions differ: {A.n} vs {B.n}")
     da = A.assert_psd(tol)
     db = B.assert_psd(tol)
-    levels = _distinct([mu for d in (da, db) for mu, _ in d.blocks[1:]])
-    grid = _distinct(np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0]))
-    a_starts = _half_line_start(da, grid, tol)
-    b_starts = _half_line_start(db, grid, tol)
-    # Both starts are nondecreasing in the threshold, so a repeated pair
-    # follows its first threshold directly and selects the same block of W.
-    new = np.ones(len(grid), dtype=bool)
-    new[1:] = (a_starts[1:] != a_starts[:-1]) | (b_starts[1:] != b_starts[:-1])
+    # One partition of the pair: the joint spectrum's runs at the pair's
+    # scale, each anchored at its first member; the thresholds are the
+    # first members above the rank cut.  An eigenvalue's run starts at or
+    # above a first member exactly when the eigenvalue does, so each
+    # half-line start is a search of the raw eigenvalues.
+    scale = max(da.norm2, db.norm2)
+    joint = np.sort(np.concatenate([da.eigenvalues, db.eigenvalues])).tolist()
+    firsts = np.array([joint[idx.start] for idx in _cluster(joint, tol.cluster_tol * scale)])
+    grid = firsts[firsts > tol.rank_tol * scale]
+    a_starts = np.searchsorted(da.eigenvalues, grid)
+    b_starts = np.searchsorted(db.eigenvalues, grid)
     # an empty half-line of A or a full one of B is included trivially
-    new &= (a_starts < A.n) & (b_starts > 0)
-    if not new.any():
+    nontrivial = (a_starts < A.n) & (b_starts > 0)
+    if not nontrivial.any():
         return OrderCertificate(holds=True, witness_lambda=None, worst_residual=0.0)
-    lams, a_starts, b_starts = grid[new].tolist(), a_starts[new], b_starts[new]
+    lams, a_starts, b_starts = grid[nontrivial].tolist(), a_starts[nontrivial], b_starts[nontrivial]
     a_idx, b_idx = a_starts.tolist(), b_starts.tolist()
     # W's rows below the last B-start against its columns from the first
     # A-start: every tested block and no more

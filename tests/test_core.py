@@ -257,6 +257,12 @@ def test_clustering_exact_duplicates():
     np.testing.assert_allclose(d.level_values, [1.0, 2.0])
 
 
+def test_a_level_of_equal_members_is_valued_exactly():
+    # np.mean of three 0.1s is 0.10000000000000002
+    d = eig_sym(SymMatrix.from_eigens([0.1, 0.1, 0.1, 1.0], np.eye(4)))
+    assert d.level_values.tolist() == [0.1, 1.0]
+
+
 def test_clustering_near_duplicates_merge():
     eps = 1e-12
     d = eig_sym(SymMatrix(np.diag([1.0, 1.0 + eps, 2.0])))

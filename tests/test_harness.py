@@ -182,11 +182,12 @@ def test_monotone_calculus_maps_the_kernel_to_f0_at_n200():
         assert run_trial(THEOREMS[index], index, trial, (200,), 0, DEFAULT_TOL) <= 1.0
 
 
-@pytest.mark.parametrize("theorem", ["T1", "T4", "T15"])
+@pytest.mark.parametrize("theorem", ["T1", "T4", "T11", "T15"])
 @pytest.mark.parametrize("n, trials", [(30, 10), (60, 10), (100, 10), (200, 3)])
 def test_large_n_theorems_pass(theorem, n, trials):
     # seed 0: a cluster that reaches the rank cut is the kernel (T1, T4),
-    # pinv(A) keeps A's partition and T15 reads xi's range part (T15)
+    # the order reads one partition of the pair (T11), pinv(A) keeps A's
+    # partition and T15 reads xi's range part (T15)
     index = [t.theorem for t in THEOREMS].index(theorem)
     for trial in range(trials):
         assert run_trial(THEOREMS[index], index, trial, (n,), 0, DEFAULT_TOL) <= 1.0, trial
@@ -201,8 +202,6 @@ def _large_n_fault(theorem, n, trial, found):
 @pytest.mark.parametrize(
     "theorem, n, trial",
     [
-        # residual 2.0
-        _large_n_fault("T11", 60, 4, "spectral_leq rejects commuting ordered pairs at large n"),
         # residual 2.0
         _large_n_fault("T3", 30, 2, "T3 scores 2.0 when the oracle stops at its power wall on the commuting family"),
     ],

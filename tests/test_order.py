@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,24 @@ def test_commuting_pair_with_a_gap_at_the_cluster_width_holds(q):
     assert spectral_leq(SymMatrix(a), SymMatrix((1.0 + 1e-9) * a)).holds
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # same norm; A's block mean 1.5e-9 lifted e_0 above its value in B
+        pytest.param([1e-9, 2e-9, 0.5], [1e-9, 3 * 2e-9, 0.5], id="equal-norms"),
+        # B's kernel chain, at its wider cluster width, swallowed e_1, which
+        # A's own partition kept positive
+        pytest.param([0.0, 1e-8, 5e-9, 0.65], [0.0, 1.1e-8, 1.5e-8, 1.15], id="kernel-chain"),
+    ],
+)
+def test_commuting_pair_near_the_cluster_width_is_ordered_one_way(a, b):
+    # each matrix partitioned alone rejected A <= B; one partition of the
+    # pair accepts it and rejects B <= A
+    A, B = SymMatrix(np.diag(a)), SymMatrix(np.diag(b))
+    assert spectral_leq(A, B).holds
+    assert not spectral_leq(B, A).holds
+
+
 def test_reflexive():
     A = gen_psd(SpectrumSpec("clustered", 5), 8)
     assert spectral_leq(A, A).holds
@@ -71,20 +91,45 @@ def test_counterexample_rejected_with_witness():
     assert cert.worst_residual > 0.1
 
 
+def _joint_starts(A, B, tol=DEFAULT_TOL):
+    # reference for the pair's one partition: the joint spectrum's runs at
+    # cluster_tol * max(||A||, ||B||), each anchored at its first member,
+    # and every eigenvalue of A and of B reading its run's first member.
+    # The thresholds are the first members above rank_tol times that scale,
+    # and a half-line starts at the first eigen index whose first member
+    # reaches its threshold.  Returns both decompositions and one
+    # (threshold, A-start, B-start) per threshold.
+    da, db = eig_sym(A, tol), eig_sym(B, tol)
+    scale = max(da.norm2, db.norm2)
+    firsts = []
+    for x in sorted(da.eigenvalues.tolist() + db.eigenvalues.tolist()):
+        if not firsts or x - firsts[-1] > tol.cluster_tol * scale:
+            firsts.append(x)
+
+    def reads(d):
+        return [firsts[bisect.bisect_right(firsts, x) - 1] for x in d.eigenvalues.tolist()]
+
+    def start(read, lam):
+        return next((i for i, first in enumerate(read) if first >= lam), len(read))
+
+    read_a, read_b = reads(da), reads(db)
+    lams = [lam for lam in firsts if lam > tol.rank_tol * scale]
+    return da, db, [(lam, start(read_a, lam), start(read_b, lam)) for lam in lams]
+
+
 def test_witness_is_smallest_failing_threshold():
-    # the witness is the first threshold of the grid at which half-line
-    # inclusion fails, with the defects taken here by principal angles
+    # the witness is the first threshold of the pair's partition at which
+    # half-line inclusion fails, with the defects taken here by principal
+    # angles
     for seed in range(40):
         A = gen_psd(SpectrumSpec("clustered", 6), seed)
         rho = spectral_short_closed(A, gen_subspace(6, 3, seed)).value
         for low, high in ((A, rho), (rho, A), (CANONICAL_A, CANONICAL_B)):
-            da, db = eig_sym(low), eig_sym(high)
-            levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})
-            grid = sorted(set(levels + [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]))
+            da, db, starts = _joint_starts(low, high)
             failing = [
                 lam
-                for lam in grid
-                if containment_residual(spectral_projection(da, lam), spectral_projection(db, lam))
+                for lam, a, b in starts
+                if containment_residual(Subspace(da.vectors[:, a:]), Subspace(db.vectors[:, b:]))
                 > DEFAULT_TOL.meet_tol
             ]
             cert = spectral_leq(low, high)
@@ -93,26 +138,17 @@ def test_witness_is_smallest_failing_threshold():
 
 
 def _threshold_loop(A, B, tol=DEFAULT_TOL, frobenius=True, full=False, stop=False):
-    # reference: one residual per threshold of the grid, as the order was
-    # decided before repeated pairs of half-line starts were skipped.  A
-    # block whose Frobenius norm is within meet_tol is certified by it;
-    # every other residual is the block's largest sine (every residual is,
-    # with frobenius=False).  The blocks are read from the rows of
-    # W = V_B^T V_A below the last tested B-start and its columns from the
-    # first tested A-start, formed alone as spectral_leq forms them, or
-    # from all of W with full=True.  With stop=True the loop ends once the
-    # worst residual is 1, as spectral_leq's does; that changes the triple
-    # only when meet_tol exceeds 1.  Also returns the residual of each
-    # distinct block in the order first tested.
-    da, db = eig_sym(A, tol), eig_sym(B, tol)
-
-    def start(d, lam):
-        k = int(np.searchsorted(d.level_values, lam - tol.cluster_tol * d.norm2, side="left"))
-        return d.levels[k][0] if k < len(d.levels) else d.n
-
-    levels = sorted({mu for d in (da, db) for mu, _ in d.blocks[1:]})
-    mids = [(a + b) / 2.0 for a, b in zip(levels, levels[1:])]
-    starts = [(lam, start(da, lam), start(db, lam)) for lam in sorted(set(levels + mids))]
+    # reference: one residual per threshold of the pair's partition
+    # (_joint_starts).  A block whose Frobenius norm is within meet_tol is
+    # certified by it; every other residual is the block's largest sine
+    # (every residual is, with frobenius=False).  The blocks are read from
+    # the rows of W = V_B^T V_A below the last tested B-start and its
+    # columns from the first tested A-start, formed alone as spectral_leq
+    # forms them, or from all of W with full=True.  With stop=True the loop
+    # ends once the worst residual is 1, as spectral_leq's does; that
+    # changes the triple only when meet_tol exceeds 1.  Also returns the
+    # residual of each distinct block in the order first tested.
+    da, db, starts = _joint_starts(A, B, tol)
     tested = [(lam, a, b) for lam, a, b in starts if a < A.n and b > 0]
     a_lo = 0 if full or not tested else min(a for _, a, _ in tested)
     b_hi = B.n if full or not tested else max(b for _, _, b in tested)
@@ -324,10 +360,11 @@ def test_failing_order_stops_at_the_first_full_sine(monkeypatch):
     assert svds <= residuals.index(1.0) + 1 < len(residuals)
 
 
-def test_witness_at_midpoint_between_close_levels():
-    # At the midpoint of A's levels 1 and 1 + 1.5c, A's half-line still holds
-    # its level 1 while B's has dropped its level 1 - 0.9c: the first failing
-    # threshold, which no level of either matrix carries.
+def test_witness_at_a_level_between_close_levels():
+    # The pair's partition puts B's level 1 - 0.9c and A's level 1 in one
+    # run, with A's level 1 + 1.5c a run of its own.  At that run's first
+    # member A's half-line keeps its level 1 + 1.5c while B's has dropped
+    # its level 1 - 0.9c: the first failing threshold, A's level.
     c = 3 * DEFAULT_TOL.cluster_tol
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
@@ -336,7 +373,7 @@ def test_witness_at_midpoint_between_close_levels():
     B = SymMatrix.from_eigens([0.5, 1.0 - 0.9 * c, 2.5, 2.8, 3.0], np.column_stack([q[:, 0], rest]))
     cert = spectral_leq(A, B)
     assert not cert.holds
-    assert cert.witness_lambda == (1.0 + (1.0 + 1.5 * c)) / 2.0
+    assert cert.witness_lambda == 1.0 + 1.5 * c == 1.000000045
 
 
 def test_dimension_mismatch():

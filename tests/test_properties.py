@@ -3,7 +3,9 @@ and the homogeneity of every public route.
 
 The searched inputs: n <= 6, eigenvalues from {0, 10^-k, 1 + 10^-k} with
 k <= 14, the eigenbasis turned by one Householder reflection with a
-small-integer vector, and S spanned by small-integer vectors.  A property
+small-integer vector, and S spanned by small-integer vectors.  Ordered
+pairs take their eigenvalues from levels about the cluster width and the
+rank cut instead, each lifted by a factor of at least 1.  A property
 that fails goes in as a strict xfail naming its FOUND line in CHANGES.md;
 no tolerance is widened to make one pass.  The example budget is the conftest profile's.
 """
@@ -47,14 +49,18 @@ from conftest import max_abs, min_eig
 
 _VALUES = [0.0] + [10.0**-k for k in range(15)] + [1.0 + 10.0**-k for k in range(15)]
 _SMALL = st.integers(-2, 2)
+# levels about the default cluster width and rank cut, and the factors
+# that lift them to an ordered partner
+_PAIR_VALUES = [0.0, 1e-9, 2e-9, 4e-9, 5e-9, 7e-9, 8e-9, 1e-8, 1.1e-8, 1.2e-8, 1.5e-8, 2e-8, 0.5, 0.65, 1.0, 1.15, 2.0]
+_FACTORS = [1.0, 1.25, 2.0, 3.0]
 
 
 @st.composite
-def spectra(draw, kernel=False):
+def spectra(draw, kernel=False, values=_VALUES):
     """(w, H): the eigenvalues, one of them 0 when kernel is set, and
     H = I - 2 u u^T / u^T u (I for u = 0), so A = H diag(w) H."""
     n = draw(st.integers(2, 6))
-    w = np.array(draw(st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
     if kernel:
         w[draw(st.integers(0, n - 1))] = 0.0
     u = np.array(draw(st.lists(_SMALL, min_size=n, max_size=n)), dtype=float)
@@ -69,6 +75,15 @@ def problems(draw):
     n = len(w)
     spanning = draw(st.lists(st.lists(_SMALL, min_size=n, max_size=n), min_size=1, max_size=n))
     return SymMatrix((h * w) @ h.T), Subspace.span(np.array(spanning, dtype=float).T)
+
+
+@st.composite
+def ordered_pairs(draw):
+    """(A, B) = (H diag(w) H, H diag(w f) H) by from_eigens, w from
+    _PAIR_VALUES and every f from _FACTORS, so A precedes B."""
+    w, h = draw(spectra(values=_PAIR_VALUES))
+    f = draw(st.lists(st.sampled_from(_FACTORS), min_size=len(w), max_size=len(w)))
+    return SymMatrix.from_eigens(w, h), SymMatrix.from_eigens(w * np.array(f), h)
 
 
 @st.composite
@@ -138,6 +153,12 @@ def test_rho_below_the_rayleigh_quotient_below_k(line):
 def test_rho_precedes_a_in_the_spectral_order(problem):
     A, S = problem
     assert spectral_leq(spectral_short_closed(A, S).value, A).holds
+
+
+@given(ordered_pairs())
+def test_a_commuting_ordered_pair_precedes(pair):
+    A, B = pair
+    assert spectral_leq(A, B).holds
 
 
 @given(problems())
