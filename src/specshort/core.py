@@ -19,7 +19,8 @@ set has full column rank, else filled on first use).
 Two threads that fill one at once store equal values, so everything here is
 safe to share across threads.
 
-Each check reads an n x n array in one pass: SymMatrix's finiteness and
+Each check reads an n x n array with no n x n temporary of its own:
+SymMatrix's finiteness, from the largest and smallest entries, and its
 asymmetry, and its stored symmetrization, built in the array that held the
 difference; and the orthonormality residual, which takes the identity off
 B^T B in place.  Outside input is checked, and what is built here from a
@@ -27,7 +28,10 @@ checked factorization is not checked again: Subspace._of takes every basis
 built from an orthogonal factor with no copy and no B^T B,
 SymMatrix._attach a matrix from its eigenpairs without from_eigens' check,
 and SymMatrix._symmetric a value built symmetric to the bit with its
-finiteness check only.
+finiteness check only.  _attach stores eigenpairs that arrive sorted as
+given, with no copy, and sorts and gathers only unsorted ones; so
+from_eigens hands on a sorted copy of the caller's arrays, and the closed
+form builds rho's eigenpairs in the sorted order.
 """
 
 from __future__ import annotations
@@ -146,9 +150,11 @@ def _pow2_scaled(a: np.ndarray, top: float | None = None) -> tuple[np.ndarray, i
 
 
 def _finite_scale(arr: np.ndarray) -> float:
-    """The largest magnitude of arr; DomainError unless it is finite (NaN
-    and +-inf propagate through it)."""
-    scale = float(np.abs(arr).max())
+    """The largest magnitude of arr, max(max a, -min a), read with no |a|
+    array; DomainError unless it is finite.  A NaN entry makes both
+    reductions NaN, and max returns its first argument then, so NaN and
+    +-inf reach the check; abs() gives a zero array +0.0, as max |a| does."""
+    scale = abs(max(float(arr.max()), -float(arr.min())))
     if not math.isfinite(scale):
         raise DomainError("matrix entries must be finite")
     return scale
@@ -262,7 +268,9 @@ class SymMatrix:
 
         V must be n x n with orthonormal columns (the residual bound
         Subspace applies) and w must hold n values, so the
-        attached decomposition is the matrix's own.
+        attached decomposition is the matrix's own.  The pairs are sorted
+        by a stable gather, which copies both: _attach stores sorted arrays
+        as given and makes them read-only.
         """
         w = np.asarray(eigenvalues, dtype=float)
         v = np.asarray(vectors, dtype=float)
@@ -271,20 +279,31 @@ class SymMatrix:
                 f"expected n eigenvalues and n x n eigenvectors, got {w.shape} and {v.shape}"
             )
         _check_orthonormal(v, "eigenvectors")
-        return cls._attach(w, v)
+        order = np.argsort(w, kind="stable")
+        return cls._attach(w[order], v[:, order])
 
     @classmethod
     def _attach(cls, w: np.ndarray, v: np.ndarray) -> "SymMatrix":
         """from_eigens without its checks, for eigenvectors built here:
         eigh's, or a Subspace basis, already checked.
 
-        The product V diag(w) V^T is formed from the columns with w != 0
-        only, since the others add exact zeros; every column stays in the
-        attached decomposition."""
-        order = np.argsort(w, kind="stable")
-        w = w[order]
-        v = v[:, order]
-        keep = w != 0.0
+        The pairs are stored ascending, in a stable sort's order, and made
+        read-only.  When w is already nondecreasing, w and v are stored as
+        given, with no copy, so a caller hands over arrays it no longer
+        writes (from_eigens hands on a sorted copy); otherwise they are
+        sorted and gathered.  The product V diag(w) V^T is formed from the
+        columns with w != 0 only, since the others add exact zeros: a slice
+        of V when they are contiguous, else a masked copy.  Every column
+        stays in the attached decomposition."""
+        if np.any(w[1:] < w[:-1]):
+            order = np.argsort(w, kind="stable")
+            w = w[order]
+            v = v[:, order]
+        nonzero = np.flatnonzero(w)
+        if nonzero.size and nonzero[-1] - nonzero[0] == nonzero.size - 1:
+            keep = slice(nonzero[0], nonzero[-1] + 1)
+        else:
+            keep = w != 0.0
         vk = v[:, keep]
         out = cls((vk * w[keep]) @ vk.T)
         w.setflags(write=False)

@@ -91,6 +91,8 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
         keep = w > tol.rank_tol * d.norm2
         h = (a12 @ v[:, keep]) / np.sqrt(w[keep])
         inner = a11 - h @ h.T
+    # the blocks go before the n x n embedding
+    del sa, a11, a12, a22
     # Symmetrized here, to the bit: the Schur blocks carry a rounding
     # asymmetry of order eps ||A||, which can exceed _SYM_TOL relative to a
     # result much smaller than A.

@@ -150,9 +150,21 @@ def spectral_short_closed(
             break  # every coordinate has entered and none stays
     # Every direction of S settles by the last block, whose sines are all
     # 1, so the settled directions span S and the kernel is its complement.
-    vectors = np.hstack([S.basis @ np.hstack(coords), S.complement().basis])
-    values = np.repeat([mu for mu, _ in blocks] + [0.0], ranks + [A.n - k])
-    levels = [(mu, rank) for (mu, _), rank in zip(blocks, ranks) if mu > 0.0]
+    # The columns go in _attach's order, so it neither sorts nor copies:
+    # every value 0 first (the kernel block's settled directions, then S's
+    # complement), then the positive levels ascending.  The settled
+    # directions are formed in place in the last k columns, and the kernel
+    # block's are moved to the front.
+    n, kernel = A.n, ranks[0]
+    vectors = np.empty((n, n))
+    np.matmul(S.basis, np.hstack(coords), out=vectors[:, n - k :])
+    vectors[:, :kernel] = vectors[:, n - k : n - k + kernel]
+    vectors[:, kernel : kernel + n - k] = S.complement().basis
+    # the walk's factors go before rho's product is formed
+    del q, r, stays, sines, coords
+    mus = [mu for mu, _ in blocks[1:]]
+    values = np.repeat([0.0] + mus, [kernel + n - k] + ranks[1:])
+    levels = list(zip(mus, ranks[1:]))
     return ShortedResult(
         value=SymMatrix._attach(values, vectors),
         subspace=S,

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from typing import NamedTuple
 
@@ -39,6 +40,19 @@ def containment_residual(p, q):
 def same_subspace(s, t, tol=1e-9):
     """Two subspaces are equal iff their orthogonal projections agree."""
     return max_abs(s.projection() - t.projection()) <= tol
+
+
+def peak_alloc(f, n):
+    """The peak of what f() allocates while it runs, returned value
+    included, in units of n x n arrays of doubles (tracemalloc counts only
+    allocations made once it has started, so caches built before are not)."""
+    tracemalloc.start()
+    try:
+        f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
 
 
 class LinalgCall(NamedTuple):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +26,10 @@ from specshort import (
     spectral_short_closed,
 )
 
-from specshort.core import _ORTH_TOL, _SYM_TOL, _range_meet
+from specshort.core import _ORTH_TOL, _SYM_TOL, _finite_scale, _range_meet
 from specshort.harness import _KINDS
 
-from conftest import containment_residual, linalg_calls, max_abs, same_subspace
+from conftest import containment_residual, linalg_calls, max_abs, peak_alloc, same_subspace
 
 
 # ---- SymMatrix ----
@@ -80,18 +79,36 @@ def test_constructor_contract():
 
 
 def test_constructor_peak_allocation():
-    # one difference array, reused for the stored entries, and the abs-max
+    # one difference array, reused for the stored entries, and no |a|
     # temporary before it: the peak stays below 1.5 arrays of doubles
     n = 200
     a = np.random.default_rng(12).standard_normal((n, n))
     a += a.T
-    tracemalloc.start()
-    try:
-        SymMatrix(a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * n * n * 8, peak / (8 * n * n)
+    peak = peak_alloc(lambda: SymMatrix(a), n)
+    assert peak < 1.5, peak
+
+
+@pytest.mark.parametrize(
+    "route, ceiling",
+    # what each returns (rho's value and its attached eigenvectors; Sigma's
+    # value) and at most one n x n temporary beyond it, the product or the
+    # symmetrization
+    [(spectral_short_closed, 4.0), (short_schur, 2.75), (short_at, 2.5)],
+    ids=["spectral_short_closed", "short_schur", "short_at"],
+)
+def test_route_peak_allocation(route, ceiling):
+    # 4 levels of 50 in a random basis and a generic S of dimension 100,
+    # with A's decomposition and S's complement cached first, as an op
+    # that reads both routes has them
+    n = 200
+    rng = np.random.default_rng(29)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = SymMatrix((q * np.repeat(np.linspace(1.0, 2.0, 4), n // 4)) @ q.T)
+    S = Subspace.span(rng.standard_normal((n, n // 2)))
+    eig_sym(A)
+    S.complement()
+    peak = peak_alloc(lambda: route(A, S), n)
+    assert peak <= ceiling, peak
 
 
 def test_rejects_non_square_and_non_finite():
@@ -452,23 +469,30 @@ def test_meet_and_containment_agree_on_a_small_angle():
     assert projection_meet(e1, line).dim == 0
 
 
-def _attached_matches_its_product(monkeypatch, build):
-    """Run build(), which attaches one matrix, and check it: its entries
-    match V diag(w) V^T over all n columns within n eps ||w||_inf, and its
-    attached eigenpairs are all n of them, sorted, with the signs they were
-    given.  Returns the eigenvalues handed to attach, in their given order."""
+def _attach_inputs(monkeypatch, build):
+    """(made, w, v): build()'s result, which attaches one matrix, and the
+    arrays it handed to _attach (which reorders neither in place)."""
     given = []
     attach = SymMatrix._attach.__func__
 
     def recording(cls, w, v):
-        given.append((np.array(w), np.array(v)))
+        given.append((w, v))
         return attach(cls, w, v)
 
     with monkeypatch.context() as m:
         m.setattr(SymMatrix, "_attach", classmethod(recording))
         made = build()
     assert len(given) == 1
-    (w, v), n = given[0], made.n
+    return made, *given[0]
+
+
+def _attached_matches_its_product(monkeypatch, build):
+    """Run build(), which attaches one matrix, and check it: its entries
+    match V diag(w) V^T over all n columns within n eps ||w||_inf, and its
+    attached eigenpairs are all n of them, sorted, with the signs they were
+    given.  Returns the eigenvalues handed to attach, in their given order."""
+    made, w, v = _attach_inputs(monkeypatch, build)
+    n = made.n
     order = np.argsort(w, kind="stable")
     w_sorted, v_sorted = w[order], v[:, order]
     assert made._eigens[0].tobytes() == w_sorted.tobytes()
@@ -485,10 +509,10 @@ def test_attach_skips_zero_eigenvalues_in_its_product(monkeypatch):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = SymMatrix((q * [0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T)
     # S holds a kernel direction, so rho's kernel-block directions (value
-    # 0) come before its positive ones, and S's complement follows
+    # 0) come first, S's complement follows, and its positive ones last
     S = Subspace.span(np.column_stack([q[:, 0], q[:, 2] + q[:, 5], q[:, 3] - q[:, 6]]))
     w = _attached_matches_its_product(monkeypatch, lambda: spectral_short_closed(A, S).value)
-    assert w[0] == 0.0 and min(w[1:3]) > 0.0 and np.count_nonzero(w == 0.0) == n - 2
+    assert w[0] == 0.0 and min(w[-2:]) > 0.0 and np.count_nonzero(w == 0.0) == n - 2
     # a level mapped to 0, and every level mapped to 0
     w = _attached_matches_its_product(
         monkeypatch, lambda: matrix_function(A, lambda mu: 0.0 if mu < 2.5 else mu)
@@ -503,6 +527,83 @@ def test_attach_skips_zero_eigenvalues_in_its_product(monkeypatch):
     # zeros between negative and positive values, -0.0 among them
     given = [2.0, -0.0, -1.5, 0.0, 3.0, -0.5, 0.0, 1.0]
     _attached_matches_its_product(monkeypatch, lambda: SymMatrix.from_eigens(given, q))
+
+
+def _sort_and_gather(w, v):
+    """(entries, w, v) by _attach's full path: a stable sort and a gather of
+    every pair, then the product over a mask of the nonzero columns."""
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], v[:, order]
+    keep = w != 0.0
+    vk = v[:, keep]
+    return SymMatrix((vk * w[keep]) @ vk.T).entries, w, v
+
+
+def test_attach_stores_sorted_pairs_as_given_to_the_bit(monkeypatch):
+    rng = np.random.default_rng(22)
+    n = 12
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = SymMatrix((q * np.repeat([0.0, 1.0, 2.0, 3.0], 3)) @ q.T)
+    S = Subspace.span(np.column_stack([q[:, 0], rng.standard_normal((n, 4))]))
+    negatives = [-2.0, -1.0, -1.0, -0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 4.0]
+    builds = {  # (build, whether _attach is handed nondecreasing values)
+        "closed form": (lambda: spectral_short_closed(A, S).value, True),
+        "power": (lambda: matrix_power(A, 0.5), True),
+        "pseudo-inverse": (lambda: pseudo_inverse(A), False),
+        "zeros inside the nonzero run": (lambda: matrix_function(A, lambda mu: 0.0 if 1.5 < mu < 2.5 else mu), False),
+        "negatives": (lambda: SymMatrix.from_eigens(negatives, q), True),
+        "negatives unsorted": (lambda: SymMatrix.from_eigens(negatives[::-1], q), True),
+    }
+    for name, (build, ascending) in builds.items():
+        made, w, v = _attach_inputs(monkeypatch, build)
+        entries, w_sorted, v_sorted = _sort_and_gather(w, v)
+        assert made.entries.tobytes() == entries.tobytes(), name
+        assert made._eigens[0].tobytes() == w_sorted.tobytes(), name
+        assert made._eigens[1].tobytes() == v_sorted.tobytes(), name
+        # nondecreasing pairs are stored with no copy
+        assert (made._eigens[0] is w and made._eigens[1] is v) == ascending, name
+
+
+def test_from_eigens_keeps_the_callers_arrays_apart():
+    rng = np.random.default_rng(23)
+    n = 6
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    w = np.array([0.0, 0.5, 1.0, 1.0, 2.0, 3.0])  # sorted: _attach stores what it gets
+    M = SymMatrix.from_eigens(w, q)
+    assert q.flags.writeable and w.flags.writeable
+    assert not any(np.shares_memory(x, y) for x in (w, q) for y in M._eigens)
+    entries = M.entries.tobytes()
+    pairs = [x.tobytes() for x in M._eigens]
+    q[:] = np.eye(n)
+    w[:] = 7.0
+    assert M.entries.tobytes() == entries
+    # a decomposition built now, under other tolerances, reads the stored pairs
+    d = eig_sym(M, Tolerances(cluster_tol=1e-6))
+    assert [d.eigenvalues.tobytes(), d.vectors.tobytes()] == pairs
+
+
+def test_finite_scale_is_the_largest_magnitude_to_the_bit():
+    tiny = np.finfo(float).smallest_subnormal
+    cases = {
+        "all negative": [[-3.0, -1.0], [-2.0, -0.5]],
+        "largest magnitude negative": [[1.0, -4.0], [2.0, 3.0]],
+        "-0.0 only": [[-0.0, -0.0], [-0.0, -0.0]],
+        "signed zeros": [[0.0, -0.0], [-0.0, 0.0]],
+        "subnormals": [[tiny, -3 * tiny], [2 * tiny, -0.0]],
+        "one negative subnormal": [[-tiny]],
+    }
+    for name, a in cases.items():
+        a = np.array(a)
+        assert np.float64(_finite_scale(a)).tobytes() == np.abs(a).max().tobytes(), name
+    # a non-finite entry anywhere is refused, by the constructor and by
+    # the unchecked path alike
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(9):
+            a = np.eye(3)
+            a.flat[i] = bad
+            for make in (SymMatrix, SymMatrix._symmetric):
+                with pytest.raises(DomainError, match="matrix entries must be finite"):
+                    make(a.copy())
 
 
 def test_inputs_stay_unchanged():
