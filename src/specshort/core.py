@@ -12,8 +12,8 @@ Every value is immutable in what it means, and every operation is a pure
 function of its inputs.  A few caches are filled once and never change
 after: a SymMatrix's eigenpairs (_eigens: attached by from_eigens, else
 filled by the first eig_sym) and its decompositions per (cluster_tol,
-rank_tol) (_decomps; matrix_function stores f(A)'s under the key that
-built it), and a Subspace's orthogonal complement (_complement:
+rank_tol) (_decomps; f(A) and rho(S, A) store theirs under the key that
+built them), and a Subspace's orthogonal complement (_complement:
 stored by Subspace.span from the QR that gives the basis when the spanning
 set has full column rank, else filled on first use).
 Two threads that fill one at once store equal values, so everything here is
@@ -78,16 +78,16 @@ class Tolerances:
     """The four numerical thresholds a caller sets, shared by every
     operation (the CLI's --tol-eig, --tol-rank, --tol-meet and --tol-conv).
 
-    cluster_tol and rank_tol are relative to ||A||_2 at the point of use, so
-    every result scales with A.  eig_sym reads both and decides A's one
-    level partition: it clusters the eigenvalues at cluster_tol * ||A||_2,
-    and a cluster whose first (smallest) member is at or below
-    rank_tol * ||A||_2 is the kernel, one block of value 0
-    (SpectralDecomposition.blocks), which every route reads.  A function of
-    A keeps A's partition (matrix_function).  Past eig_sym, rank_tol is
-    read only by short_schur's trailing block, by Subspace.span and by
-    spectral_leq, which partitions a pair's joint spectrum the same way,
-    with both tolerances relative to the pair's larger norm.
+    cluster_tol and rank_tol are relative to a scale at the point of use,
+    so every result scales with its input.  Both are read together by one
+    cut rule, _partition: runs of eigenvalues within cluster_tol * scale of
+    their first (smallest) member, and every run whose first member is at
+    or below rank_tol * scale is the kernel.  eig_sym applies it to A at
+    ||A||_2, giving A's one level partition (SpectralDecomposition.blocks),
+    which every route reads, and spectral_leq to a pair's joint spectrum
+    at the pair's larger norm.  A function of A and rho(S, A) keep A's
+    partition (SymMatrix._attach).  Past _partition, rank_tol is read only
+    by short_schur's trailing block and by Subspace.span.
     meet_tol bounds a principal-angle sine and decides every membership
     question: a direction lies in a meet, one subspace inside another, and
     a vector or subspace inside a half-line (the range of A included, so
@@ -164,7 +164,8 @@ def _smallest_sv_above(t: np.ndarray, floor: float, relative: bool = False) -> b
     """Whether t's smallest singular value exceeds floor (floor times the
     largest when relative), for a finite t with at least one entry.
 
-    A Cholesky of t's smaller Gram matrix G, shifted down by
+    One entry is decided exactly, |t| > floor (times |t| when relative).
+    For more, a Cholesky of t's smaller Gram matrix G, shifted down by
     2 (floor^2 (||t||_F^2 if relative else 1) + 64 m eps ||t||_F^2) I with m
     its order, certifies it when it completes: forming G and factoring it
     err by a small multiple of eps ||t||_F^2 (Higham, Accuracy and
@@ -173,6 +174,9 @@ def _smallest_sv_above(t: np.ndarray, floor: float, relative: bool = False) -> b
     ||t||_F bounds s_max.  When the Cholesky fails, one values-only SVD
     decides by the exact rule.
     """
+    if t.size == 1:
+        x = abs(t.item())
+        return x > floor * (x if relative else 1.0)
     gram = t @ t.T if t.shape[0] <= t.shape[1] else t.T @ t
     m = gram.shape[0]
     fro2 = float(np.trace(gram))
@@ -185,14 +189,26 @@ def _smallest_sv_above(t: np.ndarray, floor: float, relative: bool = False) -> b
         return bool(s[-1] > floor * (s[0] if relative else 1.0))
 
 
-def _cluster(values: list[float], tol_abs: float) -> list[slice]:
-    """Partition the indices of sorted values into maximal runs whose
-    members lie within tol_abs of the run's first."""
+def _partition(values: list[float], scale: float, tol: Tolerances) -> tuple[int, list[slice]]:
+    """The one cut rule: (kernel stop, positive runs) of sorted values.
+
+    The indices are split into maximal runs whose members lie within
+    cluster_tol * scale of the run's first (smallest) member.  Every run
+    whose first member is at or below rank_tol * scale belongs to the
+    kernel, values[:kernel stop]; the rest are listed in order.  So one
+    number decides both a run's extent and whether it is the kernel.
+    eig_sym partitions one spectrum at ||A||_2, spectral_leq a pair's joint
+    spectrum at the larger norm.
+    """
+    width = tol.cluster_tol * scale
     starts = [0]
     for i in range(1, len(values)):
-        if values[i] - values[starts[-1]] > tol_abs:
+        if values[i] - values[starts[-1]] > width:
             starts.append(i)
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [len(values)])]
+    cut = tol.rank_tol * scale
+    firsts = [i for i in starts if values[i] > cut]
+    n = len(values)
+    return (firsts[0] if firsts else n), [slice(a, b) for a, b in zip(firsts, firsts[1:] + [n])]
 
 
 class SymMatrix:
@@ -205,8 +221,9 @@ class SymMatrix:
     Matrices built from a known eigendecomposition (matrix_function,
     matrix_power, pseudo_inverse) keep the exact eigenvalue list attached so
     downstream spectral logic never re-diagonalizes a powered matrix; this is
-    what keeps extreme powers accurate per eigenvalue.  A function of A
-    also keeps A's partition, under the tolerances that built it.
+    what keeps extreme powers accurate per eigenvalue.  A function of A,
+    and rho(S, A), also keep A's partition, under the tolerances that
+    built them.
     """
 
     __slots__ = ("entries", "_top", "_eigens", "_decomps")
@@ -283,9 +300,16 @@ class SymMatrix:
         return cls._attach(w[order], v[:, order])
 
     @classmethod
-    def _attach(cls, w: np.ndarray, v: np.ndarray) -> "SymMatrix":
+    def _attach(cls, w: np.ndarray, v: np.ndarray, tol: Tolerances | None = None) -> "SymMatrix":
         """from_eigens without its checks, for eigenvectors built here:
         eigh's, or a Subspace basis, already checked.
+
+        Given tol, the matrix keeps the partition its values came from: its
+        decomposition under tol's key is eig_sym(out, _EXACT), the values
+        grouped by exact equality with cut 0, so they are never merged or
+        cut again at the new matrix's own scale.  matrix_function and the
+        closed form pass theirs; from_eigens passes none, and caller values
+        are clustered like any matrix's.
 
         The pairs are stored ascending, in a stable sort's order, and made
         read-only.  When w is already nondecreasing, w and v are stored as
@@ -309,6 +333,8 @@ class SymMatrix:
         w.setflags(write=False)
         v.setflags(write=False)
         out._eigens = (w, v)
+        if tol is not None:
+            out._decomps[(tol.cluster_tol, tol.rank_tol)] = eig_sym(out, _EXACT)
         return out
 
     def spectral_norm(self) -> float:
@@ -387,15 +413,14 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
     back: LAPACK's own rescaling of a matrix outside about [2^-406, 2^485]
     is not by a power of two, and this one keeps eig_sym(2^k A) exact.
 
-    The partition is decided here, once: the eigenvalues are clustered at
-    cluster_tol * ||A||_2, each cluster anchored at its first (smallest)
-    member, and a cluster whose first member is at or below
-    rank_tol * ||A||_2 is folded into the kernel block.  So one number
-    decides both a cluster's extent and whether it is the kernel, and no
-    positive level holds an exact zero or a rounding-negative member.
+    The partition is decided here, once, by _partition at ||A||_2: the
+    runs whose first (smallest) member is at or below the rank cut form
+    the kernel block, of value 0, and every other run is a positive level.
+    So no positive level holds an exact zero or a rounding-negative member.
     Every downstream notion of a level or of the kernel reads it.
     Eigenpairs are cached per matrix, decompositions per matrix and
-    (cluster_tol, rank_tol); matrix_function stores f(A)'s own.
+    (cluster_tol, rank_tol); a matrix built from A's levels (f(A), and
+    rho(S, A)) stores its own, A's levels grouped exactly (_attach).
     """
     key = (tol.cluster_tol, tol.rank_tol)
     cached = A._decomps.get(key)
@@ -410,17 +435,14 @@ def eig_sym(A: SymMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompositio
         A._eigens = (w, v)
     w, v = A._eigens
     norm = max(abs(float(w[0])), abs(float(w[-1])))
-    cut = tol.rank_tol * norm
-    blocks = [(0.0, slice(0, 0))]
     listed = w.tolist()  # Python floats index faster than numpy scalars
-    for idx in _cluster(listed, tol.cluster_tol * norm):
+    kernel, runs = _partition(listed, norm, tol)
+    blocks = [(0.0, slice(0, kernel))]
+    for idx in runs:
         first = listed[idx.start]
-        if first <= cut:
-            blocks[0] = (0.0, slice(0, idx.stop))
-        else:
-            # A level of equal members is valued at its first, exactly (np.mean
-            # can miss it by an ulp), without np.mean's per-call cost.
-            blocks.append((first if listed[idx.stop - 1] == first else float(np.mean(w[idx])), idx))
+        # A level of equal members is valued at its first, exactly (np.mean
+        # can miss it by an ulp), without np.mean's per-call cost.
+        blocks.append((first if listed[idx.stop - 1] == first else float(np.mean(w[idx])), idx))
     values = np.repeat([mu for mu, _ in blocks], [idx.stop - idx.start for _, idx in blocks])
     values.setflags(write=False)
     decomp = SpectralDecomposition(
@@ -702,10 +724,9 @@ def matrix_function(
 
     f(A) keeps A's partition: its decomposition under tol, the tolerances
     that built it, is f's images of A's blocks, grouped by exact equality,
-    with cut 0 (eig_sym at cluster_tol = rank_tol = 0, stored under tol's
-    key).  So A's levels are never merged or cut again at f(A)'s own scale.
-    Read under other tolerances, f(A) is clustered from its attached
-    eigenpairs like any matrix.
+    with cut 0 (SymMatrix._attach).  So A's levels are never merged or cut
+    again at f(A)'s own scale.  Read under other tolerances, f(A) is
+    clustered from its attached eigenpairs like any matrix.
     """
     d = A.assert_psd(tol)
     values = np.empty(d.n)
@@ -719,9 +740,7 @@ def matrix_function(
         if not np.isfinite(y):
             raise DomainError(f"function not finite at eigenvalue {mu!r}")
         values[idx] = y
-    out = SymMatrix._attach(values, d.vectors)
-    out._decomps[(tol.cluster_tol, tol.rank_tol)] = eig_sym(out, _EXACT)
-    return out
+    return SymMatrix._attach(values, d.vectors, tol)
 
 
 def matrix_power(

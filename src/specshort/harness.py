@@ -235,9 +235,11 @@ def _check_closed_vs_iterative(rng, n, tol):
         parts.append(_frac(max(0.0, -_min_eig(prev - nxt)), 1e-9 * nrm))
     for val in values:
         parts.append(_frac(max(0.0, -_min_eig(val - closed.value.entries)), 1e-9 * nrm))
-    if family in (0, 1) and not it.trace.converged:
+    # With S spanned by eigenvectors every iterate is rho, so the commuting
+    # family checks the value whatever the stop reason.
+    if family == 1 and not it.trace.converged:
         return 2.0
-    if it.trace.converged:
+    if family == 0 or it.trace.converged:
         parts.append(_max_abs(it.value.entries - closed.value.entries) / (1e-6 * nrm))
     return max(parts)
 

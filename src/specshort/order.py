@@ -4,13 +4,13 @@ equivalently when the half-line spectral projections of A are contained in
 those of B at every threshold.
 
 Both half-lines are read off one partition of the pair: the joint spectrum
-(the eigenvalues of A and of B together, sorted) is clustered as eig_sym
-clusters one matrix, at cluster_tol * s with s = max(||A||_2, ||B||_2),
-each run anchored at its first member, and every eigenvalue of either
-matrix reads its run's first member.  A run whose first member is at or
-below rank_tol * s is the pair's kernel.  The projections are then
-piecewise constant in the threshold, with steps only at the first members
-above the rank cut, so checking there decides the order exactly (up to
+(the eigenvalues of A and of B together, sorted) is cut by core._partition,
+the rule eig_sym applies to one matrix, at s = max(||A||_2, ||B||_2).  Its
+runs are anchored at their first member, every eigenvalue of either matrix
+reads its run's first member, and the runs whose first member is at or
+below the rank cut are the pair's kernel.  The projections are then piecewise constant in the
+threshold, with steps only at the first members of the positive runs
+(the thresholds), so checking there decides the order exactly (up to
 clustering tolerance); the half-line at a threshold holds every eigen
 index whose run's first member reaches it.  Range inclusion is measured by
 the operator norm of the excluded component, the largest principal-angle
@@ -64,7 +64,7 @@ from .core import (
     DimensionMismatchError,
     SymMatrix,
     Tolerances,
-    _cluster,
+    _partition,
 )
 
 __all__ = ["OrderCertificate", "spectral_leq"]
@@ -98,14 +98,13 @@ def spectral_leq(
     da = A.assert_psd(tol)
     db = B.assert_psd(tol)
     # One partition of the pair: the joint spectrum's runs at the pair's
-    # scale, each anchored at its first member; the thresholds are the
-    # first members above the rank cut.  An eigenvalue's run starts at or
-    # above a first member exactly when the eigenvalue does, so each
-    # half-line start is a search of the raw eigenvalues.
-    scale = max(da.norm2, db.norm2)
+    # scale (core._partition); the thresholds are the first members of its
+    # positive runs.  An eigenvalue's run starts at or above a first member
+    # exactly when the eigenvalue does, so each half-line start is a search
+    # of the raw eigenvalues.
     joint = np.sort(np.concatenate([da.eigenvalues, db.eigenvalues])).tolist()
-    firsts = np.array([joint[idx.start] for idx in _cluster(joint, tol.cluster_tol * scale)])
-    grid = firsts[firsts > tol.rank_tol * scale]
+    _, runs = _partition(joint, max(da.norm2, db.norm2), tol)
+    grid = np.array([joint[idx.start] for idx in runs])
     a_starts = np.searchsorted(da.eigenvalues, grid)
     b_starts = np.searchsorted(db.eigenvalues, grid)
     # an empty half-line of A or a full one of B is included trivially

@@ -99,9 +99,10 @@ def spectral_short_closed(
     [R[:j, block]^T stays, R[j:end, block]^T]], one small SVD per block; a
     block with no stays whose triangle R[j:end, block] has all its sines
     above meet_tol settles Q[:, j:end] with no SVD.  The triangle's
-    smallest sine is |R_jj| for one row; for several rows a Cholesky of its
-    shifted Gram matrix certifies it, and only a triangle the certificate
-    cannot clear takes a values-only SVD (core._smallest_sv_above).
+    smallest sine is decided by core._smallest_sv_above, the rule
+    Subspace.span applies to its own triangle: exactly for one entry,
+    |R_jj| > meet_tol; for more by a Cholesky of its shifted Gram matrix,
+    and only a triangle the certificate cannot clear takes a values-only SVD.
     Once every coordinate has entered and none stays, the later blocks
     settle nothing and the walk stops.  Every coordinate has entered by
     the stop c of the first block to reach row k = dim S, so the QR is of
@@ -125,15 +126,9 @@ def spectral_short_closed(
             r = np.hstack([r, q.T @ (d.vectors[:, c:].T @ S.basis).T])
         e = min(k, rows.stop)
         rank = 0
-        if not sines.size and e > j:
-            tri = r[j:e, rows]
-            if tri.size == 1:
-                settles = abs(tri.item()) > tol.meet_tol
-            else:
-                settles = _smallest_sv_above(tri, tol.meet_tol)
-            if settles:
-                rank = e - j
-                coords.append(q[:, j:e])
+        if not sines.size and e > j and _smallest_sv_above(r[j:e, rows], tol.meet_tol):
+            rank = e - j
+            coords.append(q[:, j:e])
         if not rank and (sines.size or e > j):
             # The Gram matrix of C[:rows.stop] [stays, Q[:, j:e]]: the rows
             # walked before give the stays their sines and nothing else.
@@ -166,7 +161,7 @@ def spectral_short_closed(
     values = np.repeat([0.0] + mus, [kernel + n - k] + ranks[1:])
     levels = list(zip(mus, ranks[1:]))
     return ShortedResult(
-        value=SymMatrix._attach(values, vectors),
+        value=SymMatrix._attach(values, vectors, tol),
         subspace=S,
         levels=tuple(reversed(levels)),
     )

@@ -26,7 +26,7 @@ from specshort import (
     spectral_short_closed,
 )
 
-from specshort.core import _ORTH_TOL, _SYM_TOL, _finite_scale, _range_meet
+from specshort.core import _ORTH_TOL, _SYM_TOL, _finite_scale, _partition, _range_meet, _smallest_sv_above
 from specshort.harness import _KINDS
 
 from conftest import containment_residual, linalg_calls, max_abs, peak_alloc, same_subspace
@@ -276,8 +276,41 @@ def test_clustering_exact_duplicates():
 
 def test_a_level_of_equal_members_is_valued_exactly():
     # np.mean of three 0.1s is 0.10000000000000002
+    assert _partition([0.1, 0.1, 0.1, 1.0], 1.0, DEFAULT_TOL) == (0, [slice(0, 3), slice(3, 4)])
     d = eig_sym(SymMatrix.from_eigens([0.1, 0.1, 0.1, 1.0], np.eye(4)))
     assert d.level_values.tolist() == [0.1, 1.0]
+
+
+def test_partition_folds_every_run_at_or_below_the_cut_into_the_kernel():
+    # width 1e-3, cut 0.1: three runs start below the cut, the last of them
+    # reaching past it, and all three are the kernel
+    tol = Tolerances(cluster_tol=1e-3, rank_tol=0.1)
+    values = [-1e-4, 0.002, 0.0995, 0.1004, 0.5, 1.0]
+    assert _partition(values, 1.0, tol) == (4, [slice(4, 5), slice(5, 6)])
+    d = eig_sym(SymMatrix.from_eigens(values, np.eye(6)), tol)
+    assert d.blocks == ((0.0, slice(0, 4)), (0.5, slice(4, 5)), (1.0, slice(5, 6)))
+    # a run whose first member is exactly at the cut is the kernel too
+    assert _partition([0.002, 0.05, 0.5], 0.5, tol) == (2, [slice(2, 3)])
+
+
+def test_partition_anchors_each_run_at_its_first_member():
+    # a chain with steps of 0.6 widths: its third member lies 1.2 widths
+    # from the first, so it starts a run of its own
+    w = DEFAULT_TOL.cluster_tol
+    assert _partition([1.0, 1.0 + 0.6 * w, 1.0 + 1.2 * w], 1.0, DEFAULT_TOL) == (0, [slice(0, 2), slice(2, 3)])
+
+
+@pytest.mark.parametrize(
+    "values, scale, expected",
+    [
+        ([1.0, 2.0], 2.0, (0, [slice(0, 1), slice(1, 2)])),
+        ([0.0, 1e-12, 2e-12], 1.0, (3, [])),
+        ([0.0, 0.0], 0.0, (2, [])),
+    ],
+    ids=["empty-kernel", "all-kernel", "zero-scale"],
+)
+def test_partition_kernel_extremes(values, scale, expected):
+    assert _partition(values, scale, DEFAULT_TOL) == expected
 
 
 def test_clustering_near_duplicates_merge():
@@ -475,9 +508,9 @@ def _attach_inputs(monkeypatch, build):
     given = []
     attach = SymMatrix._attach.__func__
 
-    def recording(cls, w, v):
+    def recording(cls, w, v, tol=None):
         given.append((w, v))
-        return attach(cls, w, v)
+        return attach(cls, w, v, tol)
 
     with monkeypatch.context() as m:
         m.setattr(SymMatrix, "_attach", classmethod(recording))
@@ -709,6 +742,17 @@ def test_span_certifies_full_rank_or_takes_the_svd(monkeypatch):
     ref = _svd_span(m, tol)
     assert S.dim == ref.shape[1] == 5
     assert max_abs(S.projection() - ref @ ref.T) <= 1e-14
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+@pytest.mark.parametrize("t", [1e-8, -3.0])
+def test_smallest_sine_of_one_entry_is_decided_exactly(relative, t):
+    # one entry is its own smallest and largest singular value: the rule is
+    # |t| > floor, or |t| > floor |t| relative, exact at one ulp either side
+    # of the boundary floor, |t| or 1
+    boundary = 1.0 if relative else abs(t)
+    for floor, above in ((1 - 2**-52, True), (1.0, False), (1 + 2**-52, False)):
+        assert _smallest_sv_above(np.array([[t]]), boundary * floor, relative) is above
 
 
 def _kind_draws(n):

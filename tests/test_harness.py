@@ -182,32 +182,26 @@ def test_monotone_calculus_maps_the_kernel_to_f0_at_n200():
         assert run_trial(THEOREMS[index], index, trial, (200,), 0, DEFAULT_TOL) <= 1.0
 
 
-@pytest.mark.parametrize("theorem", ["T1", "T4", "T11", "T15"])
+@pytest.mark.parametrize("theorem", ["T1", "T3", "T4", "T11", "T15"])
 @pytest.mark.parametrize("n, trials", [(30, 10), (60, 10), (100, 10), (200, 3)])
 def test_large_n_theorems_pass(theorem, n, trials):
     # seed 0: a cluster that reaches the rank cut is the kernel (T1, T4),
-    # the order reads one partition of the pair (T11), pinv(A) keeps A's
+    # the commuting family checks rho's value at any stop reason (T3), the
+    # order reads one partition of the pair (T11), pinv(A) keeps A's
     # partition and T15 reads xi's range part (T15)
     index = [t.theorem for t in THEOREMS].index(theorem)
     for trial in range(trials):
         assert run_trial(THEOREMS[index], index, trial, (n,), 0, DEFAULT_TOL) <= 1.0, trial
 
 
-def _large_n_fault(theorem, n, trial, found):
-    reason = f"FOUND in CHANGES.md: {found}"
-    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
-    return pytest.param(theorem, n, trial, marks=mark)
-
-
 @pytest.mark.parametrize(
     "theorem, n, trial",
     [
-        # residual 2.0
-        _large_n_fault("T3", 30, 2, "T3 scores 2.0 when the oracle stops at its power wall on the commuting family"),
+        # scored 2.0 while the oracle's power-wall stop failed the commuting family
+        ("T3", 30, 2),
     ],
 )
 def test_open_large_n_theorem_faults(theorem, n, trial):
-    # each case flips to a pass when its fault is mended, and must then
-    # become a plain case
+    # a large-n fault stays pinned by its trial once it is mended
     index = [t.theorem for t in THEOREMS].index(theorem)
     assert run_trial(THEOREMS[index], index, trial, (n,), 0, DEFAULT_TOL) <= 1.0

@@ -96,6 +96,21 @@ def test_closed_levels_are_nested_and_spectrum_sits_on_levels():
             assert abs(r.scalar() - 2.0) <= 1e-12
 
 
+def test_rho_keeps_the_levels_of_a():
+    # A's levels 1 - 1.325w (four members) and 1 - 0.95w lie 3.75e-9 apart,
+    # inside the cluster width at rho's own scale, which would merge them
+    # into one level 0.9999999875
+    w = 1e-8
+    A = SymMatrix(np.diag([0.5, 1 - 2 * w, 1 - 1.1 * w, 1 - 1.1 * w, 1 - 1.1 * w, 1 - 0.95 * w]))
+    S = Subspace(np.eye(6)[:, 1:])
+    rho = spectral_short_closed(A, S).value
+    levels = [mu for mu, _ in eig_sym(A).blocks[2:]]
+    assert levels == [0.99999998675, 0.9999999905]
+    assert [(mu, idx.stop - idx.start) for mu, idx in eig_sym(rho).blocks] == [(0.0, 1), (levels[0], 4), (levels[1], 1)]
+    # rho of rho reads A's exact level values
+    assert [mu for mu, _ in spectral_short_closed(rho, S).levels] == levels[::-1]
+
+
 def test_closed_and_complexity_scale_with_the_matrix():
     # rho(cA, S) = c rho(A, S) at every scale: distinct levels of a small
     # matrix must not merge
