@@ -91,8 +91,9 @@ def test_constructor_peak_allocation():
 @pytest.mark.parametrize(
     "route, ceiling",
     # what each returns (rho's value and its attached eigenvectors; Sigma's
-    # value) and at most one n x n temporary beyond it, the product or the
-    # symmetrization
+    # value) and at most one n x n temporary beyond it: the product, or
+    # short_schur's rotated matrix, freed with its Cholesky factor before
+    # the value is formed
     [(spectral_short_closed, 4.0), (short_schur, 2.75), (short_at, 2.5)],
     ids=["spectral_short_closed", "short_schur", "short_at"],
 )

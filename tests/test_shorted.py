@@ -18,6 +18,7 @@ from specshort import (
     short_at,
     short_schur,
 )
+from specshort.core import _range_meet
 from specshort.shorted import ShortedResult
 
 from conftest import linalg_calls, max_abs, min_eig
@@ -61,27 +62,35 @@ def _schur_by_eigh(A, S, tol=DEFAULT_TOL):
     return bs @ (bs.T @ A.entries @ bs - h @ h.T) @ bs.T
 
 
-def _trailing_eighs(monkeypatch, A, S, tol=DEFAULT_TOL):
-    """short_schur(A, S, tol) and the shapes of the eighs it takes once A's
-    own decomposition is cached."""
+def _schur_factorizations(monkeypatch, A, S, tol=DEFAULT_TOL):
+    """short_schur(A, S, tol) and the (name, shape) of each eigh and
+    Cholesky it takes once A's own decomposition is cached."""
     eig_sym(A, tol)
-    with linalg_calls(monkeypatch, "eigh") as calls:
+    with linalg_calls(monkeypatch, "eigh", "cholesky") as calls:
         r = short_schur(A, S, tol)
-    return r, [call.shape for call in calls]
+    return r, [(call.name, call.shape) for call in calls]
 
 
 def test_schur_inverts_a_definite_trailing_block_whole(monkeypatch):
     # lambda_min(A) above the rank cut by more than rounding: by interlacing
-    # the trailing block is inverted whole, with no eigh, and agrees with
-    # the eigh route; conditions up to 1e9 are covered
+    # nothing is cut, so the rotated matrix takes one Cholesky and no eigh,
+    # and the value agrees with the eigh route, which keeps every eigenvalue
+    # of the trailing block; conditions up to 1e9 are covered, and
+    # lambda_min at twice the margin rank_tol * ||A|| + 8 n eps ||A||
     rng = np.random.default_rng(3)
-    for spectrum in (np.linspace(1.0, 2.0, 30), np.logspace(-4, 0, 30), np.logspace(-9, 0, 30)):
+    margin = (1e-14 + 8 * 30 * np.finfo(float).eps) * 2.0
+    for spectrum, tol in (
+        (np.linspace(1.0, 2.0, 30), DEFAULT_TOL),
+        (np.logspace(-4, 0, 30), DEFAULT_TOL),
+        (np.logspace(-9, 0, 30), DEFAULT_TOL),
+        (np.r_[2 * margin, np.linspace(1.0, 2.0, 29)], Tolerances(rank_tol=1e-14)),
+    ):
         v, _ = np.linalg.qr(rng.standard_normal((30, 30)))
         A = SymMatrix((v * spectrum) @ v.T)
         S = Subspace.span(rng.standard_normal((30, 12)))
-        r, eighs = _trailing_eighs(monkeypatch, A, S)
-        assert eighs == []
-        assert max_abs(r.value.entries - _schur_by_eigh(A, S)) <= 1e-13 * max(1.0, A.spectral_norm())
+        r, calls = _schur_factorizations(monkeypatch, A, S, tol)
+        assert calls == [("cholesky", (30, 30))]
+        assert max_abs(r.value.entries - _schur_by_eigh(A, S, tol)) <= 1e-13 * max(1.0, A.spectral_norm())
 
 
 def test_schur_takes_the_eigh_near_the_cut_and_on_a_kernel(monkeypatch):
@@ -94,10 +103,54 @@ def test_schur_takes_the_eigh_near_the_cut_and_on_a_kernel(monkeypatch):
     tol = Tolerances(rank_tol=1e-14)
     A = SymMatrix((v * np.r_[3e-14, np.linspace(1.0, 2.0, 19)]) @ v.T)
     assert eig_sym(A, tol).lambda_min == pytest.approx(1.5 * tol.rank_tol * 2.0, rel=0.1)
-    assert _trailing_eighs(monkeypatch, A, S, tol)[1] == [(12, 12)]
+    assert _schur_factorizations(monkeypatch, A, S, tol)[1] == [("eigh", (12, 12))]
     # a singular A: S ^ R(A) has dimension 7, so the trailing block is 13 x 13
     A = SymMatrix((v * np.r_[0.0, np.linspace(1.0, 2.0, 19)]) @ v.T)
-    assert _trailing_eighs(monkeypatch, A, S)[1] == [(13, 13)]
+    assert _schur_factorizations(monkeypatch, A, S)[1] == [("eigh", (13, 13))]
+
+
+@pytest.mark.parametrize("kernel", [0, 2], ids=["definite", "kernel"])
+@pytest.mark.parametrize("dim", [1, 11], ids=["line", "hyperplane"])
+@pytest.mark.parametrize("route", [short_at, short_schur], ids=["at", "schur"])
+def test_routes_return_a_bit_symmetric_value(route, dim, kernel):
+    # short_at's f f^T and short_schur's (Bs L)(Bs L)^T or symmetrized
+    # embedding are symmetric to the bit, at dim S = 1 (a line inside the
+    # range of A, so the value is not 0) and n - 1
+    n = 12
+    rng = np.random.default_rng(6)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = SymMatrix((v * np.r_[np.zeros(kernel), np.logspace(-3, 0, n - kernel)]) @ v.T)
+    g = rng.standard_normal((n, dim))
+    e = route(A, Subspace.span(A.entries @ g if dim == 1 else g)).value.entries
+    assert np.array_equal(e, e.T)
+    assert max_abs(e) > 0.0
+
+
+def _short_by_q(A, S, tol=DEFAULT_TOL):
+    """sqrt(A) P_M sqrt(A) from M's Q factor, F = U Lambda^{1/2} Q."""
+    d = eig_sym(A, tol)
+    k = d.blocks[0][1].stop
+    u, root = d.vectors[:, k:], np.sqrt(d.values[k:])
+    q, _ = np.linalg.qr((u.T @ _range_meet(d, S, tol).basis) / root[:, None])
+    f = u @ (root[:, None] * q)
+    return f @ f.T
+
+
+@pytest.mark.parametrize("kernel", [0, 3], ids=["definite", "kernel"])
+def test_at_takes_r_alone_and_matches_the_q_route(monkeypatch, kernel):
+    # F = U X R^{-1} is U Lambda^{1/2} Q: the two agree on conditions up to
+    # 1e9, and short_at factors M for R alone
+    n = 30
+    rng = np.random.default_rng(7)
+    for k in (1, 12, n - kernel - 1):
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = SymMatrix((v * np.r_[np.zeros(kernel), np.logspace(-9, 0, n - kernel)]) @ v.T)
+        S = Subspace.span(rng.standard_normal((n, k)))
+        eig_sym(A)
+        with linalg_calls(monkeypatch, "qr") as calls:
+            r = short_at(A, S)
+        assert [call.kwargs.get("mode") for call in calls] == ["r"]
+        assert max_abs(r.value.entries - _short_by_q(A, S)) <= 1e-13 * A.spectral_norm()
 
 
 def test_short_commuting_case_is_compression():

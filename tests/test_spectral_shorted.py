@@ -388,23 +388,25 @@ def test_kernel_is_the_complement_of_s():
         assert r.levels == _cumulative_walk(A, S)[1]
 
 
-def test_one_complete_qr_per_op(monkeypatch):
+def test_factorizations_of_one_op(monkeypatch):
     # The factorizations of one op after A's eigh: Subspace.span's complete
     # QR gives S's basis and its complement, which short_schur and the
-    # closed form share when A has no kernel (S ^ R(A) is S itself).
-    # Cholesky certificates settle span's rank and the walk's multi-row
-    # triangles, and interlacing lets short_schur invert its trailing block
-    # with one solve, so no SVD and no second eigh is taken.
+    # closed form share when A has no kernel (S ^ R(A) is S).
+    # short_at factors its M for R alone and inverts R's diagonal halves.
+    # Cholesky
+    # certificates settle span's rank and the walk's multi-row triangles,
+    # and interlacing lets short_schur factor its rotated matrix by one
+    # Cholesky, so no solve, no SVD and no second eigh is taken.
     # The closed form factors only C's rows up to the stop of the first
     # level block to reach row k = dim S: k of them on both draws.
     draws = [
-        (_generic(96, np.linspace(1.0, 2.0, 96), 3), 48, 1),  # L = n
-        (_generic(200, np.repeat(np.linspace(1.0, 2.0, 4), 50), 4), 100, 3),  # 4 levels
+        (_generic(96, np.linspace(1.0, 2.0, 96), 3), 48, 2),  # L = n
+        (_generic(200, np.repeat(np.linspace(1.0, 2.0, 4), 50), 4), 100, 4),  # 4 levels
     ]
     for (A, _, rng), k, choleskys in draws:
         m = rng.standard_normal((A.n, k))
         eig_sym(A)
-        with linalg_calls(monkeypatch, "qr", "svd", "eigh", "cholesky", "solve") as calls:
+        with linalg_calls(monkeypatch, "qr", "svd", "eigh", "cholesky", "solve", "inv") as calls:
             S = Subspace.span(m)
             short_at(A, S)
             short_schur(A, S)
@@ -412,10 +414,12 @@ def test_one_complete_qr_per_op(monkeypatch):
             assert spectral_leq(rho.value, A).holds
         names = [call.name for call in calls]
         modes = [call.kwargs.get("mode", "reduced") for call in calls if call.name == "qr"]
-        assert modes == ["complete", "reduced", "reduced"]
+        assert modes == ["complete", "r", "reduced"]
         assert [call.shape for call in calls if call.name == "qr"][-1] == (k, k)
-        assert "svd" not in names and "eigh" not in names
-        assert names.count("cholesky") == choleskys and names.count("solve") == 1
+        assert [call.shape for call in calls if call.name == "inv"] == [(k // 2, k // 2)] * 2
+        assert [call.shape for call in calls if call.name == "cholesky"].count((A.n, A.n)) == 1
+        assert "svd" not in names and "eigh" not in names and "solve" not in names
+        assert names.count("cholesky") == choleskys
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-9, 1e-7])
