@@ -2,8 +2,11 @@
 
 Every cross-module identity the package claims is checked here, over seeded
 random positive semidefinite matrices and subspaces, with residuals recorded.
-Residuals are reported as fractions of each criterion's acceptance bound, so
-1.0 is the pass/fail boundary for every theorem.
+Each theorem in THEOREMS is a draw and an identity.  The draw takes
+(rng, n, tol) to the theorem's inputs; the identity takes (*inputs, tol) to
+a residual as a fraction of its acceptance bound, so 1.0 is the pass/fail
+boundary for every theorem.  An identity reads no generator, so a test that
+checks one on inputs of its own calls it rather than restating it.
 
 Trials are independent: trial t of theorem Ti derives its generator from
 (seed, i, t), so failure counts and worst residuals do not depend on
@@ -169,8 +172,8 @@ def gen_subspace(n: int, k: int, seed: int) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Theorem checks.  Each takes (rng, n, tol) and returns a residual expressed
-# as a fraction of its acceptance bound (pass iff <= 1).
+# Theorems: draws, (rng, n, tol) -> inputs, and identities, (*inputs, tol) ->
+# residual as a fraction of the acceptance bound (pass iff <= 1).
 # ---------------------------------------------------------------------------
 
 
@@ -188,44 +191,66 @@ def _frac(err: float, bound: float) -> float:
     return err / bound if err else 0.0
 
 
-def _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered", "projection")):
-    kind = kinds[int(rng.integers(0, len(kinds)))]
-    return _psd_from_rng(rng, SpectrumSpec(kind, n))
+_MIXED = ("well_separated", "with_zeros", "clustered", "projection")
 
 
-def _check_method_agreement(rng, n, tol):
-    A = _mixed_psd(rng, n)
-    k = int(rng.integers(0, n + 1))
-    S = _subspace_from_rng(rng, n, k)
-    r1 = short_at(A, S, tol)
-    r2 = short_schur(A, S, tol)
-    gap = _max_abs(r1.value.entries - r2.value.entries)
+def _problem(kinds, low=1, subspaces=1):
+    """The draw of (A, S, ...): A of a kind picked from kinds, then
+    `subspaces` subspaces, each of a dimension picked in [low, n]."""
+
+    def draw(rng, n, tol):
+        A = _psd_from_rng(rng, SpectrumSpec(kinds[int(rng.integers(0, len(kinds)))], n))
+        return (A, *(_subspace_from_rng(rng, n, int(rng.integers(low, n + 1))) for _ in range(subspaces)))
+
+    return draw
+
+
+def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    xi = rng.standard_normal(n)
+    return xi / np.linalg.norm(xi)
+
+
+def _line(kinds):
+    """The draw of a coin, A of the kind kinds[coin] and a unit xi:
+    (A, xi, coin).  T15 reads the coin as A's singular flag; T13 draws the
+    same way and ignores it."""
+
+    def draw(rng, n, tol):
+        coin = int(rng.integers(0, 2))
+        return _psd_from_rng(rng, SpectrumSpec(kinds[coin], n)), _unit(rng, n), coin
+
+    return draw
+
+
+def _pair(rng, n, tol):
+    """A commuting pair (A, B) with A below B."""
+    return _psd_from_rng(rng, SpectrumSpec("commuting_pair", n))
+
+
+def _check_method_agreement(A, S, tol):
+    gap = _max_abs(short_at(A, S, tol).value.entries - short_schur(A, S, tol).value.entries)
     return gap / (1e-8 * A.spectral_norm())
 
 
-def _check_short_composition(rng, n, tol):
-    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
-    S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
-    T = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+def _check_short_composition(A, S, T, tol):
     lhs = short_at(A, projection_meet(S, T, tol), tol).value.entries
     rhs = short_at(short_at(A, T, tol).value, S, tol).value.entries
     return _max_abs(lhs - rhs) / (1e-8 * A.spectral_norm())
 
 
-def _check_closed_vs_iterative(rng, n, tol):
+def _draw_families(rng, n, tol):
+    """(A, S, family): S spanned by eigenvectors of A (family 0), or a random
+    S with A a projection (1) or well separated (2)."""
     family = int(rng.integers(0, 3))
-    if family == 0:  # commuting: S spanned by eigenvectors of A
-        A = _psd_from_rng(rng, SpectrumSpec("well_separated", n))
-        d = eig_sym(A, tol)
-        k = int(rng.integers(1, n + 1))
+    A = _psd_from_rng(rng, SpectrumSpec("projection" if family == 1 else "well_separated", n))
+    k = int(rng.integers(1, n + 1))
+    if family == 0:
         cols = rng.permutation(n)[:k]
-        S = Subspace(d.vectors[:, np.sort(cols)])
-    elif family == 1:  # projection matrix
-        A = _psd_from_rng(rng, SpectrumSpec("projection", n))
-        S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
-    else:  # generic well separated
-        A = _psd_from_rng(rng, SpectrumSpec("well_separated", n))
-        S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+        return A, Subspace(eig_sym(A, tol).vectors[:, np.sort(cols)]), family
+    return A, _subspace_from_rng(rng, n, k), family
+
+
+def _check_closed_vs_iterative(A, S, family, tol):
     closed = spectral_short_closed(A, S, tol)
     it = spectral_short_iterative(A, S, k_max=20, tol=tol)
     nrm = A.spectral_norm()
@@ -244,9 +269,7 @@ def _check_closed_vs_iterative(rng, n, tol):
     return max(parts)
 
 
-def _check_power_identity(rng, n, tol):
-    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
-    S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+def _check_power_identity(A, S, tol):
     rho = spectral_short_closed(A, S, tol)
     nrm = A.spectral_norm()
     worst = 0.0
@@ -257,18 +280,13 @@ def _check_power_identity(rng, n, tol):
     return worst
 
 
-def _check_rho_composition(rng, n, tol):
-    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered"))
-    S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
-    T = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+def _check_rho_composition(A, S, T, tol):
     lhs = spectral_short_closed(A, projection_meet(S, T, tol), tol).value.entries
     rhs = spectral_short_closed(spectral_short_closed(A, S, tol).value, T, tol).value.entries
     return _max_abs(lhs - rhs) / (1e-7 * A.spectral_norm())
 
 
-def _check_spectrum_inclusion(rng, n, tol):
-    A = _mixed_psd(rng, n)
-    S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+def _check_spectrum_inclusion(A, S, tol):
     rho = spectral_short_closed(A, S, tol)
     comp = rho.compressed()
     eigs = np.linalg.eigvalsh(comp) if comp.size else np.zeros(0)
@@ -280,9 +298,7 @@ def _check_spectrum_inclusion(rng, n, tol):
     return _frac(worst, 1e-7 * d.norm2)
 
 
-def _check_min_spectrum(rng, n, tol):
-    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros", "clustered"))
-    S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+def _check_min_spectrum(A, S, tol):
     grid_value = spectral_short_min(A, S, tol)
     rho = spectral_short_closed(A, S, tol)
     comp_min = _min_eig(rho.compressed())
@@ -293,9 +309,7 @@ def _check_min_spectrum(rng, n, tol):
     return max(parts)
 
 
-def _check_monotone_calculus(rng, n, tol):
-    A = _mixed_psd(rng, n, kinds=("well_separated", "with_zeros"))
-    S = _subspace_from_rng(rng, n, int(rng.integers(1, n + 1)))
+def _check_monotone_calculus(A, S, tol):
     d = eig_sym(A, tol)
     lam_max = max(d.lambda_max, 0.0)
     positives = [mu for mu, _ in d.blocks[1:]]
@@ -317,13 +331,14 @@ def _check_monotone_calculus(rng, n, tol):
     return worst
 
 
-def _check_inverse_norm_identity(rng, n, tol):
+def _draw_well_conditioned_line(rng, n, tol):
     # Condition kept near 2 so the 16th power stays far from the
     # cancellation floor of the block-elimination route.
     lam = rng.uniform(0.7, 1.4, size=n)
-    A = SymMatrix.from_eigens(lam, _orthonormal(rng, n, n))
-    xi = rng.standard_normal(n)
-    xi /= np.linalg.norm(xi)
+    return SymMatrix.from_eigens(lam, _orthonormal(rng, n, n)), _unit(rng, n)
+
+
+def _check_inverse_norm_identity(A, xi, tol):
     no_stop = replace(tol, conv_tol=0.0)
     trace = spectral_short_vector_power(A, xi, m_max=16, tol=no_stop).trace
     worst = 0.0
@@ -336,24 +351,27 @@ def _check_inverse_norm_identity(rng, n, tol):
     return worst
 
 
-def _check_vector_power_limit(rng, n, tol):
-    invertible = bool(rng.integers(0, 2))
-    if invertible:
+def _draw_range_line(rng, n, tol):
+    """(A, xi, B): A invertible or with a kernel (a coin), xi a unit vector
+    in A's range, and B with a kernel."""
+    if rng.integers(0, 2):
         A = _psd_from_rng(rng, SpectrumSpec("well_separated", n))
-        xi = rng.standard_normal(n)
-        xi /= np.linalg.norm(xi)
+        xi = _unit(rng, n)
     else:
         A = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
         d = eig_sym(A, tol)
         positive = d.vectors[:, d.blocks[0][1].stop :]
         x = positive @ rng.standard_normal(positive.shape[1])
         xi = x / np.linalg.norm(x)
+    return A, xi, _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
+
+
+def _check_vector_power_limit(A, xi, B, tol):
     closed = spectral_short_vector(A, xi, tol)
     power = spectral_short_vector_power(A, xi, m_max=200, tol=tol)
     if not power.trace.converged:
         return 2.0
     parts = [_frac(abs(power.value - closed), 1e-6 * A.spectral_norm())]
-    B = _psd_from_rng(rng, SpectrumSpec("with_zeros", n))
     dB = eig_sym(B, tol)
     null = dB.vectors[:, dB.blocks[0][1]]
     if null.size:
@@ -363,19 +381,13 @@ def _check_vector_power_limit(rng, n, tol):
     return max(parts)
 
 
-_ORDER_COUNTEREXAMPLE = (
-    np.array([[1.0, 1.0], [1.0, 1.0]]),
-    np.array([[2.0, 1.0], [1.0, 1.0]]),
-)
+_ORDER_COUNTEREXAMPLE = (SymMatrix([[1.0, 1.0], [1.0, 1.0]]), SymMatrix([[2.0, 1.0], [1.0, 1.0]]))
 
 
-def _check_order_certificates(rng, n, tol):
-    A, B = _psd_from_rng(rng, SpectrumSpec("commuting_pair", n))
+def _check_order_certificates(A, B, tol):
     cert = spectral_leq(A, B, tol)
     parts = [0.0 if cert.holds else 2.0]
-    bad = spectral_leq(
-        SymMatrix(_ORDER_COUNTEREXAMPLE[0]), SymMatrix(_ORDER_COUNTEREXAMPLE[1]), tol
-    )
+    bad = spectral_leq(*_ORDER_COUNTEREXAMPLE, tol)
     parts.append(0.0 if (not bad.holds and bad.witness_lambda is not None) else 2.0)
     return max(parts)
 
@@ -391,35 +403,33 @@ def _loewner_not_spectral(rng, n, tol):
         B = SymMatrix(A.entries + 0.5 * (u @ u.T))
         if spectral_leq(A, B, tol).worst_residual > 1e-3:
             return A, B
-    return SymMatrix(_ORDER_COUNTEREXAMPLE[0]), SymMatrix(_ORDER_COUNTEREXAMPLE[1])
+    return _ORDER_COUNTEREXAMPLE
 
 
-def _check_dim1_characterization(rng, n, tol):
-    A, B = _psd_from_rng(rng, SpectrumSpec("commuting_pair", n))
+def _draw_two_pairs(rng, n, tol):
+    """(A, B, lines, A2, B2): a commuting ordered pair, 100 unit vectors,
+    and a pair ordered in the semidefinite order only."""
+    A, B = _pair(rng, n, tol)
+    lines = [_unit(rng, n) for _ in range(100)]
+    return A, B, lines, *_loewner_not_spectral(rng, n, tol)
+
+
+def _check_dim1_characterization(A, B, lines, A2, B2, tol):
     worst = 0.0
-    for _ in range(100):
-        xi = rng.standard_normal(n)
-        xi /= np.linalg.norm(xi)
+    for xi in lines:
         va = spectral_short_vector(A, xi, tol)
         vb = spectral_short_vector(B, xi, tol)
         worst = max(worst, (va - vb) / 1e-9)
     parts = [worst]
-    A2, B2 = _loewner_not_spectral(rng, n, tol)
-    d2 = eig_sym(A2, tol)
-    found = False
-    for j in range(d2.n):
-        v = d2.vectors[:, j]
-        if spectral_short_vector(A2, v, tol) > spectral_short_vector(B2, v, tol) + 1e-9:
-            found = True
-            break
+    found = any(
+        spectral_short_vector(A2, v, tol) > spectral_short_vector(B2, v, tol) + 1e-9
+        for v in eig_sym(A2, tol).vectors.T
+    )
     parts.append(0.0 if found else 2.0)
     return max(parts)
 
 
-def _check_complexity_power(rng, n, tol):
-    A = _psd_from_rng(rng, SpectrumSpec("well_separated" if rng.integers(0, 2) else "with_zeros", n))
-    xi = rng.standard_normal(n)
-    xi /= np.linalg.norm(xi)
+def _check_complexity_power(A, xi, _coin, tol):
     closed = kolmogorov_closed(A, xi, tol).value
     result = kolmogorov_power(A, xi, n_max=200, tol=tol)
     if not result.trace.converged:
@@ -445,8 +455,7 @@ def _check_complexity_power(rng, n, tol):
     return max(parts)
 
 
-def _check_levels_attained(rng, n, tol):
-    A = _mixed_psd(rng, n, kinds=("well_separated", "clustered", "with_zeros"))
+def _check_levels_attained(A, tol):
     d = eig_sym(A, tol)
     worst = 0.0
     for expected, idx in d.blocks:
@@ -457,12 +466,7 @@ def _check_levels_attained(rng, n, tol):
     return _frac(worst, 1e-9 * d.norm2)
 
 
-def _check_duality(rng, n, tol):
-    singular = bool(rng.integers(0, 2))
-    kind = "with_zeros" if singular else "well_separated"
-    A = _psd_from_rng(rng, SpectrumSpec(kind, n))
-    xi = rng.standard_normal(n)
-    xi /= np.linalg.norm(xi)
+def _check_duality(A, xi, singular, tol):
     k_value, dual = kolmogorov_duality(A, xi, tol)
     parts = []
     d = eig_sym(A, tol)
@@ -487,25 +491,26 @@ def _check_duality(rng, n, tol):
 class TheoremCheck:
     theorem: str
     description: str
-    run: Callable[[np.random.Generator, int, Tolerances], float]
+    draw: Callable[[np.random.Generator, int, Tolerances], tuple]
+    identity: Callable[..., float]
 
 
 THEOREMS: tuple[TheoremCheck, ...] = (
-    TheoremCheck("T1", "shorted operator: geometric and block-elimination routes agree", _check_method_agreement),
-    TheoremCheck("T2", "shorted operator: composition over intersecting subspaces", _check_short_composition),
-    TheoremCheck("T3", "spectral short: iterated-power route matches closed form; iterates decrease", _check_closed_vs_iterative),
-    TheoremCheck("T4", "spectral short commutes with matrix powers", _check_power_identity),
-    TheoremCheck("T5", "spectral short: composition over intersecting subspaces", _check_rho_composition),
-    TheoremCheck("T6", "spectrum of the compressed spectral short sits on the source levels", _check_spectrum_inclusion),
-    TheoremCheck("T7", "smallest compressed eigenvalue equals the projection-inclusion grid value", _check_min_spectrum),
-    TheoremCheck("T8", "spectral short commutes with nondecreasing right-continuous maps", _check_monotone_calculus),
-    TheoremCheck("T9", "scalar shorted values of even powers equal inverse-power norms", _check_inverse_norm_identity),
-    TheoremCheck("T10", "scalar spectral short: pseudo-inverse power limit matches the level formula", _check_vector_power_limit),
-    TheoremCheck("T11", "spectral order accepts commuting ordered pairs and rejects the counterexample", _check_order_certificates),
-    TheoremCheck("T12", "spectral order matches scalar spectral-short comparison in both directions", _check_dim1_characterization),
-    TheoremCheck("T13", "complexity power trace increases and matches the level formula; invariances", _check_complexity_power),
-    TheoremCheck("T14", "every level is attained by the scalar spectral short and by the complexity", _check_levels_attained),
-    TheoremCheck("T15", "complexity agrees with the reciprocal pseudo-inverse spectral short", _check_duality),
+    TheoremCheck("T1", "shorted operator: geometric and block-elimination routes agree", _problem(_MIXED, low=0), _check_method_agreement),
+    TheoremCheck("T2", "shorted operator: composition over intersecting subspaces", _problem(_MIXED[:2], subspaces=2), _check_short_composition),
+    TheoremCheck("T3", "spectral short: iterated-power route matches closed form; iterates decrease", _draw_families, _check_closed_vs_iterative),
+    TheoremCheck("T4", "spectral short commutes with matrix powers", _problem(_MIXED[:2]), _check_power_identity),
+    TheoremCheck("T5", "spectral short: composition over intersecting subspaces", _problem(_MIXED[:3], subspaces=2), _check_rho_composition),
+    TheoremCheck("T6", "spectrum of the compressed spectral short sits on the source levels", _problem(_MIXED), _check_spectrum_inclusion),
+    TheoremCheck("T7", "smallest compressed eigenvalue equals the projection-inclusion grid value", _problem(_MIXED[:3]), _check_min_spectrum),
+    TheoremCheck("T8", "spectral short commutes with nondecreasing right-continuous maps", _problem(_MIXED[:2]), _check_monotone_calculus),
+    TheoremCheck("T9", "scalar shorted values of even powers equal inverse-power norms", _draw_well_conditioned_line, _check_inverse_norm_identity),
+    TheoremCheck("T10", "scalar spectral short: pseudo-inverse power limit matches the level formula", _draw_range_line, _check_vector_power_limit),
+    TheoremCheck("T11", "spectral order accepts commuting ordered pairs and rejects the counterexample", _pair, _check_order_certificates),
+    TheoremCheck("T12", "spectral order matches scalar spectral-short comparison in both directions", _draw_two_pairs, _check_dim1_characterization),
+    TheoremCheck("T13", "complexity power trace increases and matches the level formula; invariances", _line(("with_zeros", "well_separated")), _check_complexity_power),
+    TheoremCheck("T14", "every level is attained by the scalar spectral short and by the complexity", _problem(("well_separated", "clustered", "with_zeros"), subspaces=0), _check_levels_attained),
+    TheoremCheck("T15", "complexity agrees with the reciprocal pseudo-inverse spectral short", _line(("well_separated", "with_zeros")), _check_duality),
 )
 
 
@@ -565,7 +570,7 @@ def run_trial(
         raise DomainError("need at least one dimension")
     _check_dims(dims)
     n = dims[trial % len(dims)]
-    return float(check.run(_seeded(seed, index, trial), n, tol))
+    return float(check.identity(*check.draw(_seeded(seed, index, trial), n, tol), tol))
 
 
 def run_suite(

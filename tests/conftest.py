@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from specshort import DEFAULT_TOL
+from specshort.harness import THEOREMS
 
 # One hypothesis profile for every property: the same examples on every
 # run, a fixed budget, and no per-example deadline.
@@ -17,6 +18,11 @@ settings.load_profile("specshort")
 @pytest.fixture
 def tol():
     return DEFAULT_TOL
+
+
+# The harness identities by theorem, (*inputs, tol) -> residual as a
+# fraction of its bound: a test that checks one calls it.
+IDENTITIES = {check.theorem: check.identity for check in THEOREMS}
 
 
 def min_eig(a):

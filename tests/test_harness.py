@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,8 @@ import pytest
 from specshort import (
     DomainError,
     SpectrumSpec,
+    Subspace,
+    SymMatrix,
     gen_psd,
     gen_subspace,
     run_suite,
@@ -16,7 +19,7 @@ from specshort import harness
 from specshort.harness import THEOREMS, TheoremCheck, run_trial
 from specshort.core import DEFAULT_TOL
 
-from conftest import max_abs, min_eig
+from conftest import IDENTITIES, max_abs, min_eig
 
 
 def test_gen_psd_reproducible_bitwise():
@@ -141,7 +144,7 @@ def test_nan_residual_fails(monkeypatch):
     # a check that returns NaN, or a finite residual above 1, fails every
     # trial; a NaN is reported as inf in a report that still parses
     for residual, worst in ((math.nan, math.inf), (2.0, 2.0)):
-        check = TheoremCheck("T1", "returns a constant", lambda rng, n, tol: residual)
+        check = TheoremCheck("T1", "returns a constant", lambda rng, n, tol: (), lambda tol: residual)
         monkeypatch.setattr(harness, "THEOREMS", (check,))
         rep = run_suite(dims=(3,), trials=2)
         (t1,) = rep.theorems
@@ -194,14 +197,44 @@ def test_large_n_theorems_pass(theorem, n, trials):
         assert run_trial(THEOREMS[index], index, trial, (n,), 0, DEFAULT_TOL) <= 1.0, trial
 
 
-@pytest.mark.parametrize(
-    "theorem, n, trial",
-    [
-        # scored 2.0 while the oracle's power-wall stop failed the commuting family
-        ("T3", 30, 2),
-    ],
-)
-def test_open_large_n_theorem_faults(theorem, n, trial):
-    # a large-n fault stays pinned by its trial once it is mended
-    index = [t.theorem for t in THEOREMS].index(theorem)
-    assert run_trial(THEOREMS[index], index, trial, (n,), 0, DEFAULT_TOL) <= 1.0
+def _scaled(route):
+    """route with its value scaled by 1 + 1e-6."""
+
+    def call(*args):
+        out = route(*args)
+        if isinstance(out, float):
+            return out * (1.0 + 1e-6)
+        return dataclasses.replace(out, value=SymMatrix(out.value.entries * (1.0 + 1e-6)))
+
+    return call
+
+
+def _accepting(route):
+    """route with every order certificate turned to holds."""
+    return lambda *args: dataclasses.replace(route(*args), holds=True)
+
+
+# A = H diag(1, 2, 3) H, S = H span(e2, e3) and T = H span(e1, e3), so
+# S ^ T = H span(e3) carries A's top level; B = H diag(2, 2, 3) H lies above A
+_H = np.eye(3) - 2.0 * np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) / 9.0
+_A, _B = SymMatrix.from_eigens([1.0, 2.0, 3.0], _H), SymMatrix.from_eigens([2.0, 2.0, 3.0], _H)
+_S, _T = Subspace(_H[:, 1:]), Subspace(_H[:, [0, 2]])
+_CONTROLS = {
+    "T1": ("short_schur", _scaled, (_A, _S)),
+    "T2": ("short_at", _scaled, (_A, _S, _T)),
+    "T4": ("spectral_short_closed", _scaled, (_A, _S)),
+    "T5": ("spectral_short_closed", _scaled, (_A, _S, _T)),
+    "T11": ("spectral_leq", _accepting, (_A, _B)),
+    "T15": ("spectral_short_vector", _scaled, (_A, _H @ np.ones(3), False)),
+}
+
+
+@pytest.mark.parametrize("theorem", list(_CONTROLS))
+def test_an_identity_sees_its_route_perturbed(monkeypatch, theorem):
+    # tests call these identities, so one that read 0 whatever its route
+    # returned would silence them: a route off by 1e-6, or an order that
+    # accepts the counterexample, fails the identity on an input it passes
+    route, perturbed, inputs = _CONTROLS[theorem]
+    assert IDENTITIES[theorem](*inputs, DEFAULT_TOL) <= 1.0
+    monkeypatch.setattr(harness, route, perturbed(getattr(harness, route)))
+    assert IDENTITIES[theorem](*inputs, DEFAULT_TOL) > 1.0

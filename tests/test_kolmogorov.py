@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specshort import (
+    DEFAULT_TOL,
     ConvergenceTrace,
     DimensionMismatchError,
     DomainError,
@@ -19,6 +20,8 @@ from specshort import (
     spectral_short_vector,
     spectral_short_vector_power,
 )
+
+from conftest import IDENTITIES
 
 
 def test_closed_diag_examples():
@@ -262,11 +265,8 @@ def test_duality_invertible_reciprocal():
         A = gen_psd(SpectrumSpec("well_separated", 5), seed)
         xi = rng.standard_normal(5)
         xi /= np.linalg.norm(xi)
-        k, dual = kolmogorov_duality(A, xi)
-        assert abs(k - dual) <= 1e-8 * abs(k)
-        # identity against the inverse in the scalar form
-        rho_inv = spectral_short_vector(pseudo_inverse(A), xi)
-        assert abs(k * rho_inv - 1.0) <= 1e-8
+        # harness T15's invertible branch: k = dual = 1 / rho(pinv(A), xi)
+        assert IDENTITIES["T15"](A, xi, False, DEFAULT_TOL) <= 1
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -292,3 +292,35 @@ def test_duality_singular_hand_case():
 def test_duality_null_vector_convention():
     A = SymMatrix(np.diag([2.0, 0.0]))
     assert kolmogorov_duality(A, [0.0, 1.0]) == (0.0, 0.0)
+
+
+def _first_above(weights, floor):
+    """The first index whose weight exceeds floor, and the weights on either
+    side of that cut (0 below index 0)."""
+    j = int(np.argmax(weights > floor))
+    return j, (weights[j - 1] if j else 0.0, weights[j])
+
+
+@pytest.mark.parametrize("alpha", [1, 3, 8])
+@pytest.mark.parametrize("n, by_eigens", [(200, True), (1000, True), (200, False)], ids=["200-eigens", "1000-eigens", "200-entries"])
+def test_a_section_of_the_multiplication_operator(n, by_eigens, alpha):
+    # a finite section of M_x on L^2[0, 1], where 0 is in the spectrum but
+    # is no eigenvalue: A = H diag(x) H on the n midpoints x, xi = H f with
+    # f = x^alpha.  rho is the first grid point where the cumulative weight
+    # of f passes meet_tol, and k the last where the tail weight does, read
+    # off f alone; the weights beside each cut stay 1% clear of meet_tol so
+    # that rounding cannot move it
+    x = (np.arange(n) + 0.5) / n
+    u = np.cos(np.arange(n))
+    h = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
+    A = SymMatrix.from_eigens(x, h) if by_eigens else SymMatrix((h * x) @ h.T)
+    f = x**alpha
+    weight = np.sqrt(np.cumsum(f**2)) / np.linalg.norm(f)
+    tail = np.sqrt(np.cumsum(f[::-1] ** 2)) / np.linalg.norm(f)
+    meet = DEFAULT_TOL.meet_tol
+    first, first_beside = _first_above(weight, meet)
+    from_top, last_beside = _first_above(tail, meet)
+    assert abs(spectral_short_vector(A, h @ f) - x[first]) <= 1e-15
+    assert abs(kolmogorov_closed(A, h @ f).value - x[n - 1 - from_top]) <= 1e-15
+    for w in (*first_beside, *last_beside):
+        assert abs(w - meet) >= 0.01 * meet

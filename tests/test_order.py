@@ -15,13 +15,11 @@ from specshort import (
     gen_subspace,
     matrix_function,
     spectral_leq,
-    spectral_projection,
     spectral_short_closed,
-    spectral_short_vector,
 )
 from specshort.harness import _loewner_not_spectral
 
-from conftest import containment_residual, linalg_calls, min_eig
+from conftest import IDENTITIES, containment_residual, linalg_calls, min_eig
 
 
 CANONICAL_A = SymMatrix([[1.0, 1.0], [1.0, 1.0]])
@@ -410,26 +408,20 @@ def test_holds_implies_monotone_functions_ordered():
 
 
 def test_scalar_comparison_forward_direction():
+    # harness T12: rho(A, xi) <= rho(B, xi) on 100 lines, and the
+    # canonical pair for the reverse direction
     rng = np.random.default_rng(31)
     A, B = gen_psd(SpectrumSpec("commuting_pair", 6), 12)
     assert spectral_leq(A, B).holds
-    for _ in range(100):
-        xi = rng.standard_normal(6)
-        xi /= np.linalg.norm(xi)
-        assert spectral_short_vector(A, xi) <= spectral_short_vector(B, xi) + 1e-9
+    lines = [rng.standard_normal(6) for _ in range(100)]
+    assert IDENTITIES["T12"](A, B, lines, CANONICAL_A, CANONICAL_B, DEFAULT_TOL) <= 1
 
 
 def test_scalar_comparison_reverse_direction_witness():
-    # when the order fails, some eigenvector of A exposes it
-    cert = spectral_leq(CANONICAL_A, CANONICAL_B)
-    assert not cert.holds
-    w, v = np.linalg.eigh(CANONICAL_A.entries)
-    found = any(
-        spectral_short_vector(CANONICAL_A, v[:, j])
-        > spectral_short_vector(CANONICAL_B, v[:, j]) + 1e-9
-        for j in range(2)
-    )
-    assert found
+    # when the order fails, some eigenvector of A exposes it: harness T12
+    # with no lines reads only that direction
+    assert not spectral_leq(CANONICAL_A, CANONICAL_B).holds
+    assert IDENTITIES["T12"](CANONICAL_A, CANONICAL_A, [], CANONICAL_A, CANONICAL_B, DEFAULT_TOL) <= 1
 
 
 def test_certificate_consistency_flag_vs_residual():

@@ -33,7 +33,7 @@ from specshort import (
 from specshort import shorted
 from specshort.core import ShortedResult, _range_meet
 
-from conftest import linalg_calls, max_abs, min_eig
+from conftest import IDENTITIES, linalg_calls, max_abs, min_eig
 
 
 def test_closed_projection_case():
@@ -806,12 +806,11 @@ def test_power_identity_property():
         n = 5
         A = gen_psd(SpectrumSpec("well_separated", n), seed)
         S = gen_subspace(n, 2, seed + 3)
-        rho = spectral_short_closed(A, S)
-        nrm = eig_sym(A).norm2
-        for t in (0.5, 2.0, 3.0, 2.5):
-            lhs = spectral_short_closed(matrix_power(A, t), S).value.entries
-            rhs = matrix_power(rho.value, t).entries
-            assert max_abs(lhs - rhs) <= 1e-7 * max(1.0, nrm**t)
+        assert IDENTITIES["T4"](A, S, DEFAULT_TOL) <= 1
+        # and at t = 2.5, which the harness does not take
+        lhs = spectral_short_closed(matrix_power(A, 2.5), S).value.entries
+        rhs = matrix_power(spectral_short_closed(A, S).value, 2.5).entries
+        assert max_abs(lhs - rhs) <= 1e-7 * max(1.0, eig_sym(A).norm2**2.5)
 
 
 def test_composition_property():
@@ -820,9 +819,7 @@ def test_composition_property():
         A = gen_psd(SpectrumSpec("clustered", n), seed)
         S = gen_subspace(n, 4, seed + 1)
         T = gen_subspace(n, 3, seed + 2)
-        lhs = spectral_short_closed(A, projection_meet(S, T)).value.entries
-        rhs = spectral_short_closed(spectral_short_closed(A, S).value, T).value.entries
-        assert max_abs(lhs - rhs) <= 1e-7 * eig_sym(A).norm2
+        assert IDENTITIES["T5"](A, S, T, DEFAULT_TOL) <= 1
 
 
 def test_max_characterization_membership():
