@@ -87,7 +87,7 @@ class Tolerances:
     which every route reads, and spectral_leq to a pair's joint spectrum
     at the pair's larger norm.  A function of A and rho(S, A) keep A's
     partition (SymMatrix._attach).  Past _partition, rank_tol is read only
-    by short_schur's trailing block and by Subspace.span.
+    by Subspace.span.
     meet_tol bounds a principal-angle sine and decides every membership
     question: a direction lies in a meet, one subspace inside another, and
     a vector or subspace inside a half-line (the range of A included, so

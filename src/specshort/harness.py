@@ -211,13 +211,11 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _line(kinds):
-    """The draw of a coin, A of the kind kinds[coin] and a unit xi:
-    (A, xi, coin).  T15 reads the coin as A's singular flag; T13 draws the
-    same way and ignores it."""
+    """The draw of A, of a kind picked from the two kinds, and a unit xi:
+    (A, xi)."""
 
     def draw(rng, n, tol):
-        coin = int(rng.integers(0, 2))
-        return _psd_from_rng(rng, SpectrumSpec(kinds[coin], n)), _unit(rng, n), coin
+        return _psd_from_rng(rng, SpectrumSpec(kinds[int(rng.integers(0, 2))], n)), _unit(rng, n)
 
     return draw
 
@@ -429,7 +427,7 @@ def _check_dim1_characterization(A, B, lines, A2, B2, tol):
     return max(parts)
 
 
-def _check_complexity_power(A, xi, _coin, tol):
+def _check_complexity_power(A, xi, tol):
     closed = kolmogorov_closed(A, xi, tol).value
     result = kolmogorov_power(A, xi, n_max=200, tol=tol)
     if not result.trace.converged:
@@ -466,7 +464,7 @@ def _check_levels_attained(A, tol):
     return _frac(worst, 1e-9 * d.norm2)
 
 
-def _check_duality(A, xi, singular, tol):
+def _check_duality(A, xi, tol):
     k_value, dual = kolmogorov_duality(A, xi, tol)
     parts = []
     d = eig_sym(A, tol)
@@ -477,10 +475,11 @@ def _check_duality(A, xi, singular, tol):
         parts.append(0.0 if proj <= 1e-10 else 2.0)
     else:
         parts.append(abs(k_value - dual) / (1e-8 * max(abs(k_value), 1e-300)))
-    if singular:
-        if kernel.stop:
-            z_k, z_dual = kolmogorov_duality(A, d.vectors[:, 0], tol)
-            parts.append(0.0 if (z_k == 0.0 and z_dual == 0.0) else 2.0)
+    # A's kernel block decides the branch: a kernel vector has k = dual = 0,
+    # and on a definite A k is the reciprocal of rho(pinv(A), P xi)
+    if kernel.stop:
+        z_k, z_dual = kolmogorov_duality(A, d.vectors[:, 0], tol)
+        parts.append(0.0 if (z_k == 0.0 and z_dual == 0.0) else 2.0)
     else:
         inv_rho = spectral_short_vector(pseudo_inverse(A, tol), positive @ (positive.T @ xi), tol)
         parts.append(abs(k_value * inv_rho - 1.0) / 1e-8)

@@ -17,13 +17,16 @@ against projection_meet.
   kernel.
 - short_schur: the block route.  In a basis adapted to T and its
   complement, the shorted operator is the generalized Schur complement
-  A11 - A12 pinv(A22) A21, embedded back into the full space; the trailing
-  block is inverted above the rank cutoff rank_tol * ||A||_2.  A is
-  rotated once into that basis, complement first.  When A's smallest
-  eigenvalue clears the cutoff by more than rounding, Cauchy interlacing
-  puts every eigenvalue of A22 above it, so the rotated matrix takes one
-  Cholesky, whose trailing factor L gives the complement as L L^T;
-  otherwise A22's eigh decides.
+  A11 - A12 pinv(A22) A21, embedded back into the full space.  A's kernel
+  block, the one short_at reads, is first lifted to ||A||_2, which moves
+  the shorted operator to T by a relative meet_tol^2 at most and makes
+  the lifted matrix definite whenever A's first eigenvalue past the block
+  clears rounding.  So the lifted matrix, rotated once into that basis
+  (complement first), takes one Cholesky on a singular and a definite A
+  alike, and its trailing factor L gives the Schur complement as L L^T.
+  When that eigenvalue lies within rounding of 0, a positive level only a
+  rank cut below rounding leaves, A22's eigh keeps its positive
+  eigenvalues and the Schur complement's eigh gives L.
 
 Results are embedded in the full n x n space (zero outside the subspace) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
@@ -31,11 +34,9 @@ action on the subspace itself, and ShortedResult.scalar for the shorted
 value on a line, short_at(A, Subspace.span(xi)).scalar().  A result
 (core.ShortedResult, which rho shares) stores only its value and
 subspace: range_residual, which no route reads, is computed from them when
-read.  Both values are symmetric to the bit: F F^T and (Bs L)(Bs L)^T as
-numpy forms them, by a symmetric rank-k update, and short_schur's eigh
-branch as (raw + raw^T) / 2, whose Schur blocks carry a rounding asymmetry
-of order eps ||A||; so each enters SymMatrix by SymMatrix._symmetric,
-which checks finiteness only.
+read.  Every value is F F^T, F = U U^T T R^{-1} or Bs L, which numpy forms
+by a symmetric rank-k update, symmetric to the bit; so each enters
+SymMatrix by SymMatrix._symmetric, which checks finiteness only.
 """
 
 from __future__ import annotations
@@ -91,28 +92,30 @@ def _inv_upper(r: np.ndarray) -> np.ndarray:
 
 def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
     """Shorted operator as a generalized Schur complement relative to the
-    complement of S ^ R(A).
+    complement of T = S ^ R(A).
 
-    A is rotated to G = B^T A B, B = [Bc, Bs] with the complement first, so
-    G11 = A22 = Bc^T A Bc, G21 = A12 = Bs^T A Bc and G22 = A11 = Bs^T A Bs.
-    A22 is positive semidefinite; its eigenvalues at or below
-    rank_tol * ||A||_2 are its kernel, the rest are inverted.  Its
-    eigenvalues, and G's, are at least A's smallest (Cauchy interlacing;
-    Golub & Van Loan, Matrix Computations, Thm 8.1.7), so when
-    lambda_min(A) exceeds the cutoff by 8 n eps ||A||_2, more than the
-    rounding of G and of eig_sym's lambda_min, nothing is cut and G takes
-    one Cholesky with no eigh: the trailing diagonal block L of its factor
-    has L L^T = A11 - A12 A22^{-1} A21, so the shorted operator is
-    (Bs L)(Bs L)^T.
+    A's kernel block (eig_sym's, the one short_at reads), with
+    eigenvectors Z, is lifted to ||A||_2: G = B^T (A + ||A||_2 Z Z^T) B,
+    B = [Bc, Bs] with the complement first, so G11 = A22, G21 = A12 and
+    G22 = A11 of the lifted matrix.  As T lies within meet_tol of R(A), the
+    lift moves the shorted operator to T by a relative meet_tol^2 at most.
+    G's eigenvalues are the lifted matrix's: A's past Z, and Z's lifted to
+    about ||A||_2.  So when A's first eigenvalue past Z clears the rounding,
+    8 n eps ||A||_2, G takes one Cholesky with no eigh: the trailing
+    diagonal block L of its factor has L L^T = A11 - A12 A22^{-1} A21.
+    Otherwise A22's eigh keeps its positive eigenvalues and the Schur
+    complement's eigh gives L, its rounding-negative eigenvalues at 0.
+    Either way the shorted operator is (Bs L)(Bs L)^T.
     """
     d = _check_pair(A, S, tol)
     if S.dim == A.n:
         return ShortedResult(A, S)
+    k = d.blocks[0][1].stop
     meet = _range_meet(d, S, tol)
     bs, bc = meet.basis, meet.complement().basis
     c = bc.shape[1]
-    # G = [Bc, Bs]^T A [Bc, Bs], every entry written: neither branch reads
-    # the upper right block, which is copied from the lower left
+    # G = [Bc, Bs]^T A [Bc, Bs] before the lift, every entry written:
+    # neither branch reads the upper right block, copied from the lower left
     g = np.empty((A.n, A.n))
     ab = A.entries @ bc
     np.matmul(bc.T, ab, out=g[:c, :c])
@@ -121,24 +124,21 @@ def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> Sho
     np.matmul(bs.T, ab, out=g[c:, c:])
     del ab
     g[:c, c:] = g[c:, :c].T
-    cut = tol.rank_tol * d.norm2
-    if d.lambda_min > cut + 8 * A.n * np.finfo(float).eps * d.norm2:
+    if k:
+        # the lift, ||A||_2 Y Y^T with Y = B^T Z, added in G's coordinates
+        y = np.r_[bc.T @ d.vectors[:, :k], bs.T @ d.vectors[:, :k]]
+        g += (y * d.norm2) @ y.T
+    # the lifted matrix's smallest eigenvalue past Z, or ||A||_2 if Z is all
+    if d.eigenvalues[k:].min(initial=d.norm2) > 8 * A.n * np.finfo(float).eps * d.norm2:
         l22 = np.linalg.cholesky(g)[c:, c:]
-        del g
-        f = bs @ l22
-        del l22
-        # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit
-        return ShortedResult(SymMatrix._symmetric(f @ f.T), S)
-    w, v = np.linalg.eigh(g[:c, :c])
-    keep = w > cut
-    h = (g[c:, :c] @ v[:, keep]) / np.sqrt(w[keep])
-    inner = g[c:, c:] - h @ h.T
-    # the rotated matrix goes before the n x n embedding
-    del g, v, h
-    # Symmetrized here, to the bit: the Schur blocks carry a rounding
-    # asymmetry of order eps ||A||, which can exceed _SYM_TOL relative to a
-    # result much smaller than A.
-    raw = bs @ inner @ bs.T
-    sym = raw + raw.T
-    sym *= 0.5
-    return ShortedResult(SymMatrix._symmetric(sym), S)
+    else:
+        w, v = np.linalg.eigh(g[:c, :c])
+        keep = w > 0
+        h = (g[c:, :c] @ v[:, keep]) / np.sqrt(w[keep])
+        w, v = np.linalg.eigh(g[c:, c:] - h @ h.T)
+        l22 = v * np.sqrt(np.maximum(w, 0.0))
+    del g
+    f = bs @ l22
+    del l22
+    # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit
+    return ShortedResult(SymMatrix._symmetric(f @ f.T), S)

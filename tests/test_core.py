@@ -89,22 +89,27 @@ def test_constructor_peak_allocation():
 
 
 @pytest.mark.parametrize(
-    "route, ceiling",
+    "route, kernel, ceiling",
     # what each returns (rho's value and its attached eigenvectors; Sigma's
     # value) and at most one n x n temporary beyond it: the product, or
     # short_schur's rotated matrix, freed with its Cholesky factor before
-    # the value is formed
-    [(spectral_short_closed, 4.0), (short_schur, 2.75), (short_at, 2.5)],
-    ids=["spectral_short_closed", "short_schur", "short_at"],
+    # the value is formed.  With one kernel direction S ^ R(A) is a new
+    # basis whose complement comes from a complete QR, and short_schur's
+    # lift is one more n x n product: 3.51, held at the 3.95 the route
+    # took when it inverted the trailing block through its eigh instead
+    [(spectral_short_closed, 0, 4.0), (short_schur, 0, 2.75), (short_at, 0, 2.5), (short_schur, 1, 3.95)],
+    ids=["spectral_short_closed", "short_schur", "short_at", "short_schur-kernel"],
 )
-def test_route_peak_allocation(route, ceiling):
-    # 4 levels of 50 in a random basis and a generic S of dimension 100,
-    # with A's decomposition and S's complement cached first, as an op
-    # that reads both routes has them
+def test_route_peak_allocation(route, kernel, ceiling):
+    # 4 levels of 50 in a random basis, the lowest `kernel` eigenvalues set
+    # to 0, and a generic S of dimension 100, with A's decomposition and
+    # S's complement cached first, as an op that reads both routes has them
     n = 200
     rng = np.random.default_rng(29)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    A = SymMatrix((q * np.repeat(np.linspace(1.0, 2.0, 4), n // 4)) @ q.T)
+    w = np.repeat(np.linspace(1.0, 2.0, 4), n // 4)
+    w[:kernel] = 0.0
+    A = SymMatrix((q * w) @ q.T)
     S = Subspace.span(rng.standard_normal((n, n // 2)))
     eig_sym(A)
     S.complement()
@@ -342,6 +347,21 @@ def test_projection_keeps_the_kernel_block_whole():
     assert 2 not in dims and set(dims) == {3, 1}
     assert spectral_projection(d, 5e-9).dim == 3
     assert spectral_projection(d, 1.5e-8).dim == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="spectral_projection lowers lam by cluster_tol * ||A||_2, so at one "
+    "level's own value it also takes the level below when the two lie within that width",
+)
+def test_projection_at_a_level_takes_that_level_and_above():
+    # levels 0.2, 0.5 + 0.45e-8 (a run of two), 0.5 + 1.05e-8 and 1: the two
+    # middle levels are 0.6e-8 apart, inside the cluster width 1e-8, yet A's
+    # partition holds them apart, so at 0.5 + 1.05e-8 it gives dimension 2
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+    d = eig_sym(SymMatrix((q * [0.2, 0.5, 0.5 + 0.9e-8, 0.5 + 1.05e-8, 1.0]) @ q.T))
+    assert d.levels == ((0,), (1, 2), (3,), (4,))
+    assert [spectral_projection(d, mu).dim for mu, _ in d.blocks[1:]] == [5, 4, 2, 1]
 
 
 def test_projection_monotone_in_threshold():

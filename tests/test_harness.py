@@ -209,6 +209,12 @@ def _scaled(route):
     return call
 
 
+def _scaled_on(matrix):
+    """The perturbation that scales route's value by 1 + 1e-6 on one matrix
+    object only, so an identity comparing two equal matrices sees it."""
+    return lambda route: lambda A, *args: (_scaled(route) if A is matrix else route)(A, *args)
+
+
 def _accepting(route):
     """route with every order certificate turned to holds."""
     return lambda *args: dataclasses.replace(route(*args), holds=True)
@@ -219,13 +225,17 @@ def _accepting(route):
 _H = np.eye(3) - 2.0 * np.outer([1.0, 2.0, 2.0], [1.0, 2.0, 2.0]) / 9.0
 _A, _B = SymMatrix.from_eigens([1.0, 2.0, 3.0], _H), SymMatrix.from_eigens([2.0, 2.0, 3.0], _H)
 _S, _T = Subspace(_H[:, 1:]), Subspace(_H[:, [0, 2]])
+# T12 compares rho(A, xi) with rho(B, xi), so it reads A against a second,
+# equal matrix object; its reverse direction reads the canonical pair
+_A_AGAIN = SymMatrix.from_eigens([1.0, 2.0, 3.0], _H)
 _CONTROLS = {
     "T1": ("short_schur", _scaled, (_A, _S)),
     "T2": ("short_at", _scaled, (_A, _S, _T)),
     "T4": ("spectral_short_closed", _scaled, (_A, _S)),
     "T5": ("spectral_short_closed", _scaled, (_A, _S, _T)),
     "T11": ("spectral_leq", _accepting, (_A, _B)),
-    "T15": ("spectral_short_vector", _scaled, (_A, _H @ np.ones(3), False)),
+    "T12": ("spectral_short_vector", _scaled_on(_A), (_A, _A_AGAIN, list(_H.T), *harness._ORDER_COUNTEREXAMPLE)),
+    "T15": ("spectral_short_vector", _scaled, (_A, _H @ np.ones(3))),
 }
 
 

@@ -266,7 +266,7 @@ def test_duality_invertible_reciprocal():
         xi = rng.standard_normal(5)
         xi /= np.linalg.norm(xi)
         # harness T15's invertible branch: k = dual = 1 / rho(pinv(A), xi)
-        assert IDENTITIES["T15"](A, xi, False, DEFAULT_TOL) <= 1
+        assert IDENTITIES["T15"](A, xi, DEFAULT_TOL) <= 1
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -292,6 +292,17 @@ def test_duality_singular_hand_case():
 def test_duality_null_vector_convention():
     A = SymMatrix(np.diag([2.0, 0.0]))
     assert kolmogorov_duality(A, [0.0, 1.0]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("lean", [0.0, 1e-12], ids=["in", "beside"])
+def test_duality_identity_reads_the_kernel_from_a(lean):
+    # harness T15 on a singular A and a xi in its kernel, or 1e-12 from
+    # it: the identity takes its kernel branch from A's kernel block, so
+    # no caller can send such a xi down the reciprocal branch, where
+    # pinv(A) P xi is 0 (or 1e-12) and rho of it is undefined
+    A = SymMatrix(np.diag([2.0, 1.0, 0.0]))
+    xi = np.array([lean, 0.0, 1.0])
+    assert IDENTITIES["T15"](A, xi / np.linalg.norm(xi), DEFAULT_TOL) <= 1
 
 
 def _first_above(weights, floor):

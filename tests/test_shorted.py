@@ -92,20 +92,38 @@ def test_schur_inverts_a_definite_trailing_block_whole(monkeypatch):
         assert max_abs(r.value.entries - _schur_by_eigh(A, S, tol)) <= 1e-13 * max(1.0, A.spectral_norm())
 
 
-def test_schur_takes_the_eigh_near_the_cut_and_on_a_kernel(monkeypatch):
+def test_schur_takes_one_cholesky_on_a_kernel_and_the_eigh_pair_near_rounding(monkeypatch):
     rng = np.random.default_rng(4)
     v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     S = Subspace.span(rng.standard_normal((20, 8)))
-    # lambda_min at 1.5 times the cut, which 8 n eps ||A|| of rounding
-    # margin exceeds at rank_tol = 1e-14: the interlacing bound cannot clear
-    # the cut, so the trailing block's eigh decides
+    # a singular A: its kernel block is lifted to ||A||, so the rotated
+    # matrix is definite and takes one Cholesky, with no eigh
+    A = SymMatrix((v * np.r_[0.0, np.linspace(1.0, 2.0, 19)]) @ v.T)
+    assert _schur_factorizations(monkeypatch, A, S)[1] == [("cholesky", (20, 20))]
+    assert IDENTITIES["T1"](A, S, DEFAULT_TOL) <= 1
+    # a positive level at 3e-14, above the rank cut at rank_tol = 1e-14 but
+    # within the rounding margin 8 n eps ||A|| = 7.1e-14: the trailing
+    # block's eigh keeps its positive eigenvalues and the Schur complement's
+    # eigh factors it (S ^ R(A) is S, so the blocks are 12 and 8 wide)
     tol = Tolerances(rank_tol=1e-14)
     A = SymMatrix((v * np.r_[3e-14, np.linspace(1.0, 2.0, 19)]) @ v.T)
-    assert eig_sym(A, tol).lambda_min == pytest.approx(1.5 * tol.rank_tol * 2.0, rel=0.1)
-    assert _schur_factorizations(monkeypatch, A, S, tol)[1] == [("eigh", (12, 12))]
-    # a singular A: S ^ R(A) has dimension 7, so the trailing block is 13 x 13
-    A = SymMatrix((v * np.r_[0.0, np.linspace(1.0, 2.0, 19)]) @ v.T)
-    assert _schur_factorizations(monkeypatch, A, S)[1] == [("eigh", (13, 13))]
+    assert eig_sym(A, tol).blocks[0][1].stop == 0
+    assert eig_sym(A, tol).lambda_min < 8 * 20 * np.finfo(float).eps * 2.0
+    assert _schur_factorizations(monkeypatch, A, S, tol)[1] == [("eigh", (12, 12)), ("eigh", (8, 8))]
+    assert IDENTITIES["T1"](A, S, tol) <= 1
+
+
+def test_schur_reads_the_kernel_block_that_at_reads():
+    # A's kernel block is {0, 2e-10}: 2e-10 lies above the rank cut 1e-10
+    # but within cluster_tol of 0, so it joins the run that starts at 0.
+    # The Schur route shorts over that block, as short_at does, rather
+    # than inverting A22's eigenvalue near 2e-10; with a cut of its own
+    # the routes disagreed by 2.77 times T1's bound
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 6)))
+    A = SymMatrix.from_eigens([0.0, 2e-10, 0.3, 0.5, 0.8, 1.0], q)
+    S = Subspace.span(np.c_[q[:, 2] + 9e-9 * q[:, 1], q[:, 4] + q[:, 0]])
+    assert eig_sym(A).blocks[0][1].stop == 2
+    assert IDENTITIES["T1"](A, S, DEFAULT_TOL) <= 1
 
 
 @pytest.mark.parametrize("kernel", [0, 2], ids=["definite", "kernel"])

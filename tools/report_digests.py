@@ -21,9 +21,11 @@ one BLAS thread throughout.  One line per digest:
 
 With --dump PATH the outputs themselves are also saved, as one .npz of
 float arrays: each run_op output, and the numbers of each CLI report in the
-order its JSON lists them.  --compare BASE CHANGE reads two such files and
-prints, per output kind (a run_op output, one of the CLI reports above,
-or verify), how many outputs there are, how many moved by any
+order its JSON lists them, and each verify theorem's (failures,
+worst_residual, failing_trial), under the kind "verify Tk" (-1 for no
+failing trial).  --compare BASE CHANGE reads two such files and prints,
+per output kind (a run_op output, one of the CLI reports above, verify,
+or one verify theorem), how many outputs there are, how many moved by any
 bit, and the largest |change| of one number relative to ||A||_2 of its
 instance (to 1 for verify, whose numbers are fractions of their bounds).
 
@@ -92,6 +94,14 @@ def report_numbers(stdout: str) -> np.ndarray:
         return np.zeros(0)
 
 
+def report_theorems(stdout: str) -> list[dict]:
+    """The theorem entries of a verify report (none if it is not JSON)."""
+    try:
+        return json.loads(stdout)["theorems"]
+    except (ValueError, KeyError, TypeError):
+        return []
+
+
 def main(tree: str, dump: str | None) -> None:
     tree = os.path.abspath(tree)
     sys.path.insert(0, os.path.join(tree, "bench"))
@@ -141,6 +151,9 @@ def main(tree: str, dump: str | None) -> None:
             res = child("verify", "--seed", str(seed))
             print("verify", seed, digest(res.code, res.stdout))
             save("verify", str(seed), [res.code, *report_numbers(res.stdout)], 1.0)
+            for t in report_theorems(res.stdout):
+                trial = -1 if t["failing_trial"] is None else t["failing_trial"]
+                save(f"verify {t['id']}", str(seed), [t["failures"], t["worst_residual"], trial], 1.0)
     if dump is not None:
         np.savez(dump, **saved)
 
