@@ -15,7 +15,8 @@ filled by the first eig_sym) and its decompositions per (cluster_tol,
 rank_tol) (_decomps; f(A) and rho(S, A) store theirs under the key that
 built them), and a Subspace's orthogonal complement (_complement:
 stored by Subspace.span from the QR that gives the basis when the spanning
-set has full column rank, else filled on first use).
+set has full column rank, else filled on first use as a copy of a complete
+Q's last columns).
 Two threads that fill one at once store equal values, so everything here is
 safe to share across threads.
 
@@ -28,7 +29,11 @@ checked factorization is not checked again: Subspace._of takes every basis
 built from an orthogonal factor with no copy and no B^T B,
 SymMatrix._attach a matrix from its eigenpairs without from_eigens' check,
 and SymMatrix._symmetric a value built symmetric to the bit with its
-finiteness check only.  _attach stores eigenpairs that arrive sorted as
+finiteness check only.  Every matrix result is such a value, built by
+symmetric rank-k updates: _attach forms V diag(w) V^T as
+F+ F+^T - F- F-^T (one update for nonnegative values), and the shorted
+and iterative routes form theirs likewise.  _attach stores eigenpairs
+that arrive sorted as
 given, with no copy, and sorts and gathers only unsorted ones; so
 from_eigens hands on a sorted copy of the caller's arrays, and the closed
 form builds rho's eigenpairs in the sorted order.
@@ -150,10 +155,14 @@ def _pow2_scaled(a: np.ndarray, top: float | None = None) -> tuple[np.ndarray, i
 
 
 def _finite_scale(arr: np.ndarray) -> float:
-    """The largest magnitude of arr, max(max a, -min a), read with no |a|
-    array; DomainError unless it is finite.  A NaN entry makes both
-    reductions NaN, and max returns its first argument then, so NaN and
-    +-inf reach the check; abs() gives a zero array +0.0, as max |a| does."""
+    """The largest magnitude of a square arr, max(max a, -min a), read with
+    no |a| array; DomainError unless arr has an entry and it is finite, so
+    SymMatrix and SymMatrix._symmetric both reject a 0 x 0 array.  A NaN
+    entry makes both reductions NaN, and max returns its first argument
+    then, so NaN and +-inf reach the check; abs() gives a zero array +0.0,
+    as max |a| does."""
+    if not arr.size:
+        raise DomainError("expected a matrix of size at least 1 x 1, got 0 x 0")
     scale = abs(max(float(arr.max()), -float(arr.min())))
     if not math.isfinite(scale):
         raise DomainError("matrix entries must be finite")
@@ -232,8 +241,6 @@ class SymMatrix:
         arr = np.asarray(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise DomainError("expected a matrix of size at least 1 x 1, got 0 x 0")
         scale = _finite_scale(arr)
         # a - a^T is antisymmetric to the bit, so its largest entry is its
         # largest magnitude; the array then holds (a + a^T) / 2, and x * 0.5
@@ -315,21 +322,24 @@ class SymMatrix:
         read-only.  When w is already nondecreasing, w and v are stored as
         given, with no copy, so a caller hands over arrays it no longer
         writes (from_eigens hands on a sorted copy); otherwise they are
-        sorted and gathered.  The product V diag(w) V^T is formed from the
-        columns with w != 0 only, since the others add exact zeros: a slice
-        of V when they are contiguous, else a masked copy.  Every column
-        stays in the attached decomposition."""
+        sorted and gathered.  The product V diag(w) V^T is formed as
+        F+ F+^T - F- F-^T, F+- = V sqrt(|w|) over the positive and the
+        negative values, contiguous once sorted: a symmetric rank-k update
+        each, symmetric to the bit, so the matrix enters by _symmetric.
+        The columns with w = 0 add nothing and are not read; f(A) on a PSD
+        A, rho and A^+ have no negative value and take one update.  Every
+        column stays in the attached decomposition."""
         if np.any(w[1:] < w[:-1]):
             order = np.argsort(w, kind="stable")
             w = w[order]
             v = v[:, order]
-        nonzero = np.flatnonzero(w)
-        if nonzero.size and nonzero[-1] - nonzero[0] == nonzero.size - 1:
-            keep = slice(nonzero[0], nonzero[-1] + 1)
-        else:
-            keep = w != 0.0
-        vk = v[:, keep]
-        out = cls((vk * w[keep]) @ vk.T)
+        neg, pos = np.searchsorted(w, 0.0, side="left"), np.searchsorted(w, 0.0, side="right")
+        f = v[:, pos:] * np.sqrt(w[pos:])
+        entries = f @ f.T
+        if neg:
+            f = v[:, :neg] * np.sqrt(-w[:neg])
+            entries -= f @ f.T
+        out = cls._symmetric(entries)
         w.setflags(write=False)
         v.setflags(write=False)
         out._eigens = (w, v)
@@ -554,7 +564,8 @@ class Subspace:
         """Orthogonal complement, computed once and cached: Subspace.span
         stores it from its own QR when the spanning set has full column
         rank, and otherwise it is taken here from a complete QR of the
-        basis."""
+        basis, as a copy of Q's last columns, so the cache does not keep
+        the whole of Q alive."""
         if self._complement is None:
             n, k = self.n, self.dim
             if k == 0:
@@ -563,7 +574,7 @@ class Subspace:
                 self._complement = Subspace.zero(n)
             else:
                 q, _ = np.linalg.qr(self.basis, mode="complete")
-                self._complement = Subspace._of(q[:, k:])
+                self._complement = Subspace._of(q[:, k:].copy())
         return self._complement
 
     def __repr__(self) -> str:
@@ -704,12 +715,19 @@ def spectral_projection(
     D: SpectralDecomposition, lam: float, tol: Tolerances = DEFAULT_TOL
 ) -> Subspace:
     """Projection onto the span of eigenvectors whose block value is >= lam,
-    up to the clustering tolerance.
+    up to the clustering tolerance: it starts at the nearest block whose
+    value is at or below lam and within cluster_tol * ||A||_2 of it, and
+    when no block is that close, at the first block above lam.  So at a
+    block's own value it takes that block and those above, however close
+    the block below.
 
     Whole blocks are kept or dropped together, the kernel block (value 0)
     included, so the result is monotone in lam exactly (as index sets).
     """
-    start = np.searchsorted(D.values, lam - tol.cluster_tol * D.norm2, side="left")
+    # the largest block value at or below lam when it is that close, else
+    # lam - cluster_tol * ||A||_2, below which no value then lies before lam
+    i = np.searchsorted(D.values, lam, side="right")
+    start = np.searchsorted(D.values, max(lam - tol.cluster_tol * D.norm2, D.values[i - 1] if i else lam))
     return Subspace._of(D.vectors[:, start:])
 
 

@@ -15,28 +15,30 @@ against projection_meet.
   values of A's positive blocks).  Only M's triangle R is factored: the
   value is F F^T with F = U U^T T R^{-1}, and U U^T T is T when A has no
   kernel.
-- short_schur: the block route.  In a basis adapted to T and its
-  complement, the shorted operator is the generalized Schur complement
-  A11 - A12 pinv(A22) A21, embedded back into the full space.  A's kernel
-  block, the one short_at reads, is first lifted to ||A||_2, which moves
-  the shorted operator to T by a relative meet_tol^2 at most and makes
-  the lifted matrix definite whenever A's first eigenvalue past the block
-  clears rounding.  So the lifted matrix, rotated once into that basis
-  (complement first), takes one Cholesky on a singular and a definite A
-  alike, and its trailing factor L gives the Schur complement as L L^T.
-  When that eigenvalue lies within rounding of 0, a positive level only a
-  rank cut below rounding leaves, A22's eigh keeps its positive
-  eigenvalues and the Schur complement's eigh gives L.
+- short_schur: the block route.  The shorted operator is the generalized
+  Schur complement relative to a basis Bc of T's complement,
+  A - A Bc pinv(Bc^T A Bc) Bc^T A, which reads S only through Bc.  A's
+  kernel block, the one short_at reads, is first lifted to ||A||_2, which
+  moves the shorted operator to T by a relative meet_tol^2 at most and
+  makes K = Bc^T A' Bc of the lifted A' definite whenever A's first
+  eigenvalue past the block clears rounding.  So K takes one Cholesky
+  K = L L^T on a singular and a definite A alike, and the value is
+  A' - H H^T with H = A' Bc L^-T.  When that eigenvalue lies within
+  rounding of 0, a positive level only a rank cut below rounding leaves,
+  K's eigh keeps its positive eigenvalues instead.
 
-Results are embedded in the full n x n space (zero outside the subspace) so
+Results are embedded in the full n x n space (zero outside the subspace,
+to rounding for short_schur) so
 compositions need no basis bookkeeping; use ShortedResult.compressed for the
 action on the subspace itself, and ShortedResult.scalar for the shorted
 value on a line, short_at(A, Subspace.span(xi)).scalar().  A result
 (core.ShortedResult, which rho shares) stores only its value and
 subspace: range_residual, which no route reads, is computed from them when
-read.  Every value is F F^T, F = U U^T T R^{-1} or Bs L, which numpy forms
-by a symmetric rank-k update, symmetric to the bit; so each enters
-SymMatrix by SymMatrix._symmetric, which checks finiteness only.
+read.  Every value is one symmetric rank-k update, symmetric to the bit:
+short_at's F F^T, F = U U^T T R^{-1}, and short_schur's A' - H H^T, A'
+symmetric to the bit too; so each enters SymMatrix by
+SymMatrix._symmetric, which checks finiteness only.  short_schur's is a
+difference, so its part off T is rounding of size eps ||A||_2.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .core import (
     SymMatrix,
     Tolerances,
     _check_pair,
+    _pow2_scaled,
     _range_meet,
 )
 
@@ -92,53 +95,51 @@ def _inv_upper(r: np.ndarray) -> np.ndarray:
 
 def short_schur(A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL) -> ShortedResult:
     """Shorted operator as a generalized Schur complement relative to the
-    complement of T = S ^ R(A).
+    complement Bc of T = S ^ R(A): A - A Bc (Bc^T A Bc)^+ Bc^T A (Anderson
+    & Trapp, "Shorted operators II", 1975), which reads S only through Bc.
 
     A's kernel block (eig_sym's, the one short_at reads), with
-    eigenvectors Z, is lifted to ||A||_2: G = B^T (A + ||A||_2 Z Z^T) B,
-    B = [Bc, Bs] with the complement first, so G11 = A22, G21 = A12 and
-    G22 = A11 of the lifted matrix.  As T lies within meet_tol of R(A), the
-    lift moves the shorted operator to T by a relative meet_tol^2 at most.
-    G's eigenvalues are the lifted matrix's: A's past Z, and Z's lifted to
-    about ||A||_2.  So when A's first eigenvalue past Z clears the rounding,
-    8 n eps ||A||_2, G takes one Cholesky with no eigh: the trailing
-    diagonal block L of its factor has L L^T = A11 - A12 A22^{-1} A21.
-    Otherwise A22's eigh keeps its positive eigenvalues and the Schur
-    complement's eigh gives L, its rounding-negative eigenvalues at 0.
-    Either way the shorted operator is (Bs L)(Bs L)^T.
+    eigenvectors Z, is lifted to ||A||_2: A' = A + ||A||_2 Z Z^T, whose
+    product A' Bc is formed as A Bc + ||A||_2 Z (Z^T Bc), with no n x n
+    A'.  As T lies within meet_tol of R(A), the lift moves the shorted
+    operator to T by a relative meet_tol^2 at most.  K = Bc^T A' Bc
+    interlaces A''s eigenvalues: A's past Z, and Z's lifted to about
+    ||A||_2.  So when A's first eigenvalue past Z clears the rounding,
+    8 n eps ||A||_2, K takes one Cholesky K = L L^T with no eigh, and with
+    H = (A' Bc) L^-T the shorted operator is A' - H H^T.  Otherwise K's
+    eigh keeps its positive eigenvalues w, and H = (A' Bc) V_+ w^-1/2.
     """
     d = _check_pair(A, S, tol)
     if S.dim == A.n:
         return ShortedResult(A, S)
     k = d.blocks[0][1].stop
     meet = _range_meet(d, S, tol)
-    bs, bc = meet.basis, meet.complement().basis
-    c = bc.shape[1]
-    # G = [Bc, Bs]^T A [Bc, Bs] before the lift, every entry written:
-    # neither branch reads the upper right block, copied from the lower left
-    g = np.empty((A.n, A.n))
-    ab = A.entries @ bc
-    np.matmul(bc.T, ab, out=g[:c, :c])
-    np.matmul(bs.T, ab, out=g[c:, :c])
-    ab = A.entries @ bs
-    np.matmul(bs.T, ab, out=g[c:, c:])
-    del ab
-    g[:c, c:] = g[c:, :c].T
+    if not meet.dim:
+        return ShortedResult(SymMatrix._symmetric(np.zeros((A.n, A.n))), S)
+    bc = meet.complement().basis
+    # A' Bc and K in units of 2^e, e the exponent of ||A||_2, so 2^j A
+    # gives the same factors and a value 2^j times as large to the bit
+    ab, e = _pow2_scaled(A.entries @ bc, d.norm2)
     if k:
-        # the lift, ||A||_2 Y Y^T with Y = B^T Z, added in G's coordinates
-        y = np.r_[bc.T @ d.vectors[:, :k], bs.T @ d.vectors[:, :k]]
-        g += (y * d.norm2) @ y.T
-    # the lifted matrix's smallest eigenvalue past Z, or ||A||_2 if Z is all
+        z = d.vectors[:, :k] * np.sqrt(np.ldexp(d.norm2, -e))
+        ab += z @ (z.T @ bc)
+    g = bc.T @ ab
+    del bc, meet
+    # A''s smallest eigenvalue past Z, or ||A||_2 if Z is all
     if d.eigenvalues[k:].min(initial=d.norm2) > 8 * A.n * np.finfo(float).eps * d.norm2:
-        l22 = np.linalg.cholesky(g)[c:, c:]
+        h = ab @ _inv_upper(np.linalg.cholesky(g).T)
     else:
-        w, v = np.linalg.eigh(g[:c, :c])
+        w, v = np.linalg.eigh(g)
         keep = w > 0
-        h = (g[c:, :c] @ v[:, keep]) / np.sqrt(w[keep])
-        w, v = np.linalg.eigh(g[c:, c:] - h @ h.T)
-        l22 = v * np.sqrt(np.maximum(w, 0.0))
-    del g
-    f = bs @ l22
-    del l22
-    # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit
-    return ShortedResult(SymMatrix._symmetric(f @ f.T), S)
+        h = (ab @ v[:, keep]) / np.sqrt(w[keep])
+    del ab, g
+    # A - 2^e (h h^T - z z^T), formed in the buffer of h h^T: numpy forms
+    # both products by a symmetric rank-k update, so every step is
+    # symmetric to the bit
+    out = h @ h.T
+    del h
+    if k:
+        out -= z @ z.T
+    np.ldexp(out, e, out=out)
+    np.subtract(A.entries, out, out=out)
+    return ShortedResult(SymMatrix._symmetric(out), S)

@@ -199,7 +199,7 @@ def spectral_short_iterative(
     d = _check_pair(A, S, tol)
     blocks = d.blocks
     if len(blocks) == 1 or S.dim == 0:
-        zero = SymMatrix(np.zeros((A.n, A.n)))
+        zero = SymMatrix._symmetric(np.zeros((A.n, A.n)))
         return ShortedResult(zero, S, trace=ConvergenceTrace((TraceStep(1, zero.entries, None),), "exact"))
 
     # A's positive level block values: no rounding-negative member reaches
@@ -220,7 +220,8 @@ def spectral_short_iterative(
             reason = "power_limit"
             break
         _, s, zt = np.linalg.svd(ratios[:, None] ** (m / 2.0) * c, full_matrices=False)
-        # The iterate's eigenvectors TZ, each scaled by the root of its value.
+        # The iterate's eigenvectors TZ, each scaled by the root of its value;
+        # numpy forms f f^T by a symmetric rank-k update, symmetric to the bit.
         f = (t @ zt.T) * np.sqrt(mu_1 * s ** (-2.0 / m))
         b = f @ f.T
         delta = None if prev is None else float(np.abs(b - prev).max())
@@ -230,7 +231,7 @@ def spectral_short_iterative(
             break
         prev = b
     return ShortedResult(
-        value=SymMatrix(steps[-1].value),
+        value=SymMatrix._symmetric(steps[-1].value),
         subspace=S,
         trace=ConvergenceTrace(tuple(steps), reason),
     )

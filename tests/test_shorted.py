@@ -52,8 +52,9 @@ def test_schur_on_large_norm_with_small_levels():
 
 
 def _schur_by_eigh(A, S, tol=DEFAULT_TOL):
-    """short_schur's trailing block inverted through its eigh, above the
-    rank cut, for an A with no kernel (so S ^ R(A) is S)."""
+    """The Schur complement of the block Bc^T A Bc, Bc a basis of S's
+    complement, inverted through its eigh above the rank cut, for an A with
+    no kernel (so S ^ R(A) is S)."""
     bs, bc = S.basis, S.complement().basis
     w, v = np.linalg.eigh(bc.T @ A.entries @ bc)
     keep = w > tol.rank_tol * A.spectral_norm()
@@ -72,10 +73,11 @@ def _schur_factorizations(monkeypatch, A, S, tol=DEFAULT_TOL):
 
 def test_schur_inverts_a_definite_trailing_block_whole(monkeypatch):
     # lambda_min(A) above the rank cut by more than rounding: by interlacing
-    # nothing is cut, so the rotated matrix takes one Cholesky and no eigh,
-    # and the value agrees with the eigh route, which keeps every eigenvalue
-    # of the trailing block; conditions up to 1e9 are covered, and
-    # lambda_min at twice the margin rank_tol * ||A|| + 8 n eps ||A||
+    # nothing is cut, so the complement block K = Bc^T A Bc (18 x 18) takes
+    # one Cholesky and no eigh, and the value agrees with the eigh route,
+    # which keeps every eigenvalue of the complement block; conditions up to
+    # 1e9 are covered, and lambda_min at twice the margin
+    # rank_tol * ||A|| + 8 n eps ||A||
     rng = np.random.default_rng(3)
     margin = (1e-14 + 8 * 30 * np.finfo(float).eps) * 2.0
     for spectrum, tol in (
@@ -88,28 +90,29 @@ def test_schur_inverts_a_definite_trailing_block_whole(monkeypatch):
         A = SymMatrix((v * spectrum) @ v.T)
         S = Subspace.span(rng.standard_normal((30, 12)))
         r, calls = _schur_factorizations(monkeypatch, A, S, tol)
-        assert calls == [("cholesky", (30, 30))]
+        assert calls == [("cholesky", (18, 18))]
         assert max_abs(r.value.entries - _schur_by_eigh(A, S, tol)) <= 1e-13 * max(1.0, A.spectral_norm())
 
 
-def test_schur_takes_one_cholesky_on_a_kernel_and_the_eigh_pair_near_rounding(monkeypatch):
+def test_schur_takes_one_cholesky_on_a_kernel_and_one_eigh_near_rounding(monkeypatch):
     rng = np.random.default_rng(4)
     v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     S = Subspace.span(rng.standard_normal((20, 8)))
-    # a singular A: its kernel block is lifted to ||A||, so the rotated
-    # matrix is definite and takes one Cholesky, with no eigh
+    # a singular A: its kernel block is lifted to ||A||, so the complement
+    # block of T = S ^ R(A) (7 wide, so 13 x 13) is definite and takes one
+    # Cholesky, with no eigh
     A = SymMatrix((v * np.r_[0.0, np.linspace(1.0, 2.0, 19)]) @ v.T)
-    assert _schur_factorizations(monkeypatch, A, S)[1] == [("cholesky", (20, 20))]
+    assert _schur_factorizations(monkeypatch, A, S)[1] == [("cholesky", (13, 13))]
     assert IDENTITIES["T1"](A, S, DEFAULT_TOL) <= 1
     # a positive level at 3e-14, above the rank cut at rank_tol = 1e-14 but
-    # within the rounding margin 8 n eps ||A|| = 7.1e-14: the trailing
-    # block's eigh keeps its positive eigenvalues and the Schur complement's
-    # eigh factors it (S ^ R(A) is S, so the blocks are 12 and 8 wide)
+    # within the rounding margin 8 n eps ||A|| = 7.1e-14: the complement
+    # block's eigh keeps its positive eigenvalues (S ^ R(A) is S, so the
+    # block is 12 x 12)
     tol = Tolerances(rank_tol=1e-14)
     A = SymMatrix((v * np.r_[3e-14, np.linspace(1.0, 2.0, 19)]) @ v.T)
     assert eig_sym(A, tol).blocks[0][1].stop == 0
     assert eig_sym(A, tol).lambda_min < 8 * 20 * np.finfo(float).eps * 2.0
-    assert _schur_factorizations(monkeypatch, A, S, tol)[1] == [("eigh", (12, 12)), ("eigh", (8, 8))]
+    assert _schur_factorizations(monkeypatch, A, S, tol)[1] == [("eigh", (12, 12))]
     assert IDENTITIES["T1"](A, S, tol) <= 1
 
 
@@ -130,9 +133,9 @@ def test_schur_reads_the_kernel_block_that_at_reads():
 @pytest.mark.parametrize("dim", [1, 11], ids=["line", "hyperplane"])
 @pytest.mark.parametrize("route", [short_at, short_schur], ids=["at", "schur"])
 def test_routes_return_a_bit_symmetric_value(route, dim, kernel):
-    # short_at's f f^T and short_schur's (Bs L)(Bs L)^T or symmetrized
-    # embedding are symmetric to the bit, at dim S = 1 (a line inside the
-    # range of A, so the value is not 0) and n - 1
+    # short_at's f f^T and short_schur's A' - h h^T are symmetric to the
+    # bit, at dim S = 1 (a line inside the range of A, so the value is not
+    # 0) and n - 1
     n = 12
     rng = np.random.default_rng(6)
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -141,6 +144,29 @@ def test_routes_return_a_bit_symmetric_value(route, dim, kernel):
     e = route(A, Subspace.span(A.entries @ g if dim == 1 else g)).value.entries
     assert np.array_equal(e, e.T)
     assert max_abs(e) > 0.0
+
+
+@pytest.mark.parametrize("kernel", [0, 3], ids=["definite", "singular"])
+@pytest.mark.parametrize("n", [12, 60, 200])
+@pytest.mark.parametrize("route", [short_at, short_schur], ids=["at", "schur"])
+def test_routes_are_basis_invariant(route, n, kernel):
+    # Sigma(S, A) reads S, not the spanning set given for it: S M for a
+    # random invertible M and a column permutation of S give the same
+    # value; and Sigma(U A U^T, U S) = U Sigma(A, S) U^T for orthogonal U.
+    # The worst over these draws is 5.0e-16 ||A||_2 (schur, n = 200, a
+    # singular A), and the bound is 100 times that
+    rng = np.random.default_rng(n + kernel)
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = SymMatrix((v * np.r_[np.zeros(kernel), np.logspace(-3, 0, n - kernel)]) @ v.T)
+    k = n // 3
+    g = rng.standard_normal((n, k))
+    sigma = route(A, Subspace.span(g)).value.entries
+    bound = 5e-14 * A.spectral_norm()
+    for spanning in (g @ rng.standard_normal((k, k)), g[:, rng.permutation(k)]):
+        assert max_abs(route(A, Subspace.span(spanning)).value.entries - sigma) <= bound
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    rotated = route(SymMatrix(u @ A.entries @ u.T), Subspace.span(u @ g)).value.entries
+    assert max_abs(rotated - u @ sigma @ u.T) <= bound
 
 
 def _short_by_q(A, S, tol=DEFAULT_TOL):

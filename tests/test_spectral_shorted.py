@@ -392,11 +392,11 @@ def test_factorizations_of_one_op(monkeypatch):
     # The factorizations of one op after A's eigh: Subspace.span's complete
     # QR gives S's basis and its complement, which short_schur and the
     # closed form share when A has no kernel (S ^ R(A) is S).
-    # short_at factors its M for R alone and inverts R's diagonal halves.
-    # Cholesky
-    # certificates settle span's rank and the walk's multi-row triangles,
-    # and interlacing lets short_schur factor its rotated matrix by one
-    # Cholesky, so no solve, no SVD and no second eigh is taken.
+    # short_at factors its M for R alone and short_schur the complement
+    # block Bc^T A Bc by one Cholesky, by interlacing; each inverts its
+    # triangle's diagonal halves.  Cholesky certificates settle span's rank
+    # and the walk's multi-row triangles, so no n x n Cholesky, no solve,
+    # no SVD and no second eigh is taken.
     # The closed form factors only C's rows up to the stop of the first
     # level block to reach row k = dim S: k of them on both draws.
     draws = [
@@ -416,8 +416,9 @@ def test_factorizations_of_one_op(monkeypatch):
         modes = [call.kwargs.get("mode", "reduced") for call in calls if call.name == "qr"]
         assert modes == ["complete", "r", "reduced"]
         assert [call.shape for call in calls if call.name == "qr"][-1] == (k, k)
-        assert [call.shape for call in calls if call.name == "inv"] == [(k // 2, k // 2)] * 2
-        assert [call.shape for call in calls if call.name == "cholesky"].count((A.n, A.n)) == 1
+        # dim S and its complement are both k = n / 2
+        assert [call.shape for call in calls if call.name == "inv"] == [(k // 2, k // 2)] * 4
+        assert (A.n, A.n) not in [call.shape for call in calls if call.name == "cholesky"]
         assert "svd" not in names and "eigh" not in names and "solve" not in names
         assert names.count("cholesky") == choleskys
 
