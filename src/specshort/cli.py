@@ -4,7 +4,11 @@ Subcommands: short | spectral-short | kolmogorov | order | verify.
 All I/O is UTF-8 JSON; matrices are {"n": int, "data": [n*n row-major]},
 subspaces are {"n": int, "basis": [[...], ...]} or {"n": int, "xi": [...]}.
 Numeric output uses shortest round-trip decimal formatting, so emitting and
-re-reading a matrix reproduces it bitwise.
+re-reading a matrix reproduces it bitwise.  Each subcommand returns its
+report and exit code; main writes the report, to --out or stdout, and
+returns the code.  With --method both, short and spectral-short report the
+value of the first route (at, closed) and the largest entry of the two
+routes' difference as cross_residual.
 
 Exit codes: 0 success (for `order`: the relation holds), 1 relation fails /
 verification failures, 2 malformed input (matrices of different sizes and
@@ -202,65 +206,57 @@ def _trace_payload(trace) -> dict:
     }
 
 
-# Each subcommand imports its own route module, so a process loads only
-# the modules its subcommand runs.
+# Each subcommand takes (args, tol) and returns (report, exit code); main
+# writes the report.  Each imports its own route module, so a process loads
+# only the modules its subcommand runs.
 
 
-def _cmd_short(args) -> int:
+def _cross_residual(runs: list) -> float | None:
+    """The largest entry of |first - second| over the two routes' values,
+    or None when one route ran."""
+    if len(runs) < 2:
+        return None
+    first, second = runs
+    return float(np.abs(first.value.entries - second.value.entries).max())
+
+
+def _cmd_short(args, tol: Tolerances) -> tuple[dict, int]:
     from .shorted import short_at, short_schur
 
-    tol = _tolerances(args)
     A = load_matrix(args.matrix, tol)
     S = load_subspace(args.subspace, A.n, tol)
-    report: dict = {"method": args.method}
-    if args.method in ("at", "both"):
-        r_at = short_at(A, S, tol)
-        report["sigma"] = matrix_payload(r_at.value)
-        report["range_residual"] = float(r_at.range_residual)
-    if args.method in ("schur", "both"):
-        r_schur = short_schur(A, S, tol)
-        if args.method == "schur":
-            report["sigma"] = matrix_payload(r_schur.value)
-            report["range_residual"] = float(r_schur.range_residual)
-    report["cross_residual"] = (
-        float(np.abs(r_at.value.entries - r_schur.value.entries).max())
-        if args.method == "both"
-        else None
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+    routes = (("at", short_at), ("schur", short_schur))
+    runs = [route(A, S, tol) for name, route in routes if args.method in (name, "both")]
+    report = {
+        "method": args.method,
+        "sigma": matrix_payload(runs[0].value),
+        "range_residual": float(runs[0].range_residual),
+        "cross_residual": _cross_residual(runs),
+    }
+    return report, EXIT_OK
 
 
-def _cmd_spectral_short(args) -> int:
+def _cmd_spectral_short(args, tol: Tolerances) -> tuple[dict, int]:
     from .spectral_shorted import spectral_short_closed, spectral_short_iterative
 
-    tol = _tolerances(args)
     A = load_matrix(args.matrix, tol)
     S = load_subspace(args.subspace, A.n, tol)
     report: dict = {"method": args.method}
-    closed = iterative = None
+    runs = []
     if args.method in ("closed", "both"):
-        closed = spectral_short_closed(A, S, tol)
-        report["rho"] = matrix_payload(closed.value)
-        report["levels"] = [{"value": mu, "rank": rank} for mu, rank in closed.levels]
+        runs.append(spectral_short_closed(A, S, tol))
+        report["levels"] = [{"value": mu, "rank": rank} for mu, rank in runs[-1].levels]
     if args.method in ("iterative", "both"):
-        iterative = spectral_short_iterative(A, S, k_max=args.k_max, tol=tol)
-        if args.method == "iterative":
-            report["rho"] = matrix_payload(iterative.value)
-        report["trace"] = _trace_payload(iterative.trace)
-    report["cross_residual"] = (
-        float(np.abs(closed.value.entries - iterative.value.entries).max())
-        if args.method == "both"
-        else None
-    )
-    _emit(report, args.out)
-    return EXIT_OK
+        runs.append(spectral_short_iterative(A, S, k_max=args.k_max, tol=tol))
+        report["trace"] = _trace_payload(runs[-1].trace)
+    report["rho"] = matrix_payload(runs[0].value)
+    report["cross_residual"] = _cross_residual(runs)
+    return report, EXIT_OK
 
 
-def _cmd_kolmogorov(args) -> int:
+def _cmd_kolmogorov(args, tol: Tolerances) -> tuple[dict, int]:
     from .kolmogorov import kolmogorov_closed, kolmogorov_duality, kolmogorov_power
 
-    tol = _tolerances(args)
     A = load_matrix(args.matrix, tol)
     xi = load_vector(args.vector, A.n)
     report: dict = {"method": args.method}
@@ -275,26 +271,21 @@ def _cmd_kolmogorov(args) -> int:
         report["duality"] = {"k": float(value), "dual": float(dual)}
     report["value"] = float(value)
     report["K"] = "-inf" if value == 0.0 else float(math.log(value))
-    _emit(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args, tol: Tolerances) -> tuple[dict, int]:
     from .order import spectral_leq
 
-    tol = _tolerances(args)
     A = load_matrix(args.matrix_a, tol)
     B = load_matrix(args.matrix_b, tol)
     cert = spectral_leq(A, B, tol)
-    _emit(
-        {
-            "holds": cert.holds,
-            "witness_lambda": None if cert.witness_lambda is None else float(cert.witness_lambda),
-            "worst_residual": float(cert.worst_residual),
-        },
-        args.out,
-    )
-    return EXIT_OK if cert.holds else EXIT_FAIL
+    report = {
+        "holds": cert.holds,
+        "witness_lambda": None if cert.witness_lambda is None else float(cert.witness_lambda),
+        "worst_residual": float(cert.worst_residual),
+    }
+    return report, EXIT_OK if cert.holds else EXIT_FAIL
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -307,23 +298,21 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, tol: Tolerances) -> tuple[dict, int]:
     from .harness import run_suite
 
-    tol = _tolerances(args)
     report = run_suite(
         dims=_parse_dims(args.dims),
         trials=args.trials,
         seed=args.seed,
         tol=tol,
     )
-    _emit(report.to_json_dict(), args.out)
     print(
         f"verify: {report.total_failures} failures over {report.trials} trials/theorem "
         f"({report.wall_time_s:.2f}s)",
         file=sys.stderr,
     )
-    return EXIT_OK if report.total_failures == 0 else EXIT_FAIL
+    return report.to_json_dict(), EXIT_OK if report.total_failures == 0 else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +366,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        return args.func(args)
+        report, code = args.func(args, _tolerances(args))
+        _emit(report, args.out)
+        return code
     except (CliInputError, DimensionMismatchError) as exc:
         print(f"specshort: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

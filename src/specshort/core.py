@@ -97,13 +97,13 @@ class Tolerances:
     question: a direction lies in a meet, one subspace inside another, and
     a vector or subspace inside a half-line (the range of A included, so
     kolmogorov_power's "no positive support" too), when the sine of its
-    angle to the other subspace is at most meet_tol.  conv_tol is relative too: spectral_short_iterative stops on
-    a step of at most conv_tol * ||A||_2, kolmogorov_power (so
-    spectral_short_vector_power too) on one of at most conv_tol times the
-    current quotient.  So every threshold scales with its own input, and
-    at scale 0 only exact values pass.  The input checks' bounds are not
-    settable: _SYM_TOL, _PSD_TOL and _ORTH_TOL below.  Every field must be
-    finite and nonnegative.
+    angle to the other subspace is at most meet_tol.  conv_tol is relative
+    too: spectral_short_iterative stops on a step of at most
+    conv_tol * ||A||_2, kolmogorov_power (so spectral_short_vector_power
+    too) on one of at most conv_tol times the current quotient.  So every
+    threshold scales with its own input, and at scale 0 only exact values
+    pass.  The input checks' bounds are not settable: _SYM_TOL, _PSD_TOL
+    and _ORTH_TOL below.  Every field must be finite and nonnegative.
     """
 
     cluster_tol: float = 1e-8
@@ -565,16 +565,11 @@ class Subspace:
         stores it from its own QR when the spanning set has full column
         rank, and otherwise it is taken here from a complete QR of the
         basis, as a copy of Q's last columns, so the cache does not keep
-        the whole of Q alive."""
+        the whole of Q alive.  The zero and the whole space take the same
+        QR: an n x 0 basis gives Q = I, and an n x n one no last columns."""
         if self._complement is None:
-            n, k = self.n, self.dim
-            if k == 0:
-                self._complement = Subspace.full(n)
-            elif k == n:
-                self._complement = Subspace.zero(n)
-            else:
-                q, _ = np.linalg.qr(self.basis, mode="complete")
-                self._complement = Subspace._of(q[:, k:].copy())
+            q, _ = np.linalg.qr(self.basis, mode="complete")
+            self._complement = Subspace._of(q[:, self.dim :].copy())
         return self._complement
 
     def __repr__(self) -> str:
@@ -723,7 +718,11 @@ def spectral_projection(
 
     Whole blocks are kept or dropped together, the kernel block (value 0)
     included, so the result is monotone in lam exactly (as index sets).
+    lam = +inf gives the zero subspace and -inf the whole space; a NaN
+    lam raises DomainError.
     """
+    if math.isnan(lam):
+        raise DomainError(f"threshold must not be NaN, got {lam!r}")
     # the largest block value at or below lam when it is that close, else
     # lam - cluster_tol * ||A||_2, below which no value then lies before lam
     i = np.searchsorted(D.values, lam, side="right")
@@ -801,12 +800,13 @@ def projection_meet(
 
     The sines are the singular values of (I - P_Q) P.basis, which stay
     accurate for small angles where cosines lose them (Bjorck & Golub 1973;
-    Knyazev & Argentati 2002).
+    Knyazev & Argentati 2002).  An empty operand takes the same SVD: an
+    empty P has no directions, and against an empty Q every sine is 1, so
+    the meet is zero for any meet_tol below 1 (at 1 or more, every
+    direction of P passes against any Q, an empty one too).
     """
     if P.n != Q.n:
         raise DimensionMismatchError(f"ambient dimensions differ: {P.n} vs {Q.n}")
-    if P.dim == 0 or Q.dim == 0:
-        return Subspace.zero(P.n)
     count, _, vt = _split(P.basis - Q.basis @ (Q.basis.T @ P.basis), tol)
     return Subspace._of(P.basis @ vt[count:].T)
 

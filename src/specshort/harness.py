@@ -161,8 +161,6 @@ def gen_psd(spec: SpectrumSpec, seed: int):
 def _subspace_from_rng(rng: np.random.Generator, n: int, k: int) -> Subspace:
     if not 0 <= k <= n:
         raise DomainError(f"subspace dimension {k} outside [0, {n}]")
-    if k == 0:
-        return Subspace.zero(n)
     return Subspace(_orthonormal(rng, n, k))
 
 

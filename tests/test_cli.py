@@ -104,6 +104,29 @@ def test_spectral_short_line_and_iterative_rho(files, capsys):
     assert "levels" not in rep
 
 
+def test_a_two_route_report_shows_the_first_route(files, capsys):
+    # at and schur differ in the last bits here, and closed and iterative
+    # (20 powers, not converged) by 0.13, so each field pins its route
+    rng = np.random.default_rng(5)
+    v, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    A = SymMatrix((v * [0.3, 0.7, 1.1, 1.9, 2.5]) @ v.T)
+    matrix = write_json(files["tmp"] / "a5.json", matrix_payload(A))
+    subspace = write_json(files["tmp"] / "s5.json", {"n": 5, "basis": rng.standard_normal((2, 5)).tolist()})
+
+    def report(command, method):
+        code, out, _ = run_cli([command, matrix, subspace, "--method", method], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    both, at, schur = (report("short", m) for m in ("both", "at", "schur"))
+    assert both["cross_residual"] > 0.0 and schur["sigma"] != at["sigma"]
+    assert (both["sigma"], both["range_residual"]) == (at["sigma"], at["range_residual"])
+    both, closed, iterative = (report("spectral-short", m) for m in ("both", "closed", "iterative"))
+    assert both["cross_residual"] > 0.1
+    assert (both["rho"], both["levels"]) == (closed["rho"], closed["levels"])
+    assert both["trace"] == iterative["trace"]
+
+
 def test_kolmogorov_methods(files, capsys):
     code, out, _ = run_cli(["kolmogorov", files["diag12"], files["xi"]], capsys)
     assert code == 0

@@ -359,6 +359,14 @@ def test_projection_at_a_level_takes_that_level_and_above():
     assert [spectral_projection(d, mu).dim for mu, _ in d.blocks[1:]] == [5, 4, 2, 1]
 
 
+def test_projection_reads_infinite_thresholds_and_rejects_nan():
+    d = eig_sym(SymMatrix(np.diag([0.0, 1.0, 2.0])))
+    assert spectral_projection(d, math.inf).dim == 0
+    assert spectral_projection(d, -math.inf).dim == 3
+    with pytest.raises(DomainError, match="^threshold must not be NaN, got nan$"):
+        spectral_projection(d, math.nan)
+
+
 def test_projection_monotone_in_threshold():
     for seed in range(6):
         A = gen_psd(SpectrumSpec("clustered", 7), seed)
@@ -915,12 +923,18 @@ def test_each_input_check_names_its_fault(call, error, message):
         lambda: Subspace.span(np.zeros((3, 0))),
         lambda: projection_meet(Subspace.full(3), Subspace.zero(3)),
         lambda: projection_meet(Subspace.zero(3), Subspace.full(3)),
+        lambda: Subspace.full(3).complement(),
     ],
-    ids=["span of no vectors", "meet with zero", "meet of zero"],
+    ids=["span of no vectors", "meet with zero", "meet of zero", "complement of full"],
 )
 def test_empty_operands_give_the_zero_subspace(build):
     S = build()
     assert (S.n, S.dim) == (3, 0)
+
+
+def test_the_complement_of_the_zero_subspace_is_exactly_the_identity():
+    # the complete QR of a 3 x 0 basis returns Q = I to the bit
+    np.testing.assert_array_equal(Subspace.zero(3).complement().basis, np.eye(3))
 
 
 # ---- hypothesis properties ----

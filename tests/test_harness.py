@@ -68,6 +68,13 @@ def test_gen_subspace_reproducible_and_valid():
     assert gen_subspace(4, 4, 1).dim == 4
 
 
+def test_an_empty_draw_is_the_zero_subspace_and_leaves_the_generator_alone():
+    rng = np.random.default_rng(7)
+    S = harness._subspace_from_rng(rng, 5, 0)
+    assert (S.n, S.dim) == (5, 0)
+    np.testing.assert_array_equal(rng.standard_normal(4), np.random.default_rng(7).standard_normal(4))
+
+
 def test_gen_validation_errors():
     with pytest.raises(DomainError):
         SpectrumSpec("bogus", 4)

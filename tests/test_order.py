@@ -13,9 +13,11 @@ from specshort import (
     eig_sym,
     gen_psd,
     gen_subspace,
+    kolmogorov_closed,
     matrix_function,
     spectral_leq,
     spectral_short_closed,
+    spectral_short_vector,
 )
 from specshort.harness import _loewner_not_spectral
 
@@ -209,6 +211,34 @@ def test_distinct_pairs_match_threshold_loop():
     assert outcomes == {True, False}
     A, rho = _many_levels_pair(200)
     assert spectral_leq(rho, A).holds and not spectral_leq(A, rho).holds
+
+
+def test_order_and_scalar_routes_are_orthogonally_invariant():
+    # spectral_leq(U A U^T, U B U^T) decides as spectral_leq(A, B), with the
+    # witness, and a failing worst_residual, within 1e-12 of the pair's
+    # larger norm; k and rho of (U A U^T, U xi) are those of (A, xi) within
+    # 1e-12 ||A||.  Over these 540 rotations the witness moved at most
+    # 1.7e-15 of the norm, a failing residual 7.4e-16 and a scalar 1.9e-15
+    rng = np.random.default_rng(35)
+    for low, high in _order_pairs():
+        n = low.n
+        if n > 12:
+            continue
+        cert = spectral_leq(low, high)
+        bound = 1e-12 * max(low.spectral_norm(), high.spectral_norm())
+        xi = rng.standard_normal(n)
+        scalars = [(kolmogorov_closed(M, xi).value, spectral_short_vector(M, xi)) for M in (low, high)]
+        for _ in range(5):
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            turned = [SymMatrix(u @ M.entries @ u.T) for M in (low, high)]
+            rotated = spectral_leq(*turned)
+            assert rotated.holds == cert.holds
+            if not cert.holds:
+                assert abs(rotated.witness_lambda - cert.witness_lambda) <= bound
+                assert abs(rotated.worst_residual - cert.worst_residual) <= bound
+            for M, T, (k, rho) in zip((low, high), turned, scalars):
+                assert abs(kolmogorov_closed(T, u @ xi).value - k) <= 1e-12 * M.spectral_norm()
+                assert abs(spectral_short_vector(T, u @ xi) - rho) <= 1e-12 * M.spectral_norm()
 
 
 @pytest.mark.parametrize("meet_tol", [0.0, 1e-12, 1e-3, 0.5, 1.0])
