@@ -2,7 +2,8 @@
 
 Subcommands: short | spectral-short | kolmogorov | order | verify.
 All I/O is UTF-8 JSON; matrices are {"n": int, "data": [n*n row-major]},
-subspaces are {"n": int, "basis": [[...], ...]} or {"n": int, "xi": [...]}.
+subspaces are {"n": int, "basis": [[...], ...]} or {"n": int, "xi": [...]},
+with exactly one of the two fields.
 Numeric output uses shortest round-trip decimal formatting, so emitting and
 re-reading a matrix reproduces it bitwise.  Each subcommand returns its
 report and exit code; main writes the report, to --out or stdout, and
@@ -93,12 +94,9 @@ def load_subspace(path: str, n: int, tol: Tolerances) -> Subspace:
     obj = _load_json(path)
     if not isinstance(obj, dict) or type(obj.get("n")) is not int or obj["n"] != n:
         raise CliInputError(f'{path}: expected an object with "n" equal to {n}')
-    if "xi" in obj:
-        vecs = [obj["xi"]]
-    elif "basis" in obj:
-        vecs = obj["basis"]
-    else:
-        raise CliInputError(f'{path}: expected a "basis" or "xi" field')
+    if ("basis" in obj) == ("xi" in obj):
+        raise CliInputError(f'{path}: expected a "basis" or "xi" field, not both')
+    vecs = obj["basis"] if "basis" in obj else [obj["xi"]]
     if not isinstance(vecs, list) or not vecs:
         raise CliInputError(f"{path}: basis must be a nonempty list of vectors")
     rows = []
@@ -247,7 +245,7 @@ def _cmd_spectral_short(args, tol: Tolerances) -> tuple[dict, int]:
         runs.append(spectral_short_closed(A, S, tol))
         report["levels"] = [{"value": mu, "rank": rank} for mu, rank in runs[-1].levels]
     if args.method in ("iterative", "both"):
-        runs.append(spectral_short_iterative(A, S, k_max=args.k_max, tol=tol))
+        runs.append(spectral_short_iterative(A, S, tol))
         report["trace"] = _trace_payload(runs[-1].trace)
     report["rho"] = matrix_payload(runs[0].value)
     report["cross_residual"] = _cross_residual(runs)
@@ -263,7 +261,7 @@ def _cmd_kolmogorov(args, tol: Tolerances) -> tuple[dict, int]:
     if args.method == "closed":
         value = kolmogorov_closed(A, xi, tol).value
     elif args.method == "power":
-        res = kolmogorov_power(A, xi, n_max=args.n_max, tol=tol)
+        res = kolmogorov_power(A, xi, tol=tol)
         value = res.value
         report["trace"] = _trace_payload(res.trace)
     else:
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("subspace")
     p.add_argument("--method", choices=("closed", "iterative", "both"), default="both")
-    p.add_argument("--k-max", type=_at_least(0), default=20)
     _add_common(p)
     p.set_defaults(func=_cmd_spectral_short)
 
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("vector")
     p.add_argument("--method", choices=("closed", "power", "duality"), default="closed")
-    p.add_argument("--n-max", type=_at_least(1), default=200)
     _add_common(p)
     p.set_defaults(func=_cmd_kolmogorov)
 

@@ -29,8 +29,10 @@ A^{m} below roughly 1e-8 of the top retained level is indistinguishable from
 rounding noise, and the iteration refuses to power past that wall rather
 than return noise dressed up as an iterate.  Convergence of the iterates
 toward the limit is generally only O(1/m) in the power m, so slow runs stop
-at the wall or at k_max with converged=False; that is a flagged outcome, not
-an error.
+at the wall or after _MAX_DOUBLINGS doublings with converged=False; that is a
+flagged outcome, not an error.  When S ^ R(A) is zero every iterate is
+exactly 0, and the route returns 0 with no iterates and stop reason "exact",
+as the scalar power routes do for a vector off the range.
 
 Both routes return core.ShortedResult, as the shorted routes do, since rho
 is an operator on S just as Sigma is; the closed form also fills levels and
@@ -77,6 +79,10 @@ __all__ = [
 # the iterates beyond the 1e-9 monotonicity budget; the iterative route
 # stops powering there.
 _POWER_NOISE_FLOOR = 1e-8
+# The iterative route's last power is 2**_MAX_DOUBLINGS.  The power wall
+# stops it sooner unless every positive level of A is above
+# (1 - 1.8e-5) ||A||.
+_MAX_DOUBLINGS = 20
 
 
 def spectral_short_closed(
@@ -167,25 +173,15 @@ def spectral_short_closed(
     )
 
 
-def _power_limit(min_positive_ratio: float) -> float:
-    """Largest power m such that min_positive_ratio**m stays above the
-    dense-representation noise floor."""
-    if min_positive_ratio >= 1.0:
-        return math.inf
-    return math.log(_POWER_NOISE_FLOOR) / math.log(min_positive_ratio)
-
-
 def spectral_short_iterative(
-    A: SymMatrix,
-    S: Subspace,
-    k_max: int = 20,
-    tol: Tolerances = DEFAULT_TOL,
+    A: SymMatrix, S: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> ShortedResult:
     """Iterated root-of-shorted-power route to the spectral shorted operator.
 
     Iterates are non-increasing in the semidefinite order and bound the limit
-    from above.  Stops on a small step (converged), at k_max, or at the
-    precision wall described in the module docstring (power_limit).
+    from above.  Stops on a small step (converged), after _MAX_DOUBLINGS
+    doublings of the power, or at the precision wall described in the module
+    docstring (power_limit); with S ^ R(A) = 0 it returns exactly 0 (exact).
 
     With T the basis of S ^ R(A), each iterate is shorted(A^m, S)^{1/m} =
     T (T^T pinv(A)^m T)^{-1/m} T^T (Anderson & Trapp 1975).  With mu the
@@ -194,27 +190,27 @@ def spectral_short_iterative(
     mu_1 (TZ) Sigma^{-2/m} (TZ)^T.  W_m's row scales are at most 1, and its
     SVD keeps the small singular values that its Gram matrix would square.
     """
-    if k_max < 0:
-        raise DomainError(f"k_max must be nonnegative, got {k_max}")
     d = _check_pair(A, S, tol)
-    blocks = d.blocks
-    if len(blocks) == 1 or S.dim == 0:
+    t = _range_meet(d, S, tol).basis
+    if not t.shape[1]:  # S = 0, A = 0, or S inside the kernel of A
         zero = SymMatrix._symmetric(np.zeros((A.n, A.n)))
-        return ShortedResult(zero, S, trace=ConvergenceTrace((TraceStep(1, zero.entries, None),), "exact"))
+        return ShortedResult(zero, S, trace=ConvergenceTrace((), "exact"))
 
     # A's positive level block values: no rounding-negative member reaches
-    # the powers, and the power wall is read off the smallest of them.
+    # the powers, and the power wall is read off the smallest of them: the
+    # largest m at which (mu_1 / ||A||)^m stays above _POWER_NOISE_FLOOR.
+    blocks = d.blocks
     positive = slice(blocks[0][1].stop, None)
     mu_1 = blocks[1][0]
     ratios = mu_1 / d.values[positive]
-    m_limit = _power_limit(mu_1 / d.norm2)
-    t = _range_meet(d, S, tol).basis
+    low = mu_1 / d.norm2
+    m_limit = math.inf if low >= 1.0 else math.log(_POWER_NOISE_FLOOR) / math.log(low)
     c = d.vectors[:, positive].T @ t
 
     steps: list[TraceStep] = []
     prev: np.ndarray | None = None
     reason = "max_iterations"
-    for k in range(k_max + 1):
+    for k in range(_MAX_DOUBLINGS + 1):
         m = 2.0**k
         if k > 0 and m > m_limit:
             reason = "power_limit"

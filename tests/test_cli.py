@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -240,8 +241,8 @@ def test_order_size_mismatch_is_malformed_input(files, capsys):
         ["spectral-short", "A", "S", "--tol-meet", "nan"],
         ["order", "A", "B", "--tol-eig", "inf"],
         ["short", "A", "S", "--tol-rank", "-0.001"],
-        ["kolmogorov", "A", "xi", "--n-max", "0"],
-        ["spectral-short", "A", "S", "--k-max", "-1"],
+        ["kolmogorov", "A", "xi", "--tol-conv", "-1"],
+        ["spectral-short", "A", "S", "--tol-conv", "inf"],
         ["verify", "--trials", "-1"],
         ["verify", "--seed", "-1"],
     ],
@@ -325,6 +326,9 @@ _LINE = {"n": 2, "basis": [[1.0, 0.0]]}
         ("kolmogorov", (_MATRIX, {"n": 2, "xi": ["1", 0.0]}), "xi entries must be numbers"),
         ("kolmogorov", (_MATRIX, {"n": 2, "xi": [float("nan"), 0.0]}), "xi entries must be finite"),
         ("kolmogorov", (_MATRIX, {"n": 2, "xi": [0.0, 0.0]}), "xi must be nonzero"),
+        # load_subspace reads one of its two fields, never picks between them
+        ("spectral-short", (_MATRIX, {"n": 2, "basis": [[1.0, 0.0]], "xi": [0.0, 1.0]}),
+         'expected a "basis" or "xi" field, not both'),
     ],
 )
 def test_loader_rejections_name_the_file(command, payloads, message, tmp_path, capsys):
@@ -507,6 +511,27 @@ def test_tolerance_flags_are_the_tolerance_fields():
         assert dests == names, command
 
 
+def _readme_section(title):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_the_parser_flags():
+    # a flag the parser drops, or gains, must leave or enter the docs too
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {o for parser in sub.choices.values() for a in parser._actions for o in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", _readme_section("Command line"))) == flags - {"-h", "--help"}
+
+
+def test_readme_lists_the_public_names_by_module():
+    listed = dict(re.findall(r"^- `(\w+)`: (.*)$", _readme_section("Public names"), re.M))
+    for module, names in listed.items():
+        assert re.findall(r"`(\w+)`", names) == importlib.import_module(f"specshort.{module}").__all__, module
+    assert list(listed) == list(specshort._ORDER)
+    assert len(specshort.__all__) == 30
+
+
 def test_tolerance_flags(files, capsys):
     code, out, _ = run_cli(
         ["short", files["diag12"], files["line"], "--tol-eig", "1e-6", "--tol-rank", "1e-8",
@@ -538,7 +563,7 @@ def test_harness_is_imported_on_first_use(tmp_path, capsys):
     probe = (
         "import sys, specshort.cli; "
         "assert 'specshort.harness' not in sys.modules; "
-        "from specshort import gen_psd; "
+        "from specshort import run_suite; "
         "assert 'specshort.harness' in sys.modules"
     )
     assert run_child("-c", probe).returncode == 0

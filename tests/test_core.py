@@ -10,13 +10,10 @@ from specshort import (
     DEFAULT_TOL,
     DimensionMismatchError,
     DomainError,
-    SpectrumSpec,
     Subspace,
     SymMatrix,
     Tolerances,
     eig_sym,
-    gen_psd,
-    gen_subspace,
     matrix_function,
     matrix_power,
     projection_meet,
@@ -28,7 +25,7 @@ from specshort import (
 )
 
 from specshort.core import _ORTH_TOL, _SYM_TOL, _finite_scale, _partition, _range_meet, _smallest_sv_above
-from specshort.harness import _KINDS
+from specshort.harness import SpectrumSpec, _KINDS, gen_psd, gen_subspace
 
 from conftest import containment_residual, linalg_calls, max_abs, peak_alloc, same_subspace
 

@@ -7,16 +7,13 @@ import pytest
 
 from specshort import (
     DomainError,
-    SpectrumSpec,
     Subspace,
     SymMatrix,
-    gen_psd,
-    gen_subspace,
     run_suite,
     spectral_leq,
 )
 from specshort import harness
-from specshort.harness import THEOREMS, TheoremCheck, run_trial
+from specshort.harness import SpectrumSpec, THEOREMS, TheoremCheck, gen_psd, gen_subspace, run_trial
 from specshort.core import DEFAULT_TOL
 
 from conftest import IDENTITIES, max_abs, min_eig

@@ -8,10 +8,8 @@ from specshort import (
     ConvergenceTrace,
     DimensionMismatchError,
     DomainError,
-    SpectrumSpec,
     SymMatrix,
     eig_sym,
-    gen_psd,
     kolmogorov_closed,
     kolmogorov_duality,
     kolmogorov_power,
@@ -20,6 +18,7 @@ from specshort import (
     spectral_short_vector,
     spectral_short_vector_power,
 )
+from specshort.harness import SpectrumSpec, gen_psd
 
 from conftest import IDENTITIES
 

@@ -6,20 +6,17 @@ import pytest
 from specshort import (
     DEFAULT_TOL,
     DimensionMismatchError,
-    SpectrumSpec,
     Subspace,
     SymMatrix,
     Tolerances,
     eig_sym,
-    gen_psd,
-    gen_subspace,
     kolmogorov_closed,
     matrix_function,
     spectral_leq,
     spectral_short_closed,
     spectral_short_vector,
 )
-from specshort.harness import _loewner_not_spectral
+from specshort.harness import SpectrumSpec, _loewner_not_spectral, gen_psd, gen_subspace
 
 from conftest import IDENTITIES, containment_residual, linalg_calls, min_eig
 

@@ -24,12 +24,9 @@ from hypothesis import strategies as st
 from specshort import (
     DEFAULT_TOL,
     DomainError,
-    SpectrumSpec,
     Subspace,
     SymMatrix,
     eig_sym,
-    gen_psd,
-    gen_subspace,
     kolmogorov_closed,
     kolmogorov_duality,
     kolmogorov_power,
@@ -45,6 +42,7 @@ from specshort import (
     spectral_short_vector,
     spectral_short_vector_power,
 )
+from specshort.harness import SpectrumSpec, gen_psd, gen_subspace
 
 from conftest import IDENTITIES, max_abs, min_eig
 

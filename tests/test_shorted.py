@@ -6,17 +6,15 @@ import pytest
 from specshort import (
     DEFAULT_TOL,
     DomainError,
-    SpectrumSpec,
     Subspace,
     SymMatrix,
     Tolerances,
     eig_sym,
-    gen_psd,
-    gen_subspace,
     matrix_power,
     short_at,
     short_schur,
 )
+from specshort.harness import SpectrumSpec, gen_psd, gen_subspace
 from specshort.core import _range_meet
 from specshort.shorted import ShortedResult
 

@@ -6,13 +6,11 @@ import pytest
 
 from specshort import (
     DEFAULT_TOL,
+    ConvergenceTrace,
     DomainError,
-    SpectrumSpec,
     Subspace,
     SymMatrix,
     eig_sym,
-    gen_psd,
-    gen_subspace,
     kolmogorov_closed,
     kolmogorov_power,
     matrix_function,
@@ -29,6 +27,7 @@ from specshort import (
     spectral_short_vector_power,
     spectral_projection,
 )
+from specshort.harness import SpectrumSpec, gen_psd, gen_subspace
 
 from specshort import shorted
 from specshort.core import ShortedResult, _range_meet
@@ -59,7 +58,7 @@ def test_closed_diagonal_with_tilted_line():
     assert max_abs(r.value.entries - S.projection()) < 1e-12
     # cross-check by the independent iterative route, Richardson-extrapolated
     # under its O(1/power) error model: 2 B_k - B_{k-1} for doubling powers
-    before, last = spectral_short_iterative(A, S, k_max=20).trace.iterates[-2:]
+    before, last = spectral_short_iterative(A, S).trace.iterates[-2:]
     ext = 2.0 * np.asarray(last.value) - np.asarray(before.value)
     assert max_abs(ext - r.value.entries) < 5e-3
 
@@ -546,7 +545,7 @@ def test_iterative_trace_hand_values():
     # ((1 + 2^{-m})/2)^{-1/m}: 4/3, sqrt(8/5), ... decreasing to 1
     A = SymMatrix(np.diag([1.0, 2.0]))
     S = Subspace.span([[1.0], [1.0]])
-    r = spectral_short_iterative(A, S, k_max=20)
+    r = spectral_short_iterative(A, S)
     scalars = [float((S.basis.T @ np.asarray(st.value) @ S.basis)[0, 0]) for st in r.trace.iterates]
     assert abs(scalars[0] - 4.0 / 3.0) < 1e-12
     assert abs(scalars[1] - math.sqrt(8.0 / 5.0)) < 1e-12
@@ -564,7 +563,7 @@ def test_iterative_trace_monotone_and_dominates_limit():
         A = gen_psd(SpectrumSpec("well_separated", n), seed)
         S = gen_subspace(n, 2, seed + 3)
         closed = spectral_short_closed(A, S)
-        it = spectral_short_iterative(A, S, k_max=20)
+        it = spectral_short_iterative(A, S)
         nrm = eig_sym(A).norm2
         vals = [np.asarray(st.value) for st in it.trace.iterates]
         for prev, nxt in zip(vals, vals[1:]):
@@ -574,11 +573,23 @@ def test_iterative_trace_monotone_and_dominates_limit():
 
 
 def test_iterative_zero_matrix_and_zero_subspace():
-    z = spectral_short_iterative(SymMatrix(np.zeros((3, 3))), Subspace.full(3))
-    assert z.trace.stop_reason == "exact"
-    assert max_abs(z.value.entries) == 0.0
-    z2 = spectral_short_iterative(SymMatrix(np.eye(3)), Subspace.zero(3))
-    assert max_abs(z2.value.entries) == 0.0
+    for A, S in ((np.zeros((3, 3)), Subspace.full(3)), (np.eye(3), Subspace.zero(3))):
+        z = spectral_short_iterative(SymMatrix(A), S)
+        assert z.trace == ConvergenceTrace((), "exact")
+        assert max_abs(z.value.entries) == 0.0
+
+
+@pytest.mark.parametrize("spectrum", [[0.0, 0.0, 0.0], [0.0, 1.0, 2.0]], ids=["zero", "kernel"])
+def test_limit_routes_report_an_exact_zero_off_the_range(spectrum):
+    # xi = e_0 lies in the kernel of A, so S ^ R(A) = 0 for its line and
+    # every limit route knows its value, 0, before any iterate
+    A, xi = SymMatrix(np.diag(spectrum)), np.eye(3)[0]
+    rho = spectral_short_iterative(A, Subspace.span(xi[:, None]))
+    assert rho.trace == ConvergenceTrace((), "exact")
+    assert max_abs(rho.value.entries) == 0.0
+    for scalar in (kolmogorov_power(A, xi), spectral_short_vector_power(A, xi)):
+        assert scalar.trace == ConvergenceTrace((), "exact")
+        assert scalar.value == 0.0
 
 
 def test_iterative_without_positive_level():
@@ -591,8 +602,6 @@ def test_iterative_without_positive_level():
 
 def test_power_routes_reject_empty_iterations():
     A = SymMatrix(np.diag([1.0, 2.0]))
-    with pytest.raises(DomainError, match="k_max"):
-        spectral_short_iterative(A, Subspace.full(2), k_max=-1)
     with pytest.raises(DomainError, match="m_max"):
         spectral_short_vector_power(A, [1.0, 0.0], m_max=0)
 
